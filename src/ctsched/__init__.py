@@ -2,7 +2,7 @@
 objectives: model-free Q-learning plus an exact uniformization-based checker.
 """
 
-from .automata import BuchiAutomaton, MonitorState, extended_step, step
+from .automata import BuchiAutomaton, step
 from .check import (BlackwellReport, CheckResult, RewardSpec, average_optimal,
                     average_value, blackwell_probe, discounted_optimal,
                     discounted_value, esem_of, esem_optimal, psem_of,
@@ -12,13 +12,11 @@ from .formats import (HoaSource, ModelSource, emit_hoa, emit_result_table,
 from .learn import (EXP_GAMMA, SAT_GAMMA, Hyperparams, LearnResult,
                     OnTheFlyProductEnv, QTable, extract_schedule, learn_exp,
                     learn_sat)
-from .model import (Ctmdp, CtmdpError, EmbeddedMdp, Mec, MecSet, embed,
-                    exit_rate, mec_decompose, uniformize, validate)
+from .model import (Ctmdp, CtmdpError, Mec, MecSet, embed, exit_rate,
+                    mec_decompose, uniformize, validate)
 from .product import (AugmentedProduct, ProductCtmdp, Schedule, augment,
                       build_product, project_schedule, schedule_from_ids,
                       schedule_to_ids)
-from .rewards import ExpRewardCfg, SatRewardCfg, exp_reward, sat_reward
-from .simulate import (MaterializedEnv, RngHandle, Step, Trajectory,
-                       run_episode, sample_transition, trajectory_csv)
+from .simulate import RngHandle, sample_transition
 
 __version__ = "0.1.0"

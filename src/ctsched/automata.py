@@ -6,7 +6,7 @@ are boolean formulas over AP indices, evaluated against a letter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Sequence, Tuple, Union
+from typing import FrozenSet, Tuple
 
 Letter = FrozenSet[int]
 
@@ -110,26 +110,6 @@ class Edge:
     target: int
 
 
-@dataclass
-class MonitorState:
-    """Tracks one automaton run along a trajectory.
-
-    ``accepting_hit`` reports whether the state entered by the last step was
-    accepting.
-    """
-
-    current: int
-    accepting_hit: bool = False
-
-    def advance(self, a: "BuchiAutomaton", letter: "Letter", choice: int):
-        """Move to ``choice``, which must be a valid successor for ``letter``."""
-        if choice not in step(a, self.current, letter):
-            raise ValueError(
-                f"state {choice} is not a successor of {self.current}")
-        self.current = choice
-        self.accepting_hit = choice in a.accepting
-
-
 @dataclass(frozen=True)
 class BuchiAutomaton:
     """States 0..n-1, AP names, guarded edges, state-based acceptance."""
@@ -147,14 +127,6 @@ class BuchiAutomaton:
             if not (0 <= q < self.num_states):
                 raise ValueError(f"accepting state {q} out of range")
 
-    def is_deterministic(self) -> bool:
-        for q in range(self.num_states):
-            for k in range(1 << len(self.ap)):
-                letter = frozenset(i for i in range(len(self.ap)) if k >> i & 1)
-                if len(step(self, q, letter)) > 1:
-                    return False
-        return True
-
 
 def step(a: BuchiAutomaton, q: int, letter: Letter) -> FrozenSet[int]:
     """delta(q, letter); empty set means the run prefix is rejected."""
@@ -162,17 +134,3 @@ def step(a: BuchiAutomaton, q: int, letter: Letter) -> FrozenSet[int]:
         raise ValueError(f"state {q} out of range")
     return frozenset(e.target for e in a.edges[q] if e.guard.eval(letter))
 
-
-def extended_step(a: BuchiAutomaton, qs: Iterable[int],
-                  word: Sequence[Letter]) -> FrozenSet[int]:
-    """delta-hat: apply ``step`` letter by letter to a state set."""
-    current = frozenset(qs)
-    for letter in word:
-        current = frozenset().union(*(step(a, q, letter) for q in current)) \
-            if current else frozenset()
-    return current
-
-
-def letter_from_names(a: BuchiAutomaton, names: Iterable[str]) -> Letter:
-    index = {name: i for i, name in enumerate(a.ap)}
-    return frozenset(index[n] for n in names)

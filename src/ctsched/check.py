@@ -128,9 +128,7 @@ def _bsccs(P: np.ndarray) -> Tuple[List[List[int]], np.ndarray]:
     ncomp, comp = connected_components(graph, directed=True, connection="strong")
     leaves = np.ones(ncomp, dtype=bool)
     rows, cols = np.nonzero(P > 0)
-    for i, j in zip(rows, cols):
-        if comp[i] != comp[j]:
-            leaves[comp[i]] = False
+    leaves[comp[rows[comp[rows] != comp[cols]]]] = False
     out = [sorted(np.flatnonzero(comp == c)) for c in range(ncomp) if leaves[c]]
     return out, comp
 
@@ -146,20 +144,25 @@ def _stationary(P: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _absorption(P: np.ndarray, value_on_recurrent: np.ndarray,
-                recurrent: Set[int]) -> np.ndarray:
-    """Extend a value fixed on recurrent states to all states by the
-    harmonic equations v = P v on transient states."""
+def _absorption(P: np.ndarray, value: np.ndarray, fixed: Set[int],
+                rhs: Optional[np.ndarray] = None) -> np.ndarray:
+    """Extend a value given on the ``fixed`` states to the others t by
+    solving (I - P[t,t]) v[t] = rhs[t] + P[t,fixed] v[fixed]; ``rhs``
+    defaults to 0, which gives the harmonic extension v = P v.
+
+    This is the one place that solves a transient linear system.
+    """
     n = P.shape[0]
-    out = value_on_recurrent.astype(float).copy()
-    transient = [s for s in range(n) if s not in recurrent]
+    out = value.astype(float).copy()
+    transient = [s for s in range(n) if s not in fixed]
     if not transient:
         return out
     t = np.array(transient)
-    rec = np.array(sorted(recurrent), dtype=np.int64)
-    A = np.eye(len(t)) - P[np.ix_(t, t)]
-    b = P[np.ix_(t, rec)] @ out[rec] if len(rec) else np.zeros(len(t))
-    out[t] = np.linalg.solve(A, b)
+    f = np.array(sorted(fixed), dtype=np.int64)
+    b = P[np.ix_(t, f)] @ out[f] if len(f) else np.zeros(len(t))
+    if rhs is not None:
+        b = rhs[t] + b
+    out[t] = np.linalg.solve(np.eye(len(t)) - P[np.ix_(t, t)], b)
     return out
 
 
@@ -253,16 +256,7 @@ def _policy_gain_bias(P: np.ndarray, r: np.ndarray) -> Tuple[np.ndarray, np.ndar
         h[idx], *_ = np.linalg.lstsq(A, b, rcond=None)
         recurrent |= set(members)
     g = _absorption(P, g, recurrent)
-    transient = [s for s in range(n) if s not in recurrent]
-    if transient:
-        t = np.array(transient)
-        rec = np.array(sorted(recurrent), dtype=np.int64)
-        A = np.eye(len(t)) - P[np.ix_(t, t)]
-        b = r[t] - g[t]
-        if len(rec):
-            b = b + P[np.ix_(t, rec)] @ h[rec]
-        h[t] = np.linalg.solve(A, b)
-    return g, h
+    return g, _absorption(P, h, recurrent, rhs=r - g)
 
 
 def average_optimal(m: Ctmdp, spec: RewardSpec,
@@ -338,28 +332,19 @@ class CheckResult:
 def _reach_probability(P: np.ndarray, target: Set[int]) -> np.ndarray:
     """Probability of ever hitting ``target`` in the chain P (exact solve)."""
     n = P.shape[0]
-    # states that cannot reach the target at all have probability 0
-    can = set(target)
-    changed = True
-    while changed:
-        changed = False
-        for s in range(n):
-            if s in can:
-                continue
-            if np.any(P[s][sorted(can)] > 0):
-                can.add(s)
-                changed = True
+    # backward breadth-first closure over P > 0: states that cannot reach
+    # the target at all have probability 0
+    can = np.zeros(n, dtype=bool)
+    frontier = np.array(sorted(target), dtype=np.int64)
+    can[frontier] = True
+    while len(frontier):
+        rest = np.flatnonzero(~can)
+        frontier = rest[(P[np.ix_(rest, frontier)] > 0).any(axis=1)]
+        can[frontier] = True
     v = np.zeros(n)
-    for s in target:
-        v[s] = 1.0
-    unknown = [s for s in range(n) if s in can and s not in target]
-    if unknown:
-        t = np.array(unknown)
-        tgt = np.array(sorted(target), dtype=np.int64)
-        A = np.eye(len(t)) - P[np.ix_(t, t)]
-        b = P[np.ix_(t, tgt)].sum(axis=1)
-        v[t] = np.linalg.solve(A, b)
-    return np.clip(v, 0.0, 1.0)
+    v[list(target)] = 1.0
+    fixed = set(target) | set(np.flatnonzero(~can).tolist())
+    return np.clip(_absorption(P, v, fixed), 0.0, 1.0)
 
 
 def psem_of(p: ProductCtmdp, schedule: Schedule) -> CheckResult:
@@ -421,7 +406,7 @@ def psem_optimal(p: ProductCtmdp, tol: float = 0.01) -> CheckResult:
             retained.update(mec.actions)
 
     enabled = [m.enabled(s) for s in range(n)]
-    rows = {key: val for key, val in e.probs.items()}
+    rows = e.trans
     # the final values come from an exact solve; VI runs well below tol so the
     # extracted schedule is reliable
     v, iters, resid = _max_reach(rows, n, enabled, target,

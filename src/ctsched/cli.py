@@ -6,15 +6,17 @@ optimal or for a given schedule), ``simulate`` (trajectory dump), ``product``
 result table).
 
 Exit codes: 0 success, 2 parse error, 3 validation error, 4 numeric
-non-convergence.
+non-convergence or a singular linear solve.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import io
+import os
 import sys
 import time
+import traceback
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -26,10 +28,11 @@ from .check import (CheckResult, ConvergenceError, esem_of, esem_optimal,
 from .formats import (BenchRow, HoaError, HoaSource, ModelError, ModelSource,
                       emit_result_table, parse_hoa, parse_model,
                       serialize_model)
-from .learn import Hyperparams, OnTheFlyProductEnv, learn_exp, learn_sat
+from .learn import (Hyperparams, OnTheFlyProductEnv, accepting_dwell,
+                    learn_exp, learn_sat)
 from .model import Ctmdp, CtmdpError, validate
-from .product import ProductCtmdp, Schedule, build_product
-from .rewards import ExpRewardCfg, exp_reward
+from .product import (ProductCtmdp, Schedule, action_name, build_product,
+                      state_name)
 from .simulate import RngHandle
 
 EXIT_PARSE = 2
@@ -210,10 +213,7 @@ def cmd_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     m, a, p = _build(args)
-    if args.schedule:
-        schedule = read_schedule(p, args.schedule)
-    else:
-        schedule = {pair: None for pair in p.pairs}
+    schedule = read_schedule(p, args.schedule) if args.schedule else {}
     env = OnTheFlyProductEnv(m, a)
     rng = RngHandle(args.seed, "trajectory")
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
@@ -221,27 +221,14 @@ def cmd_simulate(args) -> int:
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["step", "state", "action", "next", "dwell", "reward"])
         s = env.reset()
-
-        def name(pair):
-            ms, q = pair
-            if ms is None:
-                return "(dead)"
-            return f"({m.state_names[ms]},q{q})"
-
-        def aname(action):
-            act, q2 = action
-            if act is None:
-                return "(stuck)"
-            return f"{m.action_names[act]}>q{q2}"
-
         for step in range(args.steps):
             choice = schedule.get(s)
             actions = env.actions(s)
             action = choice if choice in actions else actions[0]
             s2, dwell = env.sample(s, action, rng)
-            r = exp_reward(ExpRewardCfg(), env.is_accepting(s), dwell)
-            w.writerow([step, name(s), aname(action), name(s2),
-                        f"{dwell:.9g}", f"{r:.9g}"])
+            r = accepting_dwell(env.is_accepting(s), dwell)
+            w.writerow([step, state_name(m, s), action_name(m, action),
+                        state_name(m, s2), f"{dwell:.9g}", f"{r:.9g}"])
             s = s2
     finally:
         if args.out:
@@ -379,6 +366,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CtmdpError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
+    except np.linalg.LinAlgError as exc:
+        sys.stderr.write(f"error: {_failing_call(exc)}: {exc}\n")
+        return EXIT_NUMERIC
+
+
+def _failing_call(exc: BaseException) -> str:
+    """Innermost ctsched frame of the traceback, as ``module.function``."""
+    frame = [f for f in traceback.extract_tb(exc.__traceback__)
+             if f.filename.startswith(os.path.dirname(__file__))][-1]
+    return f"{os.path.basename(frame.filename)[:-3]}.{frame.name}"
 
 
 if __name__ == "__main__":

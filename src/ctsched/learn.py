@@ -14,7 +14,8 @@ trainers share the Q machinery:
 
 * ``learn_exp`` maximizes the long-run fraction of time spent in accepting
   states.  The reward of a transition is its dwell time if the state being
-  left is accepting; episodes have a fixed length.
+  left is accepting (``accepting_dwell``, which ``ctsched simulate`` also
+  reports); episodes have a fixed length.
 
 Both discount by exp(-alpha * dwell): discounting in continuous time at rate
 alpha, with alpha = C (1 - gamma) / gamma mapping a per-step discount gamma
@@ -24,15 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Tuple
-
-import numpy as np
+from itertools import accumulate
+from typing import Dict, List, Optional, Tuple
 
 from .automata import BuchiAutomaton, step
 from .model import Ctmdp
 from .product import (ActionPair, Schedule, StatePair, TRAP_ACTION, TRAP_PAIR,
                       _ap_map, automaton_letter)
-from .simulate import RngHandle, make_rngs
+from .simulate import RngHandle, make_rngs, race
 
 
 # Default per-step discounts.  Satisfaction values live in [0, 1] and need a
@@ -127,8 +127,10 @@ class QTable:
 class OnTheFlyProductEnv:
     """Simulates the model x automaton product pair by pair.
 
-    Per-pair transition data (action list, successor pairs, cumulative rates)
-    is built lazily and cached, so only the reachable fragment is ever touched.
+    Per-pair transition data (action list, successor pairs, cumulative rates
+    as Python floats) is built lazily and cached, so only the reachable
+    fragment is ever touched; ``sample`` races a cached row with
+    ``simulate.race``, the sampler ``sample_transition`` also uses.
     """
 
     def __init__(self, m: Ctmdp, a: BuchiAutomaton):
@@ -152,27 +154,20 @@ class OnTheFlyProductEnv:
         if hit is not None:
             return hit
         s, q = pair
-        if s is None:
-            data = {TRAP_ACTION: (((TRAP_PAIR,), np.array([1.0]), 1.0))}
-            entry = ((TRAP_ACTION,), data)
-            self._cache[pair] = entry
-            return entry
-        choices = sorted(step(self.a, q, self._letters[s]))
+        choices = () if s is None else sorted(step(self.a, q, self._letters[s]))
         if not choices:
-            data = {TRAP_ACTION: (((TRAP_PAIR,), np.array([1.0]), 1.0))}
-            entry = ((TRAP_ACTION,), data)
+            # the trap, and pairs whose automaton run dies, loop in the trap
+            entry = ((TRAP_ACTION,), {TRAP_ACTION: ((TRAP_PAIR,), [1.0])})
             self._cache[pair] = entry
             return entry
         actions: List[ActionPair] = []
         data = {}
         for act in self.m.enabled(s):
             succ, rates = self.m.successors(s, act)
-            cum = np.cumsum(rates)
-            lam = float(cum[-1])
+            cum = list(accumulate(rates.tolist()))
             for q2 in choices:
-                pairs = tuple((int(t), q2) for t in succ)
                 actions.append((act, q2))
-                data[(act, q2)] = (pairs, cum, lam)
+                data[(act, q2)] = (tuple((int(t), q2) for t in succ), cum)
         entry = (tuple(actions), data)
         self._cache[pair] = entry
         return entry
@@ -182,16 +177,14 @@ class OnTheFlyProductEnv:
 
     def sample(self, pair: StatePair, action: ActionPair,
                rng: RngHandle) -> Tuple[StatePair, float]:
-        pairs, cum, lam = self._row(pair)[1][action]
-        dwell = -math.log1p(-rng.uniform()) / lam
-        u = rng.uniform() * lam
-        idx = int(np.searchsorted(cum, u, side="right"))
-        if idx >= len(pairs):
-            idx = len(pairs) - 1
-        return pairs[idx], dwell
+        pairs, cum = self._row(pair)[1][action]
+        return race(pairs, cum, rng)
 
-    def exit_rate(self, pair: StatePair, action: ActionPair) -> float:
-        return self._row(pair)[1][action][2]
+
+def accepting_dwell(accepting: bool, dwell: float) -> float:
+    """Expectation reward of a transition: its dwell if the state left is
+    accepting, else 0."""
+    return dwell if accepting else 0.0
 
 
 def select_action(q: QTable, s: StatePair, actions: Tuple[ActionPair, ...],
@@ -275,16 +268,13 @@ def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
             s2, dwell = env.sample(s, a, traj)
             steps += 1
             if satisfaction:
-                r = 0
                 if env.is_accepting(s) and coin.uniform() < fail_pay:
-                    r = 1
-                if r == 1:
                     # payout absorbs the run; nothing left to bootstrap
                     q_update(q, s, a, 1.0, dwell, None, (), hp)
                     break
                 q_update(q, s, a, 0.0, dwell, s2, env.actions(s2), hp)
             else:
-                r = dwell if env.is_accepting(s) else 0.0
+                r = accepting_dwell(env.is_accepting(s), dwell)
                 q_update(q, s, a, r, dwell, s2, env.actions(s2), hp)
             s = s2
         if episodes % _CHECK_EVERY == 0:

@@ -4,6 +4,9 @@ States and actions are dense integer ids; names live in side tables.  All
 transition data is stored per (state, action) pair as a pair of numpy arrays
 (successor ids, rates), which keeps the value-iteration and Q-table hot paths
 id-based and allocation-free.
+
+The embedded jump chain has no type of its own: ``embed`` returns a Ctmdp
+whose rates are the jump probabilities, so every exit rate is 1.
 """
 from __future__ import annotations
 
@@ -79,9 +82,6 @@ class Ctmdp:
     def max_exit_rate(self) -> float:
         return max(float(rates.sum()) for (_, rates) in self.trans.values())
 
-    def label_of(self, s: int) -> FrozenSet[int]:
-        return self.labels[s]
-
     @staticmethod
     def from_transitions(state_names: Sequence[str],
                          action_names: Sequence[str],
@@ -106,27 +106,6 @@ class Ctmdp:
         lab = None if labels is None else tuple(frozenset(x) for x in labels)
         return Ctmdp(tuple(state_names), tuple(action_names), initial, trans,
                      tuple(ap), lab or ())
-
-
-@dataclass(frozen=True)
-class EmbeddedMdp:
-    """Discrete-time MDP with rows P(s,a,.) = R(s,a,.)/exit_rate(s,a)."""
-
-    source: Ctmdp
-    probs: TransitionTable
-
-    @property
-    def num_states(self) -> int:
-        return self.source.num_states
-
-    def enabled(self, s: int) -> Tuple[int, ...]:
-        return self.source.enabled(s)
-
-    def row(self, s: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
-        try:
-            return self.probs[(s, a)]
-        except KeyError:
-            raise ActionNotEnabled(s, a) from None
 
 
 @dataclass(frozen=True)
@@ -156,12 +135,14 @@ def exit_rate(m: Ctmdp, s: int, a: int) -> float:
     return float(rates.sum())
 
 
-def embed(m: Ctmdp) -> EmbeddedMdp:
+def embed(m: Ctmdp) -> Ctmdp:
+    """Embedded jump chain as a Ctmdp of exit rate 1: the rates of (s, a)
+    are the jump probabilities R(s,a,.) / exit_rate(s,a)."""
     probs: TransitionTable = {}
     for (s, a), (succ, rates) in m.trans.items():
         lam = rates.sum()
         probs[(s, a)] = (succ, rates / lam)
-    return EmbeddedMdp(m, probs)
+    return Ctmdp(m.state_names, m.action_names, m.initial, probs, m.ap, m.labels)
 
 
 def uniformize(m: Ctmdp, cap: Optional[float] = None) -> Ctmdp:
@@ -218,13 +199,15 @@ def validate(m: Ctmdp) -> List[str]:
     return out
 
 
-def mec_decompose(e: EmbeddedMdp, accepting: Set[int] = frozenset()) -> MecSet:
+def mec_decompose(m: Ctmdp, accepting: Set[int] = frozenset()) -> MecSet:
     """Maximal end-components via iterative SCC pruning.
 
-    A component is flagged accepting iff it intersects ``accepting``.
+    Only the support of the transitions matters, so ``m`` may be a model or
+    its ``embed``.  A component is flagged accepting iff it intersects
+    ``accepting``.
     """
-    n = e.num_states
-    retained: Dict[int, Set[int]] = {s: set(e.enabled(s)) for s in range(n)}
+    n = m.num_states
+    retained: Dict[int, Set[int]] = {s: set(m.enabled(s)) for s in range(n)}
     alive = set(range(n))
     while True:
         rows, cols = [], []
@@ -232,7 +215,7 @@ def mec_decompose(e: EmbeddedMdp, accepting: Set[int] = frozenset()) -> MecSet:
         index = {s: i for i, s in enumerate(nodes)}
         for s in nodes:
             for a in retained[s]:
-                succ, _ = e.row(s, a)
+                succ, _ = m.successors(s, a)
                 for t in succ:
                     if int(t) in alive:
                         rows.append(index[s])
@@ -241,12 +224,12 @@ def mec_decompose(e: EmbeddedMdp, accepting: Set[int] = frozenset()) -> MecSet:
         if k == 0:
             break
         graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(k, k))
-        ncomp, comp = connected_components(graph, directed=True, connection="strong")
+        _, comp = connected_components(graph, directed=True, connection="strong")
         changed = False
         for s in nodes:
             keep = set()
             for a in retained[s]:
-                succ, _ = e.row(s, a)
+                succ, _ = m.successors(s, a)
                 if all(int(t) in alive and comp[index[int(t)]] == comp[index[s]]
                        for t in succ):
                     keep.add(a)
@@ -260,22 +243,10 @@ def mec_decompose(e: EmbeddedMdp, accepting: Set[int] = frozenset()) -> MecSet:
         if not changed:
             break
 
+    # nothing was pruned in the last pass, so its SCCs are the components
     comps: Dict[int, List[int]] = {}
-    nodes = sorted(alive)
-    index = {s: i for i, s in enumerate(nodes)}
-    if nodes:
-        rows, cols = [], []
-        for s in nodes:
-            for a in retained[s]:
-                succ, _ = e.row(s, a)
-                for t in succ:
-                    rows.append(index[s])
-                    cols.append(index[int(t)])
-        graph = csr_matrix((np.ones(len(rows)), (rows, cols)),
-                           shape=(len(nodes), len(nodes)))
-        _, comp = connected_components(graph, directed=True, connection="strong")
-        for s in nodes:
-            comps.setdefault(int(comp[index[s]]), []).append(s)
+    for i, s in enumerate(nodes):
+        comps.setdefault(int(comp[i]), []).append(s)
 
     mecs = []
     for members in comps.values():

@@ -19,8 +19,12 @@ from .model import Ctmdp, CtmdpError
 StatePair = Tuple[Optional[int], Optional[int]]   # (model state, automaton state)
 ActionPair = Tuple[Optional[int], Optional[int]]  # (model action, automaton successor)
 
+# The rejecting trap of ``build_product`` and the zeta-sink of ``augment``
+# carry no model state; an augmented product can hold both, so they differ.
 TRAP_PAIR: StatePair = (None, None)
 TRAP_ACTION: ActionPair = (None, None)
+SINK_PAIR: StatePair = (None, -1)
+SINK_ACTION: ActionPair = (None, -1)
 
 
 class ApMismatch(CtmdpError):
@@ -84,6 +88,22 @@ def automaton_letter(model: Ctmdp, automaton: BuchiAutomaton, s: int,
     return frozenset(j for j, i in ap_map.items() if i in label)
 
 
+def state_name(m: Ctmdp, pair: StatePair) -> str:
+    """Display name of a product state over model ``m``."""
+    if pair == TRAP_PAIR:
+        return "(dead)"
+    s, q = pair
+    return f"({m.state_names[s]},q{q})"
+
+
+def action_name(m: Ctmdp, pair: ActionPair) -> str:
+    """Display name of a product action over model ``m``."""
+    if pair == TRAP_ACTION:
+        return "(stuck)"
+    act, q2 = pair
+    return f"{m.action_names[act]}>q{q2}"
+
+
 def build_product(m: Ctmdp, a: BuchiAutomaton) -> ProductCtmdp:
     """Reachable synchronous product of model and automaton."""
     ap_map = _ap_map(m, a)
@@ -141,22 +161,10 @@ def build_product(m: Ctmdp, a: BuchiAutomaton) -> ProductCtmdp:
         trap = pair_ids[TRAP_PAIR]
         transitions.append((trap, intern_action(TRAP_ACTION), trap, 1.0))
 
-    def state_name(pair: StatePair) -> str:
-        if pair == TRAP_PAIR:
-            return "(dead)"
-        s, q = pair
-        return f"({m.state_names[s]},q{q})"
-
-    def action_name(pair: ActionPair) -> str:
-        if pair == TRAP_ACTION:
-            return "(stuck)"
-        act, q2 = pair
-        return f"{m.action_names[act]}>q{q2}"
-
     action_pairs = tuple(sorted(action_ids, key=action_ids.get))
     ctmdp = Ctmdp.from_transitions(
-        tuple(state_name(p) for p in pairs),
-        tuple(action_name(p) for p in action_pairs),
+        tuple(state_name(m, p) for p in pairs),
+        tuple(action_name(m, p) for p in action_pairs),
         0, transitions,
         ap=m.ap,
         labels=[m.labels[p[0]] if p[0] is not None else frozenset()
@@ -194,8 +202,8 @@ def augment(p: ProductCtmdp, zeta: float, sink_rate: float = 1.0) -> AugmentedPr
         m.initial, transitions,
         ap=m.ap, labels=list(m.labels) + [frozenset()])
     product = ProductCtmdp(ctmdp,
-                           p.pairs + (TRAP_PAIR,),
-                           p.action_pairs + (TRAP_ACTION,),
+                           p.pairs + (SINK_PAIR,),
+                           p.action_pairs + (SINK_ACTION,),
                            frozenset({sink}),
                            model=p.model, automaton=p.automaton)
     return AugmentedProduct(product=product, base=p, zeta=zeta, sink=sink)

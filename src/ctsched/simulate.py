@@ -1,19 +1,26 @@
-"""Trajectory sampling for CTMDPs.
+"""Transition sampling for CTMDPs.
 
 Randomness goes through ``RngHandle``: a counter-based Philox generator keyed
 by (seed, stream name), so the trajectory, exploration and reward-coin streams
-are independent and each is reproducible from the seed alone.  Dwell times are
-drawn by inverting the exponential CDF, successors by a cumulative-rate scan.
+are independent and each is reproducible from the seed alone.
+
+``race`` is the one sampler: it draws the dwell time by inverting the
+exponential CDF, then the successor by bisecting a list of cumulative rates.
+``sample_transition`` feeds it one (state, action) row of a Ctmdp; the
+learner's product environment feeds it rows it caches per product action.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Dict, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from .model import ActionNotEnabled, Ctmdp
+from .model import Ctmdp
+
+T = TypeVar("T")
 
 _STREAM_KEYS = {"trajectory": 0x74726a, "coin": 0x636f696e, "exploration": 0x657870}
 _BUF = 8192
@@ -51,36 +58,6 @@ def make_rngs(seed: int) -> Dict[str, RngHandle]:
     return {name: RngHandle(seed, name) for name in _STREAM_KEYS}
 
 
-@dataclass(frozen=True)
-class Step:
-    state: int
-    action: int
-    next_state: int
-    dwell: float
-    reward: float
-
-
-@dataclass
-class Trajectory:
-    steps: List[Step] = field(default_factory=list)
-    truncated: bool = False    # hit the step cap before the stop condition
-
-    @property
-    def total_time(self) -> float:
-        return sum(s.dwell for s in self.steps)
-
-    @property
-    def total_reward(self) -> float:
-        return sum(s.reward for s in self.steps)
-
-    def timestamps(self) -> np.ndarray:
-        """T_n: cumulative time after each step (T_0 = 0 omitted)."""
-        return np.cumsum([s.dwell for s in self.steps])
-
-    def append(self, step: Step):
-        self.steps.append(step)
-
-
 def sample_dwell(lam: float, rng: RngHandle) -> float:
     """Exponential dwell via inverse CDF; ``lam`` is the exit rate."""
     u = rng.uniform()
@@ -88,90 +65,22 @@ def sample_dwell(lam: float, rng: RngHandle) -> float:
     return -math.log1p(-u) / lam
 
 
+def race(successors: Sequence[T], cum: Sequence[float],
+         rng: RngHandle) -> Tuple[T, float]:
+    """Race rates given cumulatively: returns (successor, dwell time).
+
+    The dwell is drawn first, then the successor whose cumulative-rate slot
+    holds ``u * cum[-1]``; rounding past the last slot picks the last one.
+    """
+    lam = cum[-1]
+    dwell = sample_dwell(lam, rng)
+    idx = bisect_right(cum, rng.uniform() * lam)
+    return successors[min(idx, len(successors) - 1)], dwell
+
+
 def sample_transition(m: Ctmdp, s: int, a: int,
                       rng: RngHandle) -> Tuple[int, float]:
     """Race the outgoing rates of (s, a): returns (successor, dwell time)."""
     succ, rates = m.successors(s, a)
-    lam = float(rates.sum())
-    dwell = sample_dwell(lam, rng)
-    u = rng.uniform() * lam
-    acc = 0.0
-    pick = int(succ[-1])
-    for t, rate in zip(succ, rates):
-        acc += float(rate)
-        if u < acc:
-            pick = int(t)
-            break
-    return pick, dwell
-
-
-class Env(Protocol):
-    """Minimal simulation interface over a (possibly implicit) CTMDP."""
-
-    def reset(self) -> int: ...
-
-    def actions(self, state: int) -> Tuple[int, ...]: ...
-
-    def sample(self, state: int, action: int,
-               rng: RngHandle) -> Tuple[int, float]: ...
-
-    def is_accepting(self, state: int) -> bool: ...
-
-
-class MaterializedEnv:
-    """Env over an explicit Ctmdp plus a set of accepting state ids."""
-
-    def __init__(self, m: Ctmdp, accepting: Iterable[int] = ()):
-        self.m = m
-        self.accepting = frozenset(accepting)
-
-    def reset(self) -> int:
-        return self.m.initial
-
-    def actions(self, state: int) -> Tuple[int, ...]:
-        return self.m.enabled(state)
-
-    def sample(self, state: int, action: int,
-               rng: RngHandle) -> Tuple[int, float]:
-        return sample_transition(self.m, state, action, rng)
-
-    def is_accepting(self, state: int) -> bool:
-        return state in self.accepting
-
-
-def run_episode(env, policy: Callable[[int], int],
-                reward: Callable[[int, int, int, float], float],
-                stop: Callable[[Step, int], bool],
-                rng: RngHandle,
-                max_steps: int = 1_000_000) -> Trajectory:
-    """Roll out one episode.
-
-    ``policy(s)`` picks an action, ``reward(s, a, s', dwell)`` scores the
-    transition, ``stop(step, step_count)`` ends the episode.
-    """
-    traj = Trajectory()
-    s = env.reset()
-    for count in range(1, max_steps + 1):
-        a = policy(s)
-        if a not in env.actions(s):
-            raise ActionNotEnabled(s, a)
-        s2, dwell = env.sample(s, a, rng)
-        step = Step(s, a, s2, dwell, reward(s, a, s2, dwell))
-        traj.append(step)
-        if stop(step, count):
-            return traj
-        s = s2
-    traj.truncated = True
-    return traj
-
-
-def trajectory_csv(traj: Trajectory,
-                   state_name: Optional[Callable[[int], str]] = None,
-                   action_name: Optional[Callable[[int], str]] = None) -> str:
-    sn = state_name or str
-    an = action_name or str
-    lines = ["step,state,action,next,dwell,reward"]
-    for i, st in enumerate(traj.steps):
-        lines.append(f"{i},{sn(st.state)},{an(st.action)},{sn(st.next_state)},"
-                     f"{st.dwell:.9g},{st.reward:.9g}")
-    return "\n".join(lines) + "\n"
+    t, dwell = race(succ, list(accumulate(rates.tolist())), rng)
+    return int(t), dwell

@@ -1,9 +1,8 @@
-"""Buchi automata: guards, steps, determinism, run monitoring."""
+"""Buchi automata: guards, steps, construction checks."""
 import pytest
 
 from ctsched.automata import (BuchiAutomaton, Edge, GAnd, GAp, GFalse, GNot,
-                              GOr, GTrue, MonitorState, extended_step,
-                              letter_from_names, step)
+                              GOr, GTrue, step)
 from ctsched.data import load_automaton
 
 L = frozenset
@@ -43,15 +42,6 @@ def test_step_rejects_out_of_range_state():
         step(a, 7, L(()))
 
 
-def test_extended_step_follows_words():
-    a = load_automaton("fig1")
-    g = 0
-    word = [L(()), L({g}), L({g})]
-    assert extended_step(a, {a.initial}, word) == L({1})
-    # an empty current set stays empty
-    assert extended_step(a, (), word) == L(())
-
-
 def test_nondeterministic_step_collects_all_choices():
     edges = ((Edge(GTrue(), 0), Edge(GAp(0), 1)),
              (Edge(GTrue(), 1),))
@@ -59,35 +49,6 @@ def test_nondeterministic_step_collects_all_choices():
                        edges=edges, accepting=L({1}))
     assert step(a, 0, L({0})) == L({0, 1})
     assert step(a, 0, L(())) == L({0})
-    assert not a.is_deterministic()
-
-
-def test_is_deterministic_on_bundled():
-    assert load_automaton("fig1").is_deterministic()
-    assert load_automaton("polling").is_deterministic()
-
-
-def test_monitor_advances_and_reports_accepting():
-    a = load_automaton("fig1")
-    mon = MonitorState(current=a.initial)
-    mon.advance(a, L({0}), 1)
-    assert mon.current == 1 and mon.accepting_hit
-    mon.advance(a, L(()), 0)
-    assert mon.current == 0 and not mon.accepting_hit
-
-
-def test_monitor_rejects_invalid_choice():
-    a = load_automaton("fig1")
-    mon = MonitorState(current=0)
-    with pytest.raises(ValueError):
-        mon.advance(a, L(()), 1)  # letter {} only allows staying in 0
-
-
-def test_letter_from_names():
-    a = load_automaton("fig1")
-    assert letter_from_names(a, ["g"]) == L({0})
-    assert letter_from_names(a, ["g", "p"]) == L({0, 1})
-    assert letter_from_names(a, []) == L(())
 
 
 def test_constructor_validation():

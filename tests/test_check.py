@@ -7,7 +7,8 @@ from ctsched.bruteforce import (brute_force_average, brute_force_discounted,
                                 brute_force_esem, brute_force_psem,
                                 random_ctmdp, random_marked_product,
                                 random_reward_spec, random_schedule)
-from ctsched.check import (BlackwellReport, RewardSpec, accepting_rate_spec,
+from ctsched.check import (BlackwellReport, RewardSpec, _bsccs,
+                           _reach_probability, accepting_rate_spec,
                            alpha_from_gamma, average_optimal, average_value,
                            blackwell_probe, discounted_optimal,
                            discounted_value, esem_of, esem_optimal, psem_of,
@@ -211,3 +212,52 @@ def test_blackwell_probe_stabilizes(riskreward):
     g_opt, _ = average_optimal(p.ctmdp, spec)
     g_stable = average_value(p.ctmdp, spec, stable)
     assert np.allclose(g_stable, g_opt, atol=1e-9)
+
+
+def _random_chain(rng, n):
+    """Sparse random stochastic matrix: most entries are zero, so chains
+    with several bottom components and dead ends are common."""
+    P = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+    P[np.arange(n), rng.integers(0, n, n)] += 0.1
+    return P / P.sum(axis=1, keepdims=True)
+
+
+def test_bsccs_match_the_edge_loop():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        P = _random_chain(rng, int(rng.integers(2, 12)))
+        got, comp = _bsccs(P)
+        leaves = np.ones(comp.max() + 1, dtype=bool)
+        for i, j in zip(*np.nonzero(P > 0)):
+            if comp[i] != comp[j]:
+                leaves[comp[i]] = False
+        want = [sorted(np.flatnonzero(comp == c)) for c in range(len(leaves))
+                if leaves[c]]
+        assert got == want
+
+
+def test_reach_probability_matches_the_fixpoint_reference():
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        n = int(rng.integers(2, 12))
+        P = _random_chain(rng, n)
+        target = set(rng.choice(n, int(rng.integers(1, n)), replace=False).tolist())
+        # reference: grow the set of states that reach the target one sweep
+        # at a time, then solve on the states that reach it
+        can = set(target)
+        changed = True
+        while changed:
+            changed = False
+            for s in range(n):
+                if s not in can and np.any(P[s][sorted(can)] > 0):
+                    can.add(s)
+                    changed = True
+        want = np.zeros(n)
+        want[sorted(target)] = 1.0
+        t = np.array([s for s in range(n) if s in can and s not in target])
+        if len(t):
+            A = np.eye(len(t)) - P[np.ix_(t, t)]
+            want[t] = np.linalg.solve(A, P[np.ix_(t, sorted(target))].sum(axis=1))
+        got = _reach_probability(P, target)
+        assert np.array_equal(got == 0, want == 0)
+        assert np.allclose(got, np.clip(want, 0.0, 1.0), rtol=0, atol=1e-12)

@@ -1,10 +1,11 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 from importlib import resources
 
+import numpy as np
 import pytest
 
-from ctsched.cli import (EXIT_PARSE, EXIT_VALIDATION, main, read_schedule,
-                         write_schedule)
+from ctsched.cli import (EXIT_NUMERIC, EXIT_PARSE, EXIT_VALIDATION, main,
+                         read_schedule, write_schedule)
 from ctsched.check import psem_optimal
 
 
@@ -157,3 +158,18 @@ def test_missing_file_exits_with_validation_code(paths, capsys):
     code = main(["check", "--model", "/nonexistent/x.ctmdp",
                  "--automaton", paths["fig1.hoa"]])
     assert code == EXIT_VALIDATION
+
+
+def test_singular_solve_exits_with_numeric_code(paths, monkeypatch, capsys):
+    def singular(p, tol=0.01):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("ctsched.cli.esem_optimal", singular)
+    code = main(["check", "--model", paths["riskreward.ctmdp"],
+                 "--automaton", paths["riskreward.hoa"], "--objective", "exp"])
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Singular matrix" in lines[0]

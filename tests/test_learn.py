@@ -8,9 +8,9 @@ from ctsched.automata import BuchiAutomaton, Edge, GAp, GNot, GTrue
 from ctsched.learn import (EXP_GAMMA, SAT_GAMMA, Hyperparams, OnTheFlyProductEnv,
                            QTable, extract_schedule, learn_exp, learn_sat,
                            q_update, select_action)
-from ctsched.model import Ctmdp, exit_rate
+from ctsched.model import Ctmdp
 from ctsched.product import build_product
-from ctsched.simulate import RngHandle
+from ctsched.simulate import RngHandle, sample_transition
 
 
 def gf_g_automaton():
@@ -108,7 +108,7 @@ def test_select_action_greedy_and_exploring():
     assert picks == set(actions)
 
 
-def test_on_the_fly_env_matches_materialized_product():
+def test_on_the_fly_env_matches_materialized_product(riskreward, mars):
     m = fork_model()
     a = gf_g_automaton()
     p = build_product(m, a)
@@ -117,11 +117,20 @@ def test_on_the_fly_env_matches_materialized_product():
     for i, pair in enumerate(p.pairs):
         assert set(env.actions(pair)) == {
             p.action_pairs[j] for j in p.ctmdp.enabled(i)}
-        for action in env.actions(pair):
-            j = p.action_index()[action]
-            assert env.exit_rate(pair, action) == pytest.approx(
-                exit_rate(p.ctmdp, i, j))
         assert env.is_accepting(pair) == (i in p.accepting)
+    # the env races the model's rows draw for draw like sample_transition
+    for m, a, p in (riskreward, mars):
+        env = OnTheFlyProductEnv(m, a)
+        for seed, (s, q) in enumerate(p.pairs):
+            if s is None:
+                continue
+            for act, q2 in env.actions((s, q)):
+                env_rng = RngHandle(seed, "trajectory")
+                model_rng = RngHandle(seed, "trajectory")
+                for _ in range(20):
+                    t, dwell = sample_transition(m, s, act, model_rng)
+                    assert env.sample((s, q), (act, q2), env_rng) == (
+                        (t, q2), dwell)
 
 
 def test_env_sampling_respects_rates():

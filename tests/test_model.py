@@ -54,7 +54,7 @@ def test_embedded_rows_are_distributions():
     for _ in range(10):
         m = random_ctmdp(rng, num_states=5)
         e = embed(m)
-        for (s, a), (succ, probs) in e.probs.items():
+        for (s, a), (succ, probs) in e.trans.items():
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(probs > 0)
             # embedded probabilities are rates over the exit rate

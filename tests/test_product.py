@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from ctsched.automata import BuchiAutomaton, Edge, GFalse, GTrue
+from ctsched.bruteforce import random_buchi, random_ctmdp
 from ctsched.model import Ctmdp, exit_rate
 from ctsched.product import (ApMismatch, TRAP_PAIR, augment, build_product,
                              project_schedule, schedule_from_ids,
@@ -95,6 +96,24 @@ def test_augment_splits_accepting_exits(riskreward):
     # the sink is absorbing
     succ, rates = am.successors(aug.sink, am.enabled(aug.sink)[0])
     assert list(succ) == [aug.sink] and rates[0] == 1.0
+
+
+def test_augment_keeps_trap_and_sink_apart():
+    # the first random product of this draw has a trap state
+    rng = np.random.default_rng(1)
+    p = build_product(random_ctmdp(rng, 5, ap=("g", "p")), random_buchi(rng))
+    assert TRAP_PAIR in p.pairs
+    trap = p.pairs.index(TRAP_PAIR)
+    aug = augment(p, 0.99)
+    pairs, action_pairs = aug.product.pairs, aug.product.action_pairs
+    assert len(set(pairs)) == len(pairs)
+    assert len(set(action_pairs)) == len(action_pairs)
+    assert aug.product.state_index()[TRAP_PAIR] == trap != aug.sink
+    # schedules leave out only the trap; the sink keeps its stay action
+    sigma = np.array([aug.product.ctmdp.enabled(s)[0]
+                      for s in range(aug.product.num_states)])
+    sched = schedule_from_ids(aug.product, sigma)
+    assert TRAP_PAIR not in sched and pairs[aug.sink] in sched
 
 
 def test_augment_rejects_bad_zeta(riskreward):

@@ -1,44 +1,8 @@
-"""Reward signals for the two objectives."""
-import numpy as np
-import pytest
-
-from ctsched.rewards import (ExpRewardCfg, RewardError, SatRewardCfg,
-                             exp_reward, sat_reward)
-from ctsched.simulate import RngHandle
-
-
-def test_sat_reward_payout_frequency():
-    zeta = 0.99
-    cfg = SatRewardCfg(zeta=zeta, coin=RngHandle(7, "coin"))
-    n = 200000
-    hits = sum(sat_reward(cfg, True) for _ in range(n))
-    # success probability is 1 - zeta
-    assert hits / n == pytest.approx(1 - zeta, abs=3 * np.sqrt(zeta * (1 - zeta) / n))
-
-
-def test_sat_reward_skips_coin_off_accepting_states():
-    cfg = SatRewardCfg(zeta=0.5, coin=RngHandle(0, "coin"))
-    before = cfg.coin.uniform()
-    cfg2 = SatRewardCfg(zeta=0.5, coin=RngHandle(0, "coin"))
-    assert sat_reward(cfg2, False) == 0
-    # the stream was not consumed: the next draw matches the fresh one
-    assert cfg2.coin.uniform() == before
-
-
-def test_sat_cfg_validates_zeta():
-    with pytest.raises(RewardError):
-        SatRewardCfg(zeta=0.0, coin=RngHandle(0, "coin"))
-    with pytest.raises(RewardError):
-        SatRewardCfg(zeta=1.0, coin=RngHandle(0, "coin"))
+"""Reward signal of the expectation objective."""
+from ctsched.learn import accepting_dwell
 
 
 def test_exp_reward_is_dwell_on_accepting():
-    cfg = ExpRewardCfg()
-    assert exp_reward(cfg, True, 0.37) == 0.37
-    assert exp_reward(cfg, False, 0.37) == 0.0
-    assert exp_reward(cfg, True, 0.0) == 0.0
-
-
-def test_exp_reward_rejects_negative_dwell():
-    with pytest.raises(RewardError):
-        exp_reward(ExpRewardCfg(), True, -1e-9)
+    assert accepting_dwell(True, 0.37) == 0.37
+    assert accepting_dwell(False, 0.37) == 0.0
+    assert accepting_dwell(True, 0.0) == 0.0

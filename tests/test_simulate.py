@@ -1,11 +1,10 @@
-"""Trajectory sampling: rng streams, dwell times, episodes, CSV dumps."""
+"""Trajectory sampling: rng streams, dwell times, the successor race."""
 import numpy as np
 import pytest
 
 from ctsched.model import ActionNotEnabled, Ctmdp
-from ctsched.simulate import (MaterializedEnv, RngHandle, Step, Trajectory,
-                              make_rngs, run_episode, sample_dwell,
-                              sample_transition, trajectory_csv)
+from ctsched.simulate import (RngHandle, make_rngs, sample_dwell,
+                              sample_transition)
 
 
 def chain():
@@ -62,64 +61,21 @@ def test_sample_transition_frequencies():
     assert hits[1] / n == pytest.approx(0.75, abs=0.01)
 
 
-def test_run_episode_stop_and_truncation():
-    m = chain()
-    env = MaterializedEnv(m, accepting={1})
-    rng = RngHandle(0, "trajectory")
-    traj = run_episode(env, policy=lambda s: 0,
-                       reward=lambda s, a, t, d: d if s == 1 else 0.0,
-                       stop=lambda step, count: count >= 10,
-                       rng=rng)
-    assert len(traj.steps) == 10
-    assert not traj.truncated
-    rng = RngHandle(0, "trajectory")
-    traj = run_episode(env, policy=lambda s: 0,
-                       reward=lambda s, a, t, d: 0.0,
-                       stop=lambda step, count: False,
-                       rng=rng, max_steps=7)
-    assert len(traj.steps) == 7
-    assert traj.truncated
-
-
-def test_run_episode_rejects_disabled_action():
-    m = chain()
-    env = MaterializedEnv(m)
+def test_sample_transition_rejects_disabled_action():
     with pytest.raises(ActionNotEnabled):
-        run_episode(env, policy=lambda s: 1 if s == 1 else 0,
-                    reward=lambda *args: 0.0,
-                    stop=lambda step, count: count >= 100,
-                    rng=RngHandle(0, "trajectory"))
-
-
-def test_trajectory_accumulators():
-    traj = Trajectory()
-    traj.append(Step(0, 0, 1, 0.5, 1.0))
-    traj.append(Step(1, 0, 0, 0.25, 0.0))
-    assert traj.total_time == pytest.approx(0.75)
-    assert traj.total_reward == pytest.approx(1.0)
-    assert np.allclose(traj.timestamps(), [0.5, 0.75])
-
-
-def test_trajectory_csv_shape():
-    traj = Trajectory()
-    traj.append(Step(0, 1, 1, 0.125, 0.0))
-    text = trajectory_csv(traj, state_name=lambda s: f"s{s}",
-                          action_name=lambda a: "ab"[a])
-    lines = text.strip().split("\n")
-    assert lines[0] == "step,state,action,next,dwell,reward"
-    assert lines[1] == "0,s0,b,s1,0.125,0"
+        sample_transition(chain(), 1, 1, RngHandle(0, "trajectory"))
 
 
 def test_same_seed_same_trajectory():
     m = chain()
-    env = MaterializedEnv(m)
 
     def roll():
         rng = RngHandle(17, "trajectory")
-        return run_episode(env, policy=lambda s: 0,
-                           reward=lambda *a: 0.0,
-                           stop=lambda step, count: count >= 50,
-                           rng=rng)
+        s, steps = 0, []
+        for _ in range(50):
+            t, dwell = sample_transition(m, s, 0, rng)
+            steps.append((s, t, dwell))
+            s = t
+        return steps
 
-    t1, t2 = roll(), roll()
-    assert t1.steps == t2.steps
+    assert roll() == roll()
