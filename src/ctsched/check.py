@@ -11,8 +11,9 @@ Everything reduces to linear algebra on the uniformized embedded chain:
   probabilities;
 * average optimization is multichain policy iteration (gain stage, then bias
   stage) on the uniformized chain;
-* acceptance probabilities combine maximal-end-component analysis with exact
-  maximal reachability.
+* acceptance probabilities combine maximal-end-component analysis with
+  maximal reachability by policy iteration, one exact absorption solve per
+  round.
 """
 from __future__ import annotations
 
@@ -23,10 +24,13 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .model import Ctmdp, CtmdpError, embed, exit_rate, mec_decompose
+from .model import Ctmdp, CtmdpError, exit_rate, mec_decompose
 from .product import ProductCtmdp, Schedule, schedule_from_ids, schedule_to_ids
 
 _TIE_TOL = 1e-9
+# strict improvement ends in exact arithmetic; the cap stops psem_optimal
+# if solve error ever made two schedules each look better than the other
+_MAX_ROUNDS = 1000
 
 
 class ConvergenceError(CtmdpError):
@@ -322,7 +326,6 @@ class CheckResult:
     schedule: Optional[Schedule]
     initial: int
     iterations: int = 0
-    residual: float = 0.0
 
     @property
     def value(self) -> float:
@@ -362,117 +365,75 @@ def psem_of(p: ProductCtmdp, schedule: Schedule) -> CheckResult:
     return CheckResult(values=values, schedule=schedule, initial=p.ctmdp.initial)
 
 
-def _max_reach(rows: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]],
-               n: int, enabled: Sequence[Tuple[int, ...]],
-               target: Set[int], tol: float = 1e-12,
-               max_iter: int = 200000) -> Tuple[np.ndarray, int, float]:
-    """Maximal reachability probabilities by value iteration to fixpoint."""
-    v = np.zeros(n)
-    for s in target:
-        v[s] = 1.0
-    free = [s for s in range(n) if s not in target]
-    delta = 0.0
-    for it in range(1, max_iter + 1):
-        delta = 0.0
-        for s in free:
-            best = 0.0
-            for a in enabled[s]:
-                succ, pr = rows[(s, a)]
-                best = max(best, float(pr @ v[succ]))
-            delta = max(delta, abs(best - v[s]))
-            v[s] = best
-        if delta < tol:
-            return v, it, delta
-    raise ConvergenceError("reachability value iteration did not converge")
+def _attractor(rows: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]],
+               states, actions, target: Set[int], sigma: np.ndarray) -> None:
+    """Point each of ``states`` outside ``target`` that can reach it at an
+    action from ``actions[s]`` with a successor already attracted, sweeping
+    until nothing changes; the others keep their entry of ``sigma``."""
+    done = set(target)
+    grown = True
+    while grown:
+        grown = False
+        for s in states:
+            if s in done:
+                continue
+            for a in actions[s]:
+                if any(int(t) in done for t in rows[(s, a)][0]):
+                    sigma[s] = a
+                    done.add(s)
+                    grown = True
+                    break
 
 
-def psem_optimal(p: ProductCtmdp, tol: float = 0.01) -> CheckResult:
+def psem_optimal(p: ProductCtmdp) -> CheckResult:
     """Maximal probability of Buchi acceptance, with a witnessing schedule.
 
     Winning region: states of maximal end-components that contain an
-    accepting state.  Outside it, a maximal-reachability schedule that makes
-    progress toward the region; inside, an attractor toward the accepting
-    states using only actions that keep the run in its component.
+    accepting state.  Inside it, an attractor toward the accepting states
+    using only actions that keep the run in its component.  Outside it,
+    policy iteration for maximal reachability of the region, started from
+    the attractor toward it over all enabled actions: each round solves the
+    induced chain exactly and switches a state's action only when that
+    strictly raises its value, so values never drop and the final schedule
+    attains them.  ``iterations`` counts the rounds.
     """
     m = p.ctmdp
     n = m.num_states
-    e = embed(m)
-    mecs = mec_decompose(e, set(p.accepting))
-    target: Set[int] = set()
-    retained: Dict[int, Tuple[int, ...]] = {}
-    for mec in mecs.components:
-        if mec.accepting:
-            target |= set(mec.states)
-            retained.update(mec.actions)
-
+    rows = m.trans
     enabled = [m.enabled(s) for s in range(n)]
-    rows = e.trans
-    # the final values come from an exact solve; VI runs well below tol so the
-    # extracted schedule is reliable
-    v, iters, resid = _max_reach(rows, n, enabled, target,
-                                 tol=min(tol, 1e-12))
-
-    sigma = np.array([enabled[s][0] for s in range(n)], dtype=np.int64)
-
-    # outside the winning region: among value-preserving actions, always pick
-    # one whose support touches states already scheduled, so every step has
-    # positive probability of progress
-    settled = set(target) | {s for s in range(n) if v[s] <= 0.0}
-    pending = [s for s in range(n) if s not in settled]
-    while pending:
-        progressed = False
-        for s in list(pending):
-            for a in enabled[s]:
-                succ, pr = rows[(s, a)]
-                if float(pr @ v[succ]) < v[s] - 1e-9:
-                    continue
-                if any(int(t) in settled for t in succ):
-                    sigma[s] = a
-                    settled.add(s)
-                    pending.remove(s)
-                    progressed = True
-                    break
-        if not progressed:
-            # numerically flat plateau: fall back to greedy choices
-            for s in pending:
-                best_a, best = enabled[s][0], -1.0
-                for a in enabled[s]:
-                    succ, pr = rows[(s, a)]
-                    cand = float(pr @ v[succ])
-                    if cand > best:
-                        best_a, best = a, cand
-                sigma[s] = best_a
-            break
-
-    # inside each winning component: attractor toward its accepting states
-    for mec in mecs.components:
+    sigma = np.array([acts[0] for acts in enabled], dtype=np.int64)
+    target: Set[int] = set()
+    for mec in mec_decompose(m, p.accepting).components:
         if not mec.accepting:
             continue
-        acc = set(mec.states) & set(p.accepting)
-        done = set(acc)
+        acc = mec.states & p.accepting
         for s in acc:
             sigma[s] = mec.actions[s][0]
-        frontier = True
-        while frontier:
-            frontier = False
-            for s in mec.states:
-                if s in done:
-                    continue
-                for a in mec.actions[s]:
-                    succ, _ = rows[(s, a)]
-                    if any(int(t) in done for t in succ):
-                        sigma[s] = a
-                        done.add(s)
-                        frontier = True
-                        break
+        _attractor(rows, mec.states, mec.actions, acc, sigma)
+        target |= mec.states
+    _attractor(rows, range(n), enabled, target, sigma)
 
-    schedule = schedule_from_ids(p, sigma)
-    exact = psem_of(p, schedule)
-    if np.any(exact.values < v - 1e-7):
-        # the extracted schedule must achieve the value-iteration bound
-        raise ConvergenceError("schedule extraction lost reachability value")
-    return CheckResult(values=exact.values, schedule=schedule,
-                       initial=m.initial, iterations=iters, residual=resid)
+    for rounds in range(1, _MAX_ROUNDS + 1):
+        P, _ = _induced_embedded(m, sigma)
+        v = _reach_probability(P, target)
+        changed = False
+        for s in range(n):
+            if s in target:
+                continue
+            # keep the incumbent on ties: a strict gain never lowers a value
+            best_a, best_q = int(sigma[s]), v[s]
+            for a in enabled[s]:
+                succ, rates = rows[(s, a)]
+                q = float(rates @ v[succ]) / float(rates.sum())
+                if q > best_q + _TIE_TOL:
+                    best_a, best_q = a, q
+            if best_a != sigma[s]:
+                sigma[s] = best_a
+                changed = True
+        if not changed:
+            return CheckResult(values=v, schedule=schedule_from_ids(p, sigma),
+                               initial=m.initial, iterations=rounds)
+    raise ConvergenceError("reachability policy iteration did not converge")
 
 
 def esem_of(p: ProductCtmdp, schedule: Schedule) -> CheckResult:
@@ -483,12 +444,9 @@ def esem_of(p: ProductCtmdp, schedule: Schedule) -> CheckResult:
     return CheckResult(values=values, schedule=schedule, initial=p.ctmdp.initial)
 
 
-def esem_optimal(p: ProductCtmdp, tol: float = 0.01) -> CheckResult:
-    """Maximal long-run fraction of time in accepting states.
-
-    The policy-iteration fixed point is exact, so ``tol`` only caps how much
-    residual would be tolerated on a non-converging instance.
-    """
+def esem_optimal(p: ProductCtmdp) -> CheckResult:
+    """Maximal long-run fraction of time in accepting states, by multichain
+    policy iteration; the fixed point is exact."""
     spec = accepting_rate_spec(p.num_states, p.accepting)
     gains, sigma = average_optimal(p.ctmdp, spec)
     return CheckResult(values=gains, schedule=schedule_from_ids(p, sigma),

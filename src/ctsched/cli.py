@@ -101,7 +101,8 @@ def write_schedule(p: ProductCtmdp, schedule: Schedule, out) -> None:
 def read_schedule(p: ProductCtmdp, path: str) -> Schedule:
     base = p.model if p.model is not None else p.ctmdp
     action_ids = {name: i for i, name in enumerate(base.action_names)}
-    known = set(p.pairs)
+    known = p.state_index()
+    choices = p.action_index()
     out: Schedule = {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -123,7 +124,12 @@ def read_schedule(p: ProductCtmdp, path: str) -> Schedule:
         if act_name not in action_ids:
             raise CliError(f"{path}:{ln}: unknown action '{act_name}'",
                            EXIT_VALIDATION)
-        out[(s, q)] = (action_ids[act_name], q2)
+        choice = (action_ids[act_name], q2)
+        if (known[(s, q)], choices.get(choice, -1)) not in p.ctmdp.trans:
+            raise CliError(f"{path}:{ln}: action '{act_name}' with qnext {q2} "
+                           f"is not enabled at product state ({s},{q})",
+                           EXIT_VALIDATION)
+        out[(s, q)] = choice
     return out
 
 
@@ -188,14 +194,11 @@ def _values_csv(p: ProductCtmdp, result: CheckResult, out) -> None:
 def cmd_check(args) -> int:
     m, a, p = _build(args)
     sat = args.objective == "sat"
-    try:
-        if args.schedule:
-            schedule = read_schedule(p, args.schedule)
-            result = (psem_of if sat else esem_of)(p, schedule)
-        else:
-            result = (psem_optimal if sat else esem_optimal)(p)
-    except ConvergenceError as exc:
-        raise CliError(str(exc), EXIT_NUMERIC)
+    if args.schedule:
+        schedule = read_schedule(p, args.schedule)
+        result = (psem_of if sat else esem_of)(p, schedule)
+    else:
+        result = (psem_optimal if sat else esem_optimal)(p)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             _values_csv(p, result, fh)

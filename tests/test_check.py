@@ -3,10 +3,11 @@ optimizers, cross-checked against closed forms and brute-force enumeration."""
 import numpy as np
 import pytest
 
-from ctsched.bruteforce import (brute_force_average, brute_force_discounted,
-                                brute_force_esem, brute_force_psem,
-                                random_ctmdp, random_marked_product,
-                                random_reward_spec, random_schedule)
+from ctsched.bruteforce import (_gate, brute_force_average,
+                                brute_force_discounted, brute_force_esem,
+                                brute_force_psem, random_buchi, random_ctmdp,
+                                random_marked_product, random_reward_spec,
+                                random_schedule)
 from ctsched.check import (BlackwellReport, RewardSpec, _bsccs,
                            _reach_probability, accepting_rate_spec,
                            alpha_from_gamma, average_optimal, average_value,
@@ -15,7 +16,8 @@ from ctsched.check import (BlackwellReport, RewardSpec, _bsccs,
                            psem_optimal, step_reward_spec,
                            uniformized_reward_spec)
 from ctsched.model import Ctmdp, CtmdpError, uniformize
-from ctsched.product import project_schedule, schedule_to_ids
+from ctsched.product import (TRAP_PAIR, build_product, project_schedule,
+                              schedule_to_ids)
 
 
 def absorbing_pair(lam0=2.0, lam1=3.0):
@@ -122,15 +124,40 @@ def test_psem_of_mars_never_b(mars):
     assert res.values[sidx["(z=1,q2)"]] == 0.0
 
 
+def _psem_optimal_attained(p):
+    """psem_optimal, checked to attain its values at every state."""
+    opt = psem_optimal(p)
+    achieved = psem_of(p, opt.schedule).values
+    assert np.allclose(achieved, opt.values, rtol=0, atol=1e-9)
+    return opt
+
+
 def test_psem_optimal_matches_brute_force():
     rng = np.random.default_rng(53)
     for _ in range(10):
         p = random_marked_product(rng, num_states=5, max_schedules=500)
-        opt = psem_optimal(p)
+        opt = _psem_optimal_attained(p)
         best, _ = brute_force_psem(p)
         assert opt.value == pytest.approx(best, abs=1e-9)
         # the witnessing schedule must actually achieve the value
         assert psem_of(p, opt.schedule).value == pytest.approx(best, abs=1e-9)
+    # model x automaton products: guards that match no letter leave traps
+    rng = np.random.default_rng(67)
+    traps = compared = 0
+    for _ in range(40):
+        m = random_ctmdp(rng, num_states=int(rng.integers(3, 6)),
+                         max_actions=2, ap=("g", "p"))
+        p = build_product(m, random_buchi(rng, num_states=2))
+        traps += TRAP_PAIR in p.pairs
+        opt = _psem_optimal_attained(p)
+        try:
+            _gate(p.ctmdp)
+        except CtmdpError:
+            continue  # too many schedules to enumerate
+        best, _ = brute_force_psem(p)
+        assert opt.value == pytest.approx(best, abs=1e-9)
+        compared += 1
+    assert traps >= 10 and compared >= 20
 
 
 def test_esem_optimal_matches_brute_force():

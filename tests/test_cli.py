@@ -154,6 +154,17 @@ def test_unknown_schedule_state_exits_with_validation_code(paths, tmp_path,
     assert "unknown product state" in capsys.readouterr().err
 
 
+def test_disabled_schedule_choice_exits_with_validation_code(paths, tmp_path,
+                                                             capsys):
+    f = tmp_path / "sched.csv"
+    f.write_text("s,q,action,qnext\n0,0,a,99\n")
+    code = main(["check", "--model", paths["mars.ctmdp"],
+                 "--automaton", paths["fig1.hoa"], "--schedule", str(f)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{f}:2:" in err and "not enabled" in err
+
+
 def test_missing_file_exits_with_validation_code(paths, capsys):
     code = main(["check", "--model", "/nonexistent/x.ctmdp",
                  "--automaton", paths["fig1.hoa"]])
@@ -161,7 +172,7 @@ def test_missing_file_exits_with_validation_code(paths, capsys):
 
 
 def test_singular_solve_exits_with_numeric_code(paths, monkeypatch, capsys):
-    def singular(p, tol=0.01):
+    def singular(p):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr("ctsched.cli.esem_optimal", singular)

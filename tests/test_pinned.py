@@ -6,8 +6,11 @@ bit for bit as they are.
 """
 from importlib import resources
 
+from ctsched.check import psem_optimal
 from ctsched.cli import main
+from ctsched.data import load_automaton, load_model
 from ctsched.learn import Hyperparams, learn_sat
+from ctsched.product import SINK_ACTION, SINK_PAIR, augment, build_product
 
 # learn_sat on riskreward, seed 0, Hyperparams(ep_n=50, ep_len=60, beta=0.05)
 PINNED_STEPS = 2649
@@ -40,6 +43,14 @@ step,state,action,next,dwell,reward
 4,"(z=0,q1)",a>q0,"(z=3,q0)",1.62740844,1.62740844
 """
 
+# psem_optimal on polling2 x polling augmented with zeta = 0.99; in (1,1)
+# and (2,1) other actions reach the same value, and the attractor toward
+# the winning region decides the tie
+PINNED_PSEM_SCHEDULE = {
+    (0, 0): (0, 1), (1, 1): (0, 0), (2, 1): (0, 0), (3, 0): (1, 0),
+    (1, 0): (2, 0), (2, 0): (1, 0), SINK_PAIR: SINK_ACTION,
+}
+
 
 def test_seeded_learner_and_simulate_outputs_are_pinned(riskreward, tmp_path,
                                                         capsys):
@@ -58,3 +69,9 @@ def test_seeded_learner_and_simulate_outputs_are_pinned(riskreward, tmp_path,
                  "--seed", "9", "--steps", "5"])
     assert code == 0
     assert capsys.readouterr().out == PINNED_SIMULATE
+
+
+def test_psem_optimal_schedule_is_pinned():
+    p = build_product(load_model("polling2"), load_automaton("polling"))
+    opt = psem_optimal(augment(p, 0.99).product)
+    assert opt.schedule == PINNED_PSEM_SCHEDULE
