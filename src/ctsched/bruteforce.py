@@ -9,6 +9,7 @@ randomized cross-checks.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -25,20 +26,16 @@ MAX_SCHEDULES = 50000
 
 
 def count_schedules(m: Ctmdp) -> int:
-    total = 1
-    for s in range(m.num_states):
-        total *= len(m.enabled(s))
-    return total
+    return math.prod(np.diff(m.choices.start).tolist())
 
 
 def _gate(m: Ctmdp):
     if m.num_states > MAX_STATES:
         raise CtmdpError(
             f"brute force limited to {MAX_STATES} states, got {m.num_states}")
-    for s in range(m.num_states):
-        if len(m.enabled(s)) > MAX_ACTIONS:
-            raise CtmdpError(
-                f"brute force limited to {MAX_ACTIONS} actions per state")
+    if np.diff(m.choices.start).max(initial=0) > MAX_ACTIONS:
+        raise CtmdpError(
+            f"brute force limited to {MAX_ACTIONS} actions per state")
     if count_schedules(m) > MAX_SCHEDULES:
         raise CtmdpError("schedule space too large for brute force")
 
@@ -51,23 +48,23 @@ def schedule_space(m: Ctmdp) -> Iterator[np.ndarray]:
         yield np.array(combo, dtype=np.int64)
 
 
-def brute_force_psem(p: ProductCtmdp) -> Tuple[float, Schedule]:
-    """Max acceptance probability at the initial state over all schedules."""
+def _best_schedule(p: ProductCtmdp, grade) -> Tuple[float, Schedule]:
+    """Best value at the initial state over all schedules, as ``grade``
+    (``psem_of`` or ``esem_of``) scores them, and a schedule attaining it."""
     best, best_sigma = -1.0, None
     for sigma in schedule_space(p.ctmdp):
-        val = psem_of(p, schedule_from_ids(p, sigma)).value
+        val = grade(p, schedule_from_ids(p, sigma)).value
         if val > best + 1e-12:
             best, best_sigma = val, sigma
     return best, schedule_from_ids(p, best_sigma)
+
+
+def brute_force_psem(p: ProductCtmdp) -> Tuple[float, Schedule]:
+    return _best_schedule(p, psem_of)
 
 
 def brute_force_esem(p: ProductCtmdp) -> Tuple[float, Schedule]:
-    best, best_sigma = -1.0, None
-    for sigma in schedule_space(p.ctmdp):
-        val = esem_of(p, schedule_from_ids(p, sigma)).value
-        if val > best + 1e-12:
-            best, best_sigma = val, sigma
-    return best, schedule_from_ids(p, best_sigma)
+    return _best_schedule(p, esem_of)
 
 
 def brute_force_average(m: Ctmdp, spec: RewardSpec) -> Tuple[np.ndarray, np.ndarray]:
@@ -124,8 +121,10 @@ def random_ctmdp(rng: np.random.Generator, num_states: int = 6,
     """Random model; resamples until the schedule space fits ``max_schedules``."""
     for _ in range(200):
         transitions: List[Tuple[int, int, int, float]] = []
+        schedules = 1   # every action drawn below is enabled
         for s in range(num_states):
             k = int(rng.integers(1, max_actions + 1))
+            schedules *= k
             for a in range(k):
                 deg = int(rng.integers(1, min(3, num_states) + 1))
                 succ = rng.choice(num_states, size=deg, replace=False)
@@ -136,12 +135,11 @@ def random_ctmdp(rng: np.random.Generator, num_states: int = 6,
         if ap:
             labels = [frozenset(i for i in range(len(ap)) if rng.random() < 0.4)
                       for _ in range(num_states)]
-        m = Ctmdp.from_transitions(
-            tuple(f"s{i}" for i in range(num_states)),
-            tuple(chr(ord("a") + j) for j in range(max_actions)),
-            0, transitions, ap=ap, labels=labels)
-        if max_schedules is None or count_schedules(m) <= max_schedules:
-            return m
+        if max_schedules is None or schedules <= max_schedules:
+            return Ctmdp.from_transitions(
+                tuple(f"s{i}" for i in range(num_states)),
+                tuple(chr(ord("a") + j) for j in range(max_actions)),
+                0, transitions, ap=ap, labels=labels)
     raise CtmdpError("could not sample a model within the schedule budget")
 
 

@@ -2,7 +2,9 @@
 two product objectives (probability of Buchi acceptance, long-run fraction of
 time in accepting states).
 
-Everything reduces to linear algebra on the uniformized embedded chain:
+Everything reduces to linear algebra on the uniformized embedded chain, read
+from the model's choice rows (``Ctmdp.choices``); each policy-iteration round
+scores every choice with one sparse product and switches in ``_improve``:
 
 * discounted values solve v = rho + Gamma P v, where Gamma(s) =
   lam(s, a) / (lam(s, a) + alpha) is the expected dwell discount;
@@ -24,13 +26,13 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .model import Ctmdp, CtmdpError, exit_rate, mec_decompose
+from .model import ChoiceRows, Ctmdp, CtmdpError, mec_decompose
 from .product import ProductCtmdp, Schedule, schedule_from_ids, schedule_to_ids
 
 _TIE_TOL = 1e-9
-# strict improvement ends in exact arithmetic; the cap stops psem_optimal
-# if solve error ever made two schedules each look better than the other
-_MAX_ROUNDS = 1000
+# strict improvement ends in exact arithmetic; the cap stops a policy
+# iteration if solve error ever made two schedules each look better
+_MAX_ROUNDS = 500
 
 
 class ConvergenceError(CtmdpError):
@@ -77,47 +79,61 @@ def uniformized_reward_spec(m: Ctmdp, spec: RewardSpec, alpha: float,
     included), and the dwell discount changes accordingly; scaling each
     transition reward by (alpha + lam) / (alpha + cap) compensates exactly.
     """
-    adjusted = {}
-    for (s, a) in m.trans:
-        lam = exit_rate(m, s, a)
-        r = spec.act(s, a)
-        if r != 0.0:
-            adjusted[(s, a)] = r * (alpha + lam) / (alpha + cap)
+    ch = m.choices
+    adjusted = {key: spec.act(*key) * (alpha + lam) / (alpha + cap)
+                for key, lam in zip(ch.row, ch.exit.tolist())
+                if spec.act(*key) != 0.0}
     return RewardSpec(state_rate=spec.state_rate.copy(), action_reward=adjusted)
 
 
 def step_reward_spec(m: Ctmdp, spec: RewardSpec, cap: float) -> Dict[Tuple[int, int], float]:
     """Per-step rewards on the cap-uniformized chain whose per-step average
-    times cap equals the original time average."""
-    out = {}
-    for (s, a) in m.trans:
-        lam = exit_rate(m, s, a)
-        out[(s, a)] = (float(spec.state_rate[s]) + lam * spec.act(s, a)) / cap
-    return out
+    times cap equals the original time average, keyed in choice-row order."""
+    ch = m.choices
+    return {(s, a): (float(spec.state_rate[s]) + lam * spec.act(s, a)) / cap
+            for (s, a), lam in zip(ch.row, ch.exit.tolist())}
 
 
 # ---------------------------------------------------------------------------
 # Induced-chain plumbing
 
-def _check_schedule(m: Ctmdp, sigma: np.ndarray):
-    if len(sigma) != m.num_states:
-        raise CtmdpError("schedule length does not match state count")
-    for s in range(m.num_states):
-        if (s, int(sigma[s])) not in m.trans:
-            raise CtmdpError(
-                f"schedule picks disabled action {int(sigma[s])} in state {s}")
+def _gather(ch: ChoiceRows, rows: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Dense matrix whose row s holds ``data`` (one value per successor entry
+    of ``ch``) on the successors of choice row ``rows[s]``."""
+    lo = ch.ptr[rows]
+    k = ch.ptr[rows + 1] - lo
+    entries = np.arange(k.sum()) + np.repeat(lo - (np.cumsum(k) - k), k)
+    out = np.zeros((len(rows), len(ch.start) - 1))
+    out[np.repeat(np.arange(len(rows)), k), ch.succ[entries]] = data[entries]
+    return out
+
+
+def _dot(ch: ChoiceRows, data: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Every choice row's sum of ``data`` times ``v`` over its successors."""
+    return np.add.reduceat(data * v[ch.succ], ch.ptr[:-1])
 
 
 def _induced_embedded(m: Ctmdp, sigma: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(P, lam): embedded transition matrix and exit rates of the chain."""
-    n = m.num_states
-    P = np.zeros((n, n))
-    lam = np.zeros(n)
-    for s in range(n):
-        succ, rates = m.successors(s, int(sigma[s]))
-        lam[s] = rates.sum()
-        P[s, succ] = rates / lam[s]
-    return P, lam
+    """(P, lam): embedded transition matrix and exit rates of the chain that
+    the schedule sigma induces; raises if sigma picks a disabled action."""
+    ch = m.choices
+    rows = ch.lookup(sigma)
+    return _gather(ch, rows, ch.prob), ch.exit[rows]
+
+
+def _improve(ch: ChoiceRows, q: np.ndarray, rows: np.ndarray,
+             tol: float) -> np.ndarray:
+    """New rows after one step on the scores ``q`` (one per choice row): each
+    state scans its rows in action order and leaves its incumbent ``rows[s]``
+    only for a score above the best so far by more than ``tol``."""
+    best = q[rows]
+    new = rows.copy()
+    top = np.maximum.reduceat(q, ch.start[:-1])
+    for s in np.flatnonzero(top > best + tol).tolist():
+        for i in range(ch.start[s], ch.start[s + 1]):
+            if q[i] > best[s] + tol:
+                new[s], best[s] = i, q[i]
+    return new
 
 
 def _uniformized(P: np.ndarray, lam: np.ndarray, cap: float) -> np.ndarray:
@@ -178,7 +194,6 @@ def discounted_value(m: Ctmdp, spec: RewardSpec, sigma: np.ndarray,
     """v(s) = E[sum over transitions of e^{-alpha t} rewards] under sigma."""
     if alpha <= 0:
         raise CtmdpError(f"alpha must be positive, got {alpha}")
-    _check_schedule(m, sigma)
     n = m.num_states
     P, lam = _induced_embedded(m, sigma)
     gamma = lam / (lam + alpha)
@@ -187,33 +202,23 @@ def discounted_value(m: Ctmdp, spec: RewardSpec, sigma: np.ndarray,
     return np.linalg.solve(np.eye(n) - gamma[:, None] * P, rho)
 
 
-def discounted_optimal(m: Ctmdp, spec: RewardSpec, alpha: float,
-                       max_iter: int = 1000) -> Tuple[np.ndarray, np.ndarray]:
+def discounted_optimal(m: Ctmdp, spec: RewardSpec,
+                       alpha: float) -> Tuple[np.ndarray, np.ndarray]:
     """Policy iteration for the discounted objective; exact at fixed point."""
-    n = m.num_states
-    sigma = np.array([m.enabled(s)[0] for s in range(n)], dtype=np.int64)
-    for _ in range(max_iter):
+    ch = m.choices
+    # q = act + rho / (alpha + lam) + lam / (lam + alpha) * (P v), per choice
+    act = np.array([spec.act(s, a) for s, a in ch.row])
+    base = act + spec.state_rate[ch.state] / (alpha + ch.exit)
+    discount = ch.exit / (ch.exit + alpha)
+    rows = ch.lookup([m.enabled(s)[0] for s in range(m.num_states)])
+    for _ in range(_MAX_ROUNDS):
+        sigma = ch.action[rows]
         v = discounted_value(m, spec, sigma, alpha)
-        new = sigma.copy()
-        for s in range(n):
-            def qval(a):
-                succ, rates = m.successors(s, a)
-                lam = rates.sum()
-                return (spec.act(s, a) + spec.state_rate[s] / (alpha + lam)
-                        + lam / (lam + alpha) * float((rates / lam) @ v[succ]))
-            # keep the incumbent on ties to avoid cycling
-            best_a = int(sigma[s])
-            best_q = qval(best_a)
-            for a in m.enabled(s):
-                if a == best_a:
-                    continue
-                q = qval(a)
-                if q > best_q + _TIE_TOL * max(1.0, abs(best_q)):
-                    best_a, best_q = a, q
-            new[s] = best_a
-        if np.array_equal(new, sigma):
+        new = _improve(ch, base + discount * _dot(ch, ch.prob, v), rows,
+                       _TIE_TOL * max(1.0, float(np.abs(v).max())))
+        if np.array_equal(new, rows):
             return v, sigma
-        sigma = new
+        rows = new
     raise ConvergenceError("discounted policy iteration did not converge")
 
 
@@ -222,7 +227,6 @@ def discounted_optimal(m: Ctmdp, spec: RewardSpec, alpha: float,
 
 def average_value(m: Ctmdp, spec: RewardSpec, sigma: np.ndarray) -> np.ndarray:
     """Per-state long-run reward per unit time under the schedule sigma."""
-    _check_schedule(m, sigma)
     n = m.num_states
     P, lam = _induced_embedded(m, sigma)
     cap = float(lam.max())
@@ -263,57 +267,31 @@ def _policy_gain_bias(P: np.ndarray, r: np.ndarray) -> Tuple[np.ndarray, np.ndar
     return g, _absorption(P, h, recurrent, rhs=r - g)
 
 
-def average_optimal(m: Ctmdp, spec: RewardSpec,
-                    max_iter: int = 500) -> Tuple[np.ndarray, np.ndarray]:
+def average_optimal(m: Ctmdp, spec: RewardSpec) -> Tuple[np.ndarray, np.ndarray]:
     """Multichain policy iteration; returns per-state optimal gains and a
     gain-optimal, bias-improved schedule."""
-    n = m.num_states
+    ch = m.choices
     cap = m.max_exit_rate
-    r_step = step_reward_spec(m, spec, cap)
+    # the cap-uniformized chain: rates / cap off the self-loop mass
+    scaled, stay = ch.rate / cap, 1.0 - ch.exit / cap
+    r_step = np.array(list(step_reward_spec(m, spec, cap).values()))  # by row
 
-    rows: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
-    for (s, a), (succ, rates) in m.trans.items():
-        lam = rates.sum()
-        p = np.zeros(n)
-        p[succ] = rates / cap
-        p[s] += 1.0 - lam / cap
-        rows[(s, a)] = (p, r_step[(s, a)])
-
-    sigma = np.array([m.enabled(s)[0] for s in range(n)], dtype=np.int64)
-    for _ in range(max_iter):
-        P = np.vstack([rows[(s, int(sigma[s]))][0] for s in range(n)])
-        r = np.array([rows[(s, int(sigma[s]))][1] for s in range(n)])
-        g, h = _policy_gain_bias(P, r)
-        scale = max(1.0, float(np.abs(g).max()), float(np.abs(h).max()))
-        new = sigma.copy()
-        changed = False
-        for s in range(n):
-            # gain stage: strictly increase P g where possible
-            best_a = int(sigma[s])
-            best_gain = float(rows[(s, best_a)][0] @ g)
-            for a in m.enabled(s):
-                cand = float(rows[(s, a)][0] @ g)
-                if cand > best_gain + _TIE_TOL * scale:
-                    best_a, best_gain = a, cand
-            if best_a != sigma[s]:
-                new[s] = best_a
-                changed = True
-                continue
-            # bias stage among gain-optimal actions
-            best_val = rows[(s, best_a)][1] - g[s] + float(rows[(s, best_a)][0] @ h)
-            for a in m.enabled(s):
-                p, rw = rows[(s, a)]
-                if float(p @ g) < best_gain - _TIE_TOL * scale:
-                    continue
-                val = rw - g[s] + float(p @ h)
-                if val > best_val + _TIE_TOL * scale:
-                    best_a, best_val = a, val
-            if best_a != sigma[s]:
-                new[s] = best_a
-                changed = True
-        if not changed:
-            return g * cap, sigma
-        sigma = new
+    rows = ch.lookup([m.enabled(s)[0] for s in range(m.num_states)])
+    for _ in range(_MAX_ROUNDS):
+        P = _gather(ch, rows, scaled)
+        P[np.diag_indices_from(P)] += stay[rows]
+        g, h = _policy_gain_bias(P, r_step[rows])
+        tol = _TIE_TOL * max(1.0, float(np.abs(g).max()), float(np.abs(h).max()))
+        # gain stage: strictly increase P g where possible
+        qg = _dot(ch, scaled, g) + stay * g[ch.state]
+        gain = _improve(ch, qg, rows, tol)
+        # bias stage, in the other states, among their gain-optimal actions
+        qb = r_step - g[ch.state] + (_dot(ch, scaled, h) + stay * h[ch.state])
+        qb[qg < qg[rows][ch.state] - tol] = -np.inf
+        new = np.where(gain != rows, gain, _improve(ch, qb, rows, tol))
+        if np.array_equal(new, rows):
+            return g * cap, ch.action[rows]
+        rows = new
     raise ConvergenceError("average-reward policy iteration did not converge")
 
 
@@ -354,7 +332,6 @@ def psem_of(p: ProductCtmdp, schedule: Schedule) -> CheckResult:
     """Probability of visiting accepting states infinitely often under a
     fixed schedule."""
     sigma = schedule_to_ids(p, schedule)
-    _check_schedule(p.ctmdp, sigma)
     P, _ = _induced_embedded(p.ctmdp, sigma)
     bsccs, _ = _bsccs(P)
     good: Set[int] = set()
@@ -398,10 +375,9 @@ def psem_optimal(p: ProductCtmdp) -> CheckResult:
     attains them.  ``iterations`` counts the rounds.
     """
     m = p.ctmdp
+    ch = m.choices
     n = m.num_states
-    rows = m.trans
-    enabled = [m.enabled(s) for s in range(n)]
-    sigma = np.array([acts[0] for acts in enabled], dtype=np.int64)
+    sigma = np.array([m.enabled(s)[0] for s in range(n)], dtype=np.int64)
     target: Set[int] = set()
     for mec in mec_decompose(m, p.accepting).components:
         if not mec.accepting:
@@ -409,30 +385,22 @@ def psem_optimal(p: ProductCtmdp) -> CheckResult:
         acc = mec.states & p.accepting
         for s in acc:
             sigma[s] = mec.actions[s][0]
-        _attractor(rows, mec.states, mec.actions, acc, sigma)
+        _attractor(m.trans, mec.states, mec.actions, acc, sigma)
         target |= mec.states
-    _attractor(rows, range(n), enabled, target, sigma)
+    _attractor(m.trans, range(n), list(map(m.enabled, range(n))), target, sigma)
 
+    rows = ch.lookup(sigma)
+    settled = np.isin(ch.state, list(target))
     for rounds in range(1, _MAX_ROUNDS + 1):
-        P, _ = _induced_embedded(m, sigma)
-        v = _reach_probability(P, target)
-        changed = False
-        for s in range(n):
-            if s in target:
-                continue
-            # keep the incumbent on ties: a strict gain never lowers a value
-            best_a, best_q = int(sigma[s]), v[s]
-            for a in enabled[s]:
-                succ, rates = rows[(s, a)]
-                q = float(rates @ v[succ]) / float(rates.sum())
-                if q > best_q + _TIE_TOL:
-                    best_a, best_q = a, q
-            if best_a != sigma[s]:
-                sigma[s] = best_a
-                changed = True
-        if not changed:
-            return CheckResult(values=v, schedule=schedule_from_ids(p, sigma),
+        v = _reach_probability(_gather(ch, rows, ch.prob), target)
+        q = _dot(ch, ch.prob, v)
+        q[settled] = -np.inf     # the region keeps its schedule
+        new = _improve(ch, q, rows, _TIE_TOL)
+        if np.array_equal(new, rows):
+            return CheckResult(values=v,
+                               schedule=schedule_from_ids(p, ch.action[rows]),
                                initial=m.initial, iterations=rounds)
+        rows = new
     raise ConvergenceError("reachability policy iteration did not converge")
 
 

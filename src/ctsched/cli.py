@@ -134,6 +134,9 @@ def read_schedule(p: ProductCtmdp, path: str) -> Schedule:
 
 
 def _hyperparams(args) -> Hyperparams:
+    if args.runs < 1:
+        raise CliError(f"--runs must be at least 1, got {args.runs}",
+                       EXIT_VALIDATION)
     try:
         return Hyperparams(gamma=args.gamma, beta=args.beta,
                            epsilon=args.epsilon, zeta=args.zeta,

@@ -1,16 +1,17 @@
 """Core CTMDP structures: rates, embedded chains, uniformization, end-components.
 
-States and actions are dense integer ids; names live in side tables.  All
-transition data is stored per (state, action) pair as a pair of numpy arrays
-(successor ids, rates), which keeps the value-iteration and Q-table hot paths
-id-based and allocation-free.
+States and actions are dense integer ids; names live in side tables.  A model
+is given by (successor ids, rates) arrays per (state, action) pair, and
+derives from them one state-major index of choice rows, ``ChoiceRows``, that
+the checker and the end-component pruning read.
 
 The embedded jump chain has no type of its own: ``embed`` returns a Ctmdp
 whose rates are the jump probabilities, so every exit rate is 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -34,6 +35,60 @@ class ActionNotEnabled(CtmdpError):
 
 
 @dataclass(frozen=True)
+class ChoiceRows:
+    """State-major index of the enabled (state, action) pairs of a model:
+    row i plays ``action[i]`` in ``state[i]``, at exit rate ``exit[i]``; the
+    rows of state s are ``start[s]:start[s + 1]`` in increasing action id,
+    and ``row`` maps (s, a) to its row.  Row i's successors are
+    ``succ[ptr[i]:ptr[i + 1]]`` (CSR layout), entered at ``rate`` or with
+    jump probability ``prob``."""
+
+    start: np.ndarray
+    state: np.ndarray
+    action: np.ndarray
+    exit: np.ndarray
+    ptr: np.ndarray
+    succ: np.ndarray
+    rate: np.ndarray
+    prob: np.ndarray
+    row: Dict[Tuple[int, int], int]
+
+    @staticmethod
+    def of(trans: TransitionTable, num_states: int) -> "ChoiceRows":
+        keys = sorted(trans)
+        state = np.array([s for s, _ in keys], dtype=np.int64)
+        succ = [np.zeros(0, dtype=np.int64)] + [trans[k][0] for k in keys]
+        rates = [np.zeros(0)] + [trans[k][1] for k in keys]
+        ptr = np.cumsum([len(x) for x in succ])
+        rate, counts = np.concatenate(rates), np.diff(ptr)
+        # rows of one length summed along a contiguous axis add up in the
+        # order rates.sum() does, so each probability is rates / rates.sum()
+        lam = np.zeros(len(keys))
+        for k in np.unique(counts):
+            same = np.flatnonzero(counts == k)
+            lam[same] = rate[ptr[same, None] + np.arange(k)].sum(axis=1)
+        return ChoiceRows(
+            start=np.searchsorted(state, np.arange(num_states + 1)),
+            state=state, action=np.array([a for _, a in keys], dtype=np.int64),
+            exit=lam, ptr=ptr, succ=np.concatenate(succ), rate=rate,
+            prob=rate / np.repeat(lam, counts),
+            row=dict(zip(keys, range(len(keys)))))
+
+    def lookup(self, sigma: np.ndarray) -> np.ndarray:
+        """The row that the schedule ``sigma`` (an action id per state)
+        plays in each state; raises if it picks a disabled action."""
+        if len(sigma) != len(self.start) - 1:
+            raise CtmdpError("schedule length does not match state count")
+        keys = enumerate(np.asarray(sigma).tolist())
+        try:
+            return np.array([self.row[key] for key in keys], dtype=np.int64)
+        except KeyError as exc:
+            s, a = exc.args[0]
+            raise CtmdpError(
+                f"schedule picks disabled action {a} in state {s}") from None
+
+
+@dataclass(frozen=True)
 class Ctmdp:
     """Finite labelled continuous-time MDP.
 
@@ -49,17 +104,16 @@ class Ctmdp:
     trans: TransitionTable
     ap: Tuple[str, ...] = ()
     labels: Tuple[FrozenSet[int], ...] = ()
-    _enabled: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.labels:
             object.__setattr__(self, "labels",
                                tuple(frozenset() for _ in self.state_names))
-        by_state: List[List[int]] = [[] for _ in self.state_names]
-        for (s, a) in self.trans:
-            by_state[s].append(a)
-        object.__setattr__(self, "_enabled",
-                           tuple(tuple(sorted(acts)) for acts in by_state))
+
+    @cached_property
+    def choices(self) -> ChoiceRows:
+        """The row index of ``trans``, built on first use."""
+        return ChoiceRows.of(self.trans, self.num_states)
 
     @property
     def num_states(self) -> int:
@@ -70,7 +124,8 @@ class Ctmdp:
         return len(self.action_names)
 
     def enabled(self, s: int) -> Tuple[int, ...]:
-        return self._enabled[s]
+        lo, hi = self.choices.start[s:s + 2].tolist()
+        return tuple(self.choices.action[lo:hi].tolist())
 
     def successors(self, s: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
         try:
@@ -80,7 +135,7 @@ class Ctmdp:
 
     @property
     def max_exit_rate(self) -> float:
-        return max(float(rates.sum()) for (_, rates) in self.trans.values())
+        return float(self.choices.exit.max())
 
     @staticmethod
     def from_transitions(state_names: Sequence[str],
@@ -138,10 +193,8 @@ def exit_rate(m: Ctmdp, s: int, a: int) -> float:
 def embed(m: Ctmdp) -> Ctmdp:
     """Embedded jump chain as a Ctmdp of exit rate 1: the rates of (s, a)
     are the jump probabilities R(s,a,.) / exit_rate(s,a)."""
-    probs: TransitionTable = {}
-    for (s, a), (succ, rates) in m.trans.items():
-        lam = rates.sum()
-        probs[(s, a)] = (succ, rates / lam)
+    probs = {key: (succ, rates / rates.sum())
+             for key, (succ, rates) in m.trans.items()}
     return Ctmdp(m.state_names, m.action_names, m.initial, probs, m.ap, m.labels)
 
 
@@ -155,22 +208,13 @@ def uniformize(m: Ctmdp, cap: Optional[float] = None) -> Ctmdp:
         cap = top
     if cap < top - ROW_SUM_TOL * max(1.0, top):
         raise CtmdpError(f"uniformization constant {cap} below max exit rate {top}")
-    trans: TransitionTable = {}
-    for (s, a), (succ, rates) in m.trans.items():
-        lam = rates.sum()
-        extra = cap - lam
-        if extra <= 0:
-            trans[(s, a)] = (succ.copy(), rates.copy())
-            continue
-        idx = np.searchsorted(succ, s)
-        if idx < len(succ) and succ[idx] == s:
-            new_rates = rates.copy()
-            new_rates[idx] += extra
-            trans[(s, a)] = (succ.copy(), new_rates)
-        else:
-            trans[(s, a)] = (np.insert(succ, idx, s),
-                             np.insert(rates, idx, extra))
-    return Ctmdp(m.state_names, m.action_names, m.initial, trans, m.ap, m.labels)
+    # the added self-loop mass sums with an existing self-loop
+    loops = [(s, a, s, cap - float(rates.sum()))
+             for (s, a), (_, rates) in m.trans.items() if rates.sum() < cap]
+    return Ctmdp.from_transitions(
+        m.state_names, m.action_names, m.initial,
+        [(s, a, int(t), float(r)) for (s, a), (succ, rates) in m.trans.items()
+         for t, r in zip(succ, rates)] + loops, m.ap, m.labels)
 
 
 def validate(m: Ctmdp) -> List[str]:
@@ -200,58 +244,39 @@ def validate(m: Ctmdp) -> List[str]:
 
 
 def mec_decompose(m: Ctmdp, accepting: Set[int] = frozenset()) -> MecSet:
-    """Maximal end-components via iterative SCC pruning.
-
-    Only the support of the transitions matters, so ``m`` may be a model or
-    its ``embed``.  A component is flagged accepting iff it intersects
-    ``accepting``.
-    """
+    """Maximal end-components by SCC pruning over the choice rows: each pass
+    finds the SCCs of the kept rows' edges and keeps a row iff all its
+    successors lie in its state's SCC.  Only the support of the transitions
+    matters, so ``m`` may be a model or its ``embed``.  A component is
+    accepting iff it meets ``accepting``."""
     n = m.num_states
-    retained: Dict[int, Set[int]] = {s: set(m.enabled(s)) for s in range(n)}
-    alive = set(range(n))
+    ch = m.choices
+    succ = ch.succ
+    edge_row = np.repeat(np.arange(len(ch.state)), np.diff(ch.ptr))
+    src = ch.state[edge_row]
+    keep = np.ones(len(ch.state), dtype=bool)
     while True:
-        rows, cols = [], []
-        nodes = sorted(alive)
-        index = {s: i for i, s in enumerate(nodes)}
-        for s in nodes:
-            for a in retained[s]:
-                succ, _ = m.successors(s, a)
-                for t in succ:
-                    if int(t) in alive:
-                        rows.append(index[s])
-                        cols.append(index[int(t)])
-        k = len(nodes)
-        if k == 0:
-            break
-        graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(k, k))
+        live = keep[edge_row]
+        graph = csr_matrix((np.ones(int(live.sum())), (src[live], succ[live])),
+                           shape=(n, n))
         _, comp = connected_components(graph, directed=True, connection="strong")
-        changed = False
-        for s in nodes:
-            keep = set()
-            for a in retained[s]:
-                succ, _ = m.successors(s, a)
-                if all(int(t) in alive and comp[index[int(t)]] == comp[index[s]]
-                       for t in succ):
-                    keep.add(a)
-            if keep != retained[s]:
-                retained[s] = keep
-                changed = True
-        dead = {s for s in nodes if not retained[s]}
-        if dead:
-            alive -= dead
-            changed = True
-        if not changed:
+        # a state without kept rows has no out-edges, so it is an SCC of its
+        # own and the rows into it go too
+        pruned = keep.copy()
+        pruned[edge_row[comp[succ] != comp[src]]] = False
+        if np.array_equal(pruned, keep):
             break
+        keep = pruned
 
-    # nothing was pruned in the last pass, so its SCCs are the components
-    comps: Dict[int, List[int]] = {}
-    for i, s in enumerate(nodes):
-        comps.setdefault(int(comp[i]), []).append(s)
-
-    mecs = []
-    for members in comps.values():
-        mecs.append(Mec(states=frozenset(members),
-                        actions={s: tuple(sorted(retained[s])) for s in members},
-                        accepting=bool(set(members) & set(accepting))))
+    members: Dict[int, List[int]] = {}
+    for s in np.unique(ch.state[keep]).tolist():
+        members.setdefault(int(comp[s]), []).append(s)
+    kept: Dict[int, List[int]] = {}
+    for s, a in zip(ch.state[keep].tolist(), ch.action[keep].tolist()):
+        kept.setdefault(s, []).append(a)
+    mecs = [Mec(states=frozenset(states),
+                actions={s: tuple(kept[s]) for s in states},
+                accepting=bool(set(accepting).intersection(states)))
+            for states in members.values()]
     mecs.sort(key=lambda c: min(c.states))
     return MecSet(tuple(mecs))

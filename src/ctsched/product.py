@@ -218,16 +218,18 @@ Schedule = Dict[StatePair, ActionPair]
 def schedule_to_ids(p: ProductCtmdp, schedule: Schedule) -> np.ndarray:
     """Pair-keyed schedule -> per-product-state action ids.
 
-    States absent from the schedule get their lowest-id enabled action.
+    States absent from the schedule get their lowest-id enabled action; an
+    entry whose action is not enabled at its state raises CtmdpError.
     """
     action_index = p.action_index()
     out = np.zeros(p.num_states, dtype=np.int64)
     for i, pair in enumerate(p.pairs):
         choice = schedule.get(pair)
-        if choice is not None and (i, action_index.get(choice, -1)) in p.ctmdp.trans:
-            out[i] = action_index[choice]
-        else:
-            out[i] = p.ctmdp.enabled(i)[0]
+        out[i] = (p.ctmdp.enabled(i)[0] if choice is None
+                  else action_index.get(choice, -1))
+        if (i, out[i]) not in p.ctmdp.trans:
+            raise CtmdpError(f"schedule action {choice} is not enabled at "
+                             f"product state {pair}")
     return out
 
 

@@ -9,12 +9,12 @@ from ctsched.bruteforce import (_gate, brute_force_average,
                                 random_marked_product, random_reward_spec,
                                 random_schedule)
 from ctsched.check import (BlackwellReport, RewardSpec, _bsccs,
-                           _reach_probability, accepting_rate_spec,
-                           alpha_from_gamma, average_optimal, average_value,
-                           blackwell_probe, discounted_optimal,
-                           discounted_value, esem_of, esem_optimal, psem_of,
-                           psem_optimal, step_reward_spec,
-                           uniformized_reward_spec)
+                           _induced_embedded, _reach_probability,
+                           accepting_rate_spec, alpha_from_gamma,
+                           average_optimal, average_value, blackwell_probe,
+                           discounted_optimal, discounted_value, esem_of,
+                           esem_optimal, psem_of, psem_optimal,
+                           step_reward_spec, uniformized_reward_spec)
 from ctsched.model import Ctmdp, CtmdpError, uniformize
 from ctsched.product import (TRAP_PAIR, build_product, project_schedule,
                               schedule_to_ids)
@@ -168,6 +168,25 @@ def test_esem_optimal_matches_brute_force():
         best, _ = brute_force_esem(p)
         assert opt.value == pytest.approx(best, abs=1e-9)
         assert esem_of(p, opt.schedule).value == pytest.approx(best, abs=1e-9)
+    # model x automaton products: guards that match no letter leave traps
+    rng = np.random.default_rng(73)
+    traps = compared = 0
+    for _ in range(40):
+        m = random_ctmdp(rng, num_states=int(rng.integers(3, 6)),
+                         max_actions=2, ap=("g", "p"))
+        p = build_product(m, random_buchi(rng, num_states=2))
+        traps += TRAP_PAIR in p.pairs
+        opt = esem_optimal(p)
+        achieved = esem_of(p, opt.schedule).values
+        assert np.allclose(achieved, opt.values, rtol=0, atol=1e-9)
+        try:
+            _gate(p.ctmdp)
+        except CtmdpError:
+            continue  # too many schedules to enumerate
+        best, _ = brute_force_esem(p)
+        assert opt.value == pytest.approx(best, abs=1e-9)
+        compared += 1
+    assert traps >= 10 and compared >= 20
 
 
 def test_esem_values_lie_in_unit_interval():
@@ -288,3 +307,20 @@ def test_reach_probability_matches_the_fixpoint_reference():
         got = _reach_probability(P, target)
         assert np.array_equal(got == 0, want == 0)
         assert np.allclose(got, np.clip(want, 0.0, 1.0), rtol=0, atol=1e-12)
+
+
+def test_induced_embedded_matches_the_row_loop():
+    # the gather from the choice rows gives the very floats of a per-state
+    # loop over the transition table
+    rng = np.random.default_rng(33)
+    for _ in range(50):
+        m = random_ctmdp(rng, num_states=int(rng.integers(2, 10)))
+        sigma = np.array([int(rng.choice(m.enabled(s)))
+                          for s in range(m.num_states)])
+        P, lam = _induced_embedded(m, sigma)
+        want = np.zeros((m.num_states, m.num_states))
+        for s in range(m.num_states):
+            succ, rates = m.successors(s, int(sigma[s]))
+            assert lam[s] == rates.sum()
+            want[s, succ] = rates / rates.sum()
+        assert np.array_equal(P, want)

@@ -165,6 +165,17 @@ def test_disabled_schedule_choice_exits_with_validation_code(paths, tmp_path,
     assert f"{f}:2:" in err and "not enabled" in err
 
 
+@pytest.mark.parametrize("command", ["learn", "bench"])
+def test_runs_below_one_exits_with_validation_code(paths, command, capsys):
+    argv = [command, "--runs", "0"]
+    if command == "learn":
+        argv += ["--model", paths["mars.ctmdp"], "--automaton", paths["fig1.hoa"]]
+    code = main(argv)
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "--runs" in captured.err and captured.out == ""
+
+
 def test_missing_file_exits_with_validation_code(paths, capsys):
     code = main(["check", "--model", "/nonexistent/x.ctmdp",
                  "--automaton", paths["fig1.hoa"]])

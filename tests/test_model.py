@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
-from ctsched.bruteforce import brute_force_mec_pairs, random_ctmdp
+from ctsched.bruteforce import (_gate, brute_force_mec_pairs, random_buchi,
+                                random_ctmdp)
 from ctsched.data import load_model
 from ctsched.model import (ActionNotEnabled, Ctmdp, CtmdpError, embed,
                            exit_rate, mec_decompose, uniformize, validate)
+from ctsched.product import TRAP_PAIR, augment, build_product
 
 
 def two_state():
@@ -146,6 +148,25 @@ def test_mec_decompose_matches_recurrence_oracle():
                 for a in acts:
                     ours.add((s, a))
         assert ours == set(oracle)
+    # products with a trap state, plain and augmented with a sink
+    rng = np.random.default_rng(29)
+    traps = compared = 0
+    for _ in range(30):
+        m = random_ctmdp(rng, num_states=int(rng.integers(2, 5)),
+                         max_actions=2, ap=("g", "p"))
+        p = build_product(m, random_buchi(rng, num_states=2))
+        traps += TRAP_PAIR in p.pairs
+        for prod in (p, augment(p, 0.5).product):
+            try:
+                _gate(prod.ctmdp)
+            except CtmdpError:
+                continue  # too many schedules to enumerate
+            mecs = mec_decompose(embed(prod.ctmdp))
+            ours = {(s, a) for mec in mecs.components
+                    for s, acts in mec.actions.items() for a in acts}
+            assert ours == set(brute_force_mec_pairs(prod.ctmdp))
+            compared += 1
+    assert traps >= 10 and compared >= 40
 
 
 def test_component_of_maps_members():

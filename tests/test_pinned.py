@@ -6,9 +6,14 @@ bit for bit as they are.
 """
 from importlib import resources
 
-from ctsched.check import psem_optimal
+import numpy as np
+import pytest
+
+from ctsched.bruteforce import random_ctmdp, random_reward_spec
+from ctsched.check import (alpha_from_gamma, average_optimal,
+                           discounted_optimal, esem_optimal, psem_optimal)
 from ctsched.cli import main
-from ctsched.data import load_automaton, load_model
+from ctsched.data import BENCH_PAIRS, load_automaton, load_model
 from ctsched.learn import Hyperparams, learn_sat
 from ctsched.product import SINK_ACTION, SINK_PAIR, augment, build_product
 
@@ -51,6 +56,34 @@ PINNED_PSEM_SCHEDULE = {
     (1, 0): (2, 0), (2, 0): (1, 0), SINK_PAIR: SINK_ACTION,
 }
 
+# esem_optimal on the bench pairs, then on polling2 x polling augmented
+# with zeta = 0.99
+PINNED_ESEM_SCHEDULES = {
+    ("riskreward", "riskreward"): {
+        (0, 0): (1, 0), (0, 1): (1, 0), (1, 0): (5, 1), (2, 0): (3, 1),
+        (2, 1): (3, 1), (3, 0): (2, 2), (3, 2): (2, 3), (3, 3): (2, 3)},
+    ("mars", "fig1"): {
+        (0, 0): (1, 0), (0, 1): (1, 0), (1, 0): (5, 1), (2, 0): (3, 1),
+        (2, 1): (3, 1), (3, 0): (2, 2), (3, 2): (2, 2)},
+    ("polling2", "polling"): {
+        (0, 0): (0, 1), (1, 0): (2, 0), (1, 1): (0, 0), (2, 0): (1, 0),
+        (2, 1): (0, 0), (3, 0): (1, 0)},
+}
+PINNED_ESEM_AUGMENTED_SCHEDULE = {
+    (0, 0): (0, 1), (1, 1): (2, 0), (2, 1): (1, 0), (3, 0): (1, 0),
+    (1, 0): (2, 0), (2, 0): (1, 0), SINK_PAIR: SINK_ACTION,
+}
+
+# average_optimal, and discounted_optimal at per-step discounts 0.9 and
+# 0.9999, on the first four models of np.random.default_rng(4242) drawn as
+# acceptance criterion 6 draws them
+PINNED_RANDOM_SCHEDULES = [
+    [0, 0, 0, 0, 1],
+    [0, 1, 2, 1, 0, 0],
+    [0, 1, 1, 0],
+    [1, 1, 0, 0, 0, 0],
+]
+
 
 def test_seeded_learner_and_simulate_outputs_are_pinned(riskreward, tmp_path,
                                                         capsys):
@@ -75,3 +108,26 @@ def test_psem_optimal_schedule_is_pinned():
     p = build_product(load_model("polling2"), load_automaton("polling"))
     opt = psem_optimal(augment(p, 0.99).product)
     assert opt.schedule == PINNED_PSEM_SCHEDULE
+
+
+@pytest.mark.parametrize("pair", BENCH_PAIRS)
+def test_esem_optimal_schedules_are_pinned(pair):
+    p = build_product(load_model(pair[0]), load_automaton(pair[1]))
+    assert esem_optimal(p).schedule == PINNED_ESEM_SCHEDULES[pair]
+
+
+def test_esem_optimal_augmented_schedule_is_pinned():
+    p = build_product(load_model("polling2"), load_automaton("polling"))
+    opt = esem_optimal(augment(p, 0.99).product)
+    assert opt.schedule == PINNED_ESEM_AUGMENTED_SCHEDULE
+
+
+def test_average_and_discounted_optimal_schedules_are_pinned():
+    rng = np.random.default_rng(4242)
+    for want in PINNED_RANDOM_SCHEDULES:
+        m = random_ctmdp(rng, num_states=int(rng.integers(3, 8)))
+        spec = random_reward_spec(rng, m)
+        assert average_optimal(m, spec)[1].tolist() == want
+        for gamma in (0.9, 0.9999):
+            alpha = alpha_from_gamma(gamma, m.max_exit_rate)
+            assert discounted_optimal(m, spec, alpha)[1].tolist() == want

@@ -4,7 +4,8 @@ import pytest
 
 from ctsched.automata import BuchiAutomaton, Edge, GFalse, GTrue
 from ctsched.bruteforce import random_buchi, random_ctmdp
-from ctsched.model import Ctmdp, exit_rate
+from ctsched.check import esem_of, psem_of
+from ctsched.model import Ctmdp, CtmdpError, exit_rate
 from ctsched.product import (ApMismatch, TRAP_PAIR, augment, build_product,
                              project_schedule, schedule_from_ids,
                              schedule_to_ids)
@@ -141,6 +142,19 @@ def test_schedule_to_ids_falls_back_on_missing_states(mars):
     sigma = schedule_to_ids(p, {})
     for s in range(p.num_states):
         assert sigma[s] == p.ctmdp.enabled(s)[0]
+
+
+def test_schedule_to_ids_rejects_disabled_choices(mars):
+    m, a, p = mars
+    sched = schedule_from_ids(
+        p, np.array([p.ctmdp.enabled(s)[0] for s in range(p.num_states)]))
+    sched[(0, 0)] = (99, 99)
+    with pytest.raises(CtmdpError, match=r"\(99, 99\).*\(0, 0\)"):
+        schedule_to_ids(p, sched)
+    # psem_of and esem_of grade no other schedule in its place
+    for grade in (psem_of, esem_of):
+        with pytest.raises(CtmdpError):
+            grade(p, sched)
 
 
 def test_project_schedule(mars):
