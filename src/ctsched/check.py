@@ -15,12 +15,17 @@ scores every choice with one sparse product and switches in ``_improve``:
   stage) on the uniformized chain;
 * acceptance probabilities combine maximal-end-component analysis with
   maximal reachability by policy iteration, one exact absorption solve per
-  round.
+  round; its graph passes, the attractors that give the starting schedule
+  and the closure of the states that can reach the target, are backward
+  searches that visit each state once.
 """
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Container, Dict, FrozenSet, List, Optional, Sequence,
+                    Set, Tuple)
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -121,6 +126,17 @@ def _induced_embedded(m: Ctmdp, sigma: np.ndarray) -> Tuple[np.ndarray, np.ndarr
     return _gather(ch, rows, ch.prob), ch.exit[rows]
 
 
+def _first_rows(m: Ctmdp) -> np.ndarray:
+    """Each state's first choice row, where the policy iterations start;
+    raises on a state with no enabled action."""
+    start = m.choices.start
+    empty = np.flatnonzero(start[:-1] == start[1:])
+    if len(empty):
+        s = int(empty[0])
+        raise CtmdpError(f"state {s} ({m.state_names[s]}) has no enabled action")
+    return start[:-1]
+
+
 def _improve(ch: ChoiceRows, q: np.ndarray, rows: np.ndarray,
              tol: float) -> np.ndarray:
     """New rows after one step on the scores ``q`` (one per choice row): each
@@ -210,7 +226,7 @@ def discounted_optimal(m: Ctmdp, spec: RewardSpec,
     act = np.array([spec.act(s, a) for s, a in ch.row])
     base = act + spec.state_rate[ch.state] / (alpha + ch.exit)
     discount = ch.exit / (ch.exit + alpha)
-    rows = ch.lookup([m.enabled(s)[0] for s in range(m.num_states)])
+    rows = _first_rows(m)
     for _ in range(_MAX_ROUNDS):
         sigma = ch.action[rows]
         v = discounted_value(m, spec, sigma, alpha)
@@ -276,7 +292,7 @@ def average_optimal(m: Ctmdp, spec: RewardSpec) -> Tuple[np.ndarray, np.ndarray]
     scaled, stay = ch.rate / cap, 1.0 - ch.exit / cap
     r_step = np.array(list(step_reward_spec(m, spec, cap).values()))  # by row
 
-    rows = ch.lookup([m.enabled(s)[0] for s in range(m.num_states)])
+    rows = _first_rows(m)
     for _ in range(_MAX_ROUNDS):
         P = _gather(ch, rows, scaled)
         P[np.diag_indices_from(P)] += stay[rows]
@@ -313,18 +329,27 @@ class CheckResult:
 def _reach_probability(P: np.ndarray, target: Set[int]) -> np.ndarray:
     """Probability of ever hitting ``target`` in the chain P (exact solve)."""
     n = P.shape[0]
-    # backward breadth-first closure over P > 0: states that cannot reach
-    # the target at all have probability 0
-    can = np.zeros(n, dtype=bool)
-    frontier = np.array(sorted(target), dtype=np.int64)
-    can[frontier] = True
-    while len(frontier):
-        rest = np.flatnonzero(~can)
-        frontier = rest[(P[np.ix_(rest, frontier)] > 0).any(axis=1)]
-        can[frontier] = True
+    # one backward search over P > 0 from the target: states that cannot
+    # reach it at all have probability 0.  Only states outside the target
+    # can join, so only their rows give predecessor lists.
+    inside = np.zeros(n, dtype=bool)
+    inside[list(target)] = True
+    rest = np.flatnonzero(~inside)
+    src, dst = np.nonzero((P > 0)[rest])
+    by_dst = np.argsort(dst, kind="stable")
+    ptr = np.searchsorted(dst[by_dst], np.arange(n + 1)).tolist()
+    src = rest[src[by_dst]].tolist()
+    can = set(target)
+    stack = np.unique(dst[inside[dst]]).tolist()
+    while stack:
+        t = stack.pop()
+        for s in src[ptr[t]:ptr[t + 1]]:
+            if s not in can:
+                can.add(s)
+                stack.append(s)
     v = np.zeros(n)
     v[list(target)] = 1.0
-    fixed = set(target) | set(np.flatnonzero(~can).tolist())
+    fixed = set(target) | (set(rest.tolist()) - can)
     return np.clip(_absorption(P, v, fixed), 0.0, 1.0)
 
 
@@ -342,24 +367,52 @@ def psem_of(p: ProductCtmdp, schedule: Schedule) -> CheckResult:
     return CheckResult(values=values, schedule=schedule, initial=p.ctmdp.initial)
 
 
-def _attractor(rows: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]],
-               states, actions, target: Set[int], sigma: np.ndarray) -> None:
-    """Point each of ``states`` outside ``target`` that can reach it at an
-    action from ``actions[s]`` with a successor already attracted, sweeping
-    until nothing changes; the others keep their entry of ``sigma``."""
-    done = set(target)
-    grown = True
-    while grown:
-        grown = False
-        for s in states:
-            if s in done:
-                continue
-            for a in actions[s]:
-                if any(int(t) in done for t in rows[(s, a)][0]):
-                    sigma[s] = a
-                    done.add(s)
-                    grown = True
-                    break
+def _attractor(ch: ChoiceRows, order: Sequence[int], allowed: Container[int],
+               target: Set[int], sigma: np.ndarray) -> None:
+    """Point each state of ``order`` outside ``target`` that can reach it
+    over the choice rows in ``allowed`` at its first allowed row with a
+    successor attracted before it; the others keep their entry of
+    ``sigma``.
+
+    This is the existential attractor (Baier & Katoen 2008, Alg. 45-46) as
+    one search over the predecessor index, settling each state once.  It
+    attracts and picks exactly as sweeping ``order`` until nothing changes,
+    with states attracted earlier in a sweep counting: the targets join at
+    (0, -1), a state joins at (sweep, its position in ``order``), and a
+    state at position ps with an allowed row into a state joined at (k, p)
+    can join at (k, ps) if ps > p, else at (k + 1, ps).  A heap settles each
+    state at its least such time, by when every state attracted before it
+    has settled and shown it the rows into them.
+    """
+    if target.issuperset(order):
+        return
+    n = len(ch.start) - 1
+    pos = [-1] * n
+    for i, s in enumerate(order):
+        pos[s] = i
+    for t in target:
+        pos[t] = -1           # the targets never join through a row
+    pptr, prow = (x.tolist() for x in ch.preds)
+    state = ch.state.tolist()
+    due = [math.inf] * n      # the least sweep each state is queued for
+    first = [math.inf] * n    # its least allowed row into an attracted state
+    heap = [(0, -1, t) for t in target]
+    heapq.heapify(heap)
+    while heap:
+        k, p, t = heapq.heappop(heap)
+        if k > due[t]:
+            continue          # queued again for an earlier sweep
+        if p >= 0:
+            sigma[t] = ch.action[first[t]]
+        for r in prow[pptr[t]:pptr[t + 1]]:
+            s = state[r]
+            ps = pos[s]
+            if ps >= 0 and r in allowed:
+                first[s] = min(first[s], r)
+                ks = k if ps > p else k + 1
+                if ks < due[s]:
+                    due[s] = ks
+                    heapq.heappush(heap, (ks, ps, s))
 
 
 def psem_optimal(p: ProductCtmdp) -> CheckResult:
@@ -367,27 +420,32 @@ def psem_optimal(p: ProductCtmdp) -> CheckResult:
 
     Winning region: states of maximal end-components that contain an
     accepting state.  Inside it, an attractor toward the accepting states
-    using only actions that keep the run in its component.  Outside it,
-    policy iteration for maximal reachability of the region, started from
-    the attractor toward it over all enabled actions: each round solves the
-    induced chain exactly and switches a state's action only when that
-    strictly raises its value, so values never drop and the final schedule
-    attains them.  ``iterations`` counts the rounds.
+    using only actions that keep the run in its component, one search for
+    all components, each iterated in the order of its ``states``.  Outside
+    it, policy iteration for maximal reachability of the region, started
+    from the attractor toward it over all enabled actions in state order:
+    each round solves the induced chain exactly and switches a state's
+    action only when that strictly raises its value, so values never drop
+    and the final schedule attains them.  ``iterations`` counts the rounds.
+    Raises ``CtmdpError`` if a state has no enabled action.
     """
     m = p.ctmdp
     ch = m.choices
     n = m.num_states
-    sigma = np.array([m.enabled(s)[0] for s in range(n)], dtype=np.int64)
-    target: Set[int] = set()
-    for mec in mec_decompose(m, p.accepting).components:
-        if not mec.accepting:
-            continue
-        acc = mec.states & p.accepting
-        for s in acc:
+    sigma = ch.action[_first_rows(m)]
+    mecs = [mec for mec in mec_decompose(m, p.accepting).components
+            if mec.accepting]
+    target: Set[int] = set().union(*(mec.states for mec in mecs))
+    acc = target & p.accepting
+    for mec in mecs:
+        for s in mec.states & p.accepting:
             sigma[s] = mec.actions[s][0]
-        _attractor(m.trans, mec.states, mec.actions, acc, sigma)
-        target |= mec.states
-    _attractor(m.trans, range(n), list(map(m.enabled, range(n))), target, sigma)
+    # a component's retained rows stay inside it, so one search over all
+    # of them attracts and picks as one search per component would
+    kept = {ch.row[(s, a)] for mec in mecs
+            for s, acts in mec.actions.items() for a in acts}
+    _attractor(ch, [s for mec in mecs for s in mec.states], kept, acc, sigma)
+    _attractor(ch, range(n), range(len(ch.state)), target, sigma)
 
     rows = ch.lookup(sigma)
     settled = np.isin(ch.state, list(target))

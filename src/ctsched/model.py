@@ -3,7 +3,8 @@
 States and actions are dense integer ids; names live in side tables.  A model
 is given by (successor ids, rates) arrays per (state, action) pair, and
 derives from them one state-major index of choice rows, ``ChoiceRows``, that
-the checker and the end-component pruning read.
+the checker and the end-component pruning read, with a reverse (predecessor)
+index for the checker's backward searches.
 
 The embedded jump chain has no type of its own: ``embed`` returns a Ctmdp
 whose rates are the jump probabilities, so every exit rate is 1.
@@ -41,7 +42,8 @@ class ChoiceRows:
     rows of state s are ``start[s]:start[s + 1]`` in increasing action id,
     and ``row`` maps (s, a) to its row.  Row i's successors are
     ``succ[ptr[i]:ptr[i + 1]]`` (CSR layout), entered at ``rate`` or with
-    jump probability ``prob``."""
+    jump probability ``prob``.  The reverse index ``preds`` lists, for each
+    state, the rows that have it among their successors."""
 
     start: np.ndarray
     state: np.ndarray
@@ -73,6 +75,16 @@ class ChoiceRows:
             exit=lam, ptr=ptr, succ=np.concatenate(succ), rate=rate,
             prob=rate / np.repeat(lam, counts),
             row=dict(zip(keys, range(len(keys)))))
+
+    @cached_property
+    def preds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(pptr, prow): the rows with state t among their successors are
+        ``prow[pptr[t]:pptr[t + 1]]``, in increasing row order; built on
+        first use."""
+        by_succ = np.argsort(self.succ, kind="stable")
+        edge_row = np.repeat(np.arange(len(self.state)), np.diff(self.ptr))
+        pptr = np.searchsorted(self.succ[by_succ], np.arange(len(self.start)))
+        return pptr, edge_row[by_succ]
 
     def lookup(self, sigma: np.ndarray) -> np.ndarray:
         """The row that the schedule ``sigma`` (an action id per state)

@@ -8,7 +8,7 @@ from ctsched.bruteforce import (_gate, brute_force_average,
                                 brute_force_psem, random_buchi, random_ctmdp,
                                 random_marked_product, random_reward_spec,
                                 random_schedule)
-from ctsched.check import (BlackwellReport, RewardSpec, _bsccs,
+from ctsched.check import (BlackwellReport, RewardSpec, _attractor, _bsccs,
                            _induced_embedded, _reach_probability,
                            accepting_rate_spec, alpha_from_gamma,
                            average_optimal, average_value, blackwell_probe,
@@ -16,8 +16,8 @@ from ctsched.check import (BlackwellReport, RewardSpec, _bsccs,
                            esem_optimal, psem_of, psem_optimal,
                            step_reward_spec, uniformized_reward_spec)
 from ctsched.model import Ctmdp, CtmdpError, uniformize
-from ctsched.product import (TRAP_PAIR, build_product, project_schedule,
-                              schedule_to_ids)
+from ctsched.product import (TRAP_PAIR, ProductCtmdp, build_product,
+                              project_schedule, schedule_to_ids)
 
 
 def absorbing_pair(lam0=2.0, lam1=3.0):
@@ -282,12 +282,62 @@ def test_bsccs_match_the_edge_loop():
         assert got == want
 
 
+def _deep_chains(rng):
+    """Line- and ladder-shaped chains of 30-80 states where the target lies
+    about n steps deep; in some, part of the chain has no path to it."""
+    for _ in range(12):
+        n = int(rng.integers(30, 81))
+        P = np.zeros((n, n))
+        up = rng.uniform(0.3, 0.9, n)
+        # a line 0 - 1 - ... - (n-1) that reflects at 0; the target is the
+        # absorbing end, and an absorbing cut c leaves the states below it
+        # no path
+        P[np.arange(n - 1), np.arange(1, n)] = up[:-1]
+        P[np.arange(1, n - 1), np.arange(n - 2)] = 1.0 - up[1:-1]
+        P[0, 0] = 1.0 - up[0]
+        P[n - 1, n - 1] = 1.0
+        cut = int(rng.integers(1, n - 1)) if rng.random() < 0.5 else None
+        if cut is not None:
+            P[cut] = 0.0
+            P[cut, cut] = 1.0
+        yield P, {n - 1}
+        # a ladder: rails a_i = i and b_i = h + i climb to a_{h-1}, the
+        # target, and to b_{h-1}; a rung b_i -> a_i, or none, in which case
+        # the b rail has no path
+        h = n // 2
+        P = np.zeros((2 * h, 2 * h))
+        rung = rng.random() < 0.5
+        for i in range(h - 1):
+            P[i, i + 1] = up[i]
+            P[i, h + i] = 1.0 - up[i]
+            P[h + i, h + i + 1] = up[h + i]
+            P[h + i, i if rung else h + i] = 1.0 - up[h + i]
+        P[h - 1, h - 1] = P[2 * h - 1, 2 * h - 1] = 1.0
+        yield P, {h - 1}
+
+
+def _renumbered(rng, P, target):
+    perm = rng.permutation(len(P))
+    Q = np.empty_like(P)
+    Q[np.ix_(perm, perm)] = P
+    return Q, {int(perm[t]) for t in target}
+
+
 def test_reach_probability_matches_the_fixpoint_reference():
     rng = np.random.default_rng(32)
-    for _ in range(200):
-        n = int(rng.integers(2, 12))
-        P = _random_chain(rng, n)
-        target = set(rng.choice(n, int(rng.integers(1, n)), replace=False).tolist())
+
+    def chains():
+        for _ in range(200):
+            n = int(rng.integers(2, 12))
+            P = _random_chain(rng, n)
+            yield P, set(rng.choice(n, int(rng.integers(1, n)),
+                                    replace=False).tolist())
+        for P, target in _deep_chains(rng):
+            yield _renumbered(rng, P, target)
+
+    deep_zeros = 0
+    for P, target in chains():
+        n = len(P)
         # reference: grow the set of states that reach the target one sweep
         # at a time, then solve on the states that reach it
         can = set(target)
@@ -307,6 +357,66 @@ def test_reach_probability_matches_the_fixpoint_reference():
         got = _reach_probability(P, target)
         assert np.array_equal(got == 0, want == 0)
         assert np.allclose(got, np.clip(want, 0.0, 1.0), rtol=0, atol=1e-12)
+        deep_zeros += n >= 30 and bool(np.any(got == 0))
+    assert deep_zeros >= 5
+
+
+def _sweep_attractor(rows, states, actions, target, sigma):
+    """The attractor as a sweep: pass over ``states`` in their iteration
+    order until nothing changes, a state joining at its first action in
+    ``actions[s]`` with a successor that has joined, earlier in the same
+    pass included."""
+    done = set(target)
+    grown = True
+    while grown:
+        grown = False
+        for s in states:
+            if s in done:
+                continue
+            for a in actions[s]:
+                if any(int(t) in done for t in rows[(s, a)][0]):
+                    sigma[s] = a
+                    done.add(s)
+                    grown = True
+                    break
+
+
+def test_attractor_matches_the_sweep_reference():
+    rng = np.random.default_rng(37)
+    for i in range(300):
+        n = int(rng.integers(3, 30))
+        m = random_ctmdp(rng, num_states=n, max_actions=3, ap=("g", "p"))
+        if i % 2:
+            m = build_product(m, random_buchi(rng, num_states=2)).ctmdp
+            n = m.num_states
+        ch = m.choices
+        allowed = set(np.flatnonzero(rng.random(len(ch.state)) < 0.7).tolist())
+        actions = {s: tuple(int(ch.action[r])
+                            for r in range(ch.start[s], ch.start[s + 1])
+                            if r in allowed) for s in range(n)}
+        order = rng.permutation(n)[:int(rng.integers(1, n + 1))].tolist()
+        target = set(rng.choice(n, int(rng.integers(1, n + 1)),
+                                replace=False).tolist())
+        sigma = rng.integers(0, 3, n)
+        want, got = sigma.copy(), sigma.copy()
+        _sweep_attractor(m.trans, order, actions, target, want)
+        _attractor(ch, order, allowed, target, got)
+        assert np.array_equal(got, want)
+    # the order is the iteration order of the caller's collection, which
+    # for a frozenset need not be sorted: 10 is met before 3, so 10 takes
+    # its action into the target and 3 its action into 10
+    states = frozenset({3, 10})
+    assert list(states) == [10, 3]
+    m = Ctmdp.from_transitions(
+        tuple(f"s{i}" for i in range(11)), ("a", "b"), 0,
+        [(0, 0, 0, 1.0), (3, 0, 10, 1.0), (3, 1, 0, 1.0),
+         (10, 0, 3, 1.0), (10, 1, 0, 1.0)])
+    actions = {s: m.enabled(s) for s in range(11)}
+    want, got = np.zeros(11, dtype=np.int64), np.zeros(11, dtype=np.int64)
+    _sweep_attractor(m.trans, states, actions, {0}, want)
+    _attractor(m.choices, list(states), range(len(m.choices.state)), {0}, got)
+    assert want[10] == 1 and want[3] == 0
+    assert np.array_equal(got, want)
 
 
 def test_induced_embedded_matches_the_row_loop():
@@ -324,3 +434,27 @@ def test_induced_embedded_matches_the_row_loop():
             assert lam[s] == rates.sum()
             want[s, succ] = rates / rates.sum()
         assert np.array_equal(P, want)
+
+
+def test_optimizers_name_a_state_without_actions():
+    # state 1 has no enabled action; the optimizers need one everywhere
+    m = Ctmdp.from_transitions(("s0", "s1"), ("a",), 0, [(0, 0, 1, 1.0)])
+    p = ProductCtmdp(m, ((0, 0), (1, 0)), ((0, 0),), frozenset({1}))
+    message = r"state 1 \(s1\) has no enabled action"
+    with pytest.raises(CtmdpError, match=message):
+        discounted_optimal(m, RewardSpec(state_rate=np.ones(2)), 1.0)
+    for optimal in (esem_optimal, psem_optimal):
+        with pytest.raises(CtmdpError, match=message):
+            optimal(p)
+
+
+def test_psem_optimal_on_a_long_hazard_line(hazard_line, perfbench):
+    # 1004 product states, where the maximal chance to dock is strictly
+    # between 0 and 1; the reference is an LP over the family's own rates
+    p, rates = hazard_line(1000)
+    opt = psem_optimal(p)
+    want = perfbench("reference").hazard_max_reach(1000, **rates)
+    assert 0.0 < want < 1.0
+    assert abs(opt.value - want) <= 1e-6
+    graded = psem_of(p, opt.schedule).values
+    assert np.allclose(graded, opt.values, rtol=0, atol=1e-9)

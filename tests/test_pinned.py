@@ -56,6 +56,17 @@ PINNED_PSEM_SCHEDULE = {
     (1, 0): (2, 0), (2, 0): (1, 0), SINK_PAIR: SINK_ACTION,
 }
 
+# psem_optimal on the hazard line of perfbench/families.py with N = 30 at
+# the rates of seed 1: model state 0 is zone 0, 1 is zone 1, 2 the hazard
+# and s >= 3 zone s - 1; actions run 0, walk 1, stuck 2, dock 3.  Walk from
+# zone 0, run through zones 1-11, walk through zones 12-29, dock at 30.
+PINNED_HAZARD_SCHEDULE = {
+    (0, 0): (1, 0), (1, 0): (0, 0), (2, 0): (2, 2), (2, 2): (2, 2),
+    **{(s, 0): (0, 0) for s in range(3, 13)},
+    **{(s, 0): (1, 0) for s in range(13, 31)},
+    (31, 0): (3, 1), (31, 1): (3, 1),
+}
+
 # esem_optimal on the bench pairs, then on polling2 x polling augmented
 # with zeta = 0.99
 PINNED_ESEM_SCHEDULES = {
@@ -108,6 +119,13 @@ def test_psem_optimal_schedule_is_pinned():
     p = build_product(load_model("polling2"), load_automaton("polling"))
     opt = psem_optimal(augment(p, 0.99).product)
     assert opt.schedule == PINNED_PSEM_SCHEDULE
+
+
+def test_psem_optimal_hazard_schedules_are_pinned(hazard_line):
+    p, _ = hazard_line(30)
+    assert psem_optimal(p).schedule == PINNED_HAZARD_SCHEDULE
+    opt = psem_optimal(augment(p, 0.99).product)
+    assert opt.schedule == {**PINNED_HAZARD_SCHEDULE, SINK_PAIR: SINK_ACTION}
 
 
 @pytest.mark.parametrize("pair", BENCH_PAIRS)
