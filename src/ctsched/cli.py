@@ -30,7 +30,7 @@ from .formats import (BenchRow, HoaError, HoaSource, ModelError, ModelSource,
                       serialize_model)
 from .learn import (Hyperparams, OnTheFlyProductEnv, accepting_dwell,
                     learn_exp, learn_sat)
-from .model import Ctmdp, CtmdpError, validate
+from .model import Ctmdp, CtmdpError
 from .product import (ProductCtmdp, Schedule, action_name, build_product,
                       state_name)
 from .simulate import RngHandle
@@ -53,13 +53,10 @@ def _load_model(path: str) -> Ctmdp:
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror}", EXIT_VALIDATION)
     try:
-        m = parse_model(ModelSource(text, origin=path))
+        return parse_model(ModelSource(text, origin=path))
     except ModelError as exc:
-        raise CliError(f"{path}:{exc}", EXIT_PARSE)
-    problems = validate(m)
-    if problems:
-        raise CliError(f"{path}: " + "; ".join(problems), EXIT_VALIDATION)
-    return m
+        raise CliError(f"{path}:{exc}" if exc.line else f"{path}: {exc}",
+                       EXIT_PARSE)
 
 
 def _load_automaton(path: str) -> BuchiAutomaton:

@@ -14,14 +14,21 @@ One module, bounded integer variables, commands guarded by boolean
 expressions, `#` comments.  The state space is the set of valuations
 reachable from the initial one.  Two commands with the same action enabled in
 the same state race: their rates add up.
+
+The parser compiles each guard, rate, update and label, as it reads it, into
+one closure over an environment: a dict holding the constants and the
+variables of one state.  Identifiers are looked up when the closure runs, so
+a constant may be declared after the module, and an expression that is never
+evaluated is never checked.  `parse_model` builds one environment per
+reachable state and evaluates every closure of that state against it.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import operator
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..model import Ctmdp
+from ..model import Ctmdp, validate
 
 
 @dataclass(frozen=True)
@@ -90,10 +97,13 @@ def _tokenize(text: str) -> List[Token]:
             continue
         if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
             j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                if text.startswith("..", j):  # range operator, not a decimal
-                    break
+            while j < n and text[j].isdigit():
                 j += 1
+            # at most one decimal point; '..' is the range operator
+            if j < n and text[j] == "." and not text.startswith("..", j):
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
             if j < n and text[j] in "eE" and j + 1 < n and \
                     (text[j + 1].isdigit() or
                      (text[j + 1] in "+-" and j + 2 < n and text[j + 2].isdigit())):
@@ -125,94 +135,50 @@ def _tokenize(text: str) -> List[Token]:
 
 
 # ---------------------------------------------------------------------------
-# Expression AST (evaluated against a variable valuation)
+# Compiled expressions: closures over an environment of constants and one
+# state's variables
+
+Env = Dict[str, float]
+Closure = Callable[[Env], float]
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-@dataclass(frozen=True)
-class Expr:
-    pass
+def _binary(op, left: Closure, right: Closure) -> Closure:
+    return lambda env: op(left(env), right(env))
 
 
-@dataclass(frozen=True)
-class Num(Expr):
-    value: float
-
-
-@dataclass(frozen=True)
-class Var(Expr):
-    name: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class Arith(Expr):
-    op: str
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class BoolLit(Expr):
-    value: bool
-
-
-@dataclass(frozen=True)
-class Cmp(Expr):
-    op: str
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class BoolOp(Expr):
-    op: str  # '&' or '|'
-    args: Tuple[Expr, ...]
-
-
-@dataclass(frozen=True)
-class Not(Expr):
-    arg: Expr
-
-
-def _eval(e: Expr, env: Dict[str, float]):
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
+def _divide(tok: Token, left: Closure, right: Closure) -> Closure:
+    def f(env):
+        num, den = left(env), right(env)
         try:
-            return env[e.name]
+            return num / den
+        except ZeroDivisionError:
+            raise ModelSemanticError("division by zero",
+                                     tok.line, tok.col) from None
+    return f
+
+
+def _lookup(tok: Token) -> Closure:
+    name = tok.value
+
+    def f(env):
+        try:
+            return env[name]
         except KeyError:
-            raise ModelSemanticError(f"unknown identifier '{e.name}'",
-                                     e.line, e.col) from None
-    if isinstance(e, Neg):
-        return -_eval(e.arg, env)
-    if isinstance(e, Arith):
-        left, right = _eval(e.left, env), _eval(e.right, env)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        return left / right
-    if isinstance(e, BoolLit):
-        return e.value
-    if isinstance(e, Cmp):
-        left, right = _eval(e.left, env), _eval(e.right, env)
-        return {"=": left == right, "!=": left != right, "<": left < right,
-                "<=": left <= right, ">": left > right, ">=": left >= right}[e.op]
-    if isinstance(e, Not):
-        return not _eval(e.arg, env)
-    if isinstance(e, BoolOp):
-        if e.op == "&":
-            return all(_eval(a, env) for a in e.args)
-        return any(_eval(a, env) for a in e.args)
-    raise AssertionError(e)
+            raise ModelSemanticError(f"unknown identifier '{name}'",
+                                     tok.line, tok.col) from None
+    return f
+
+
+def _and(left: Closure, right: Closure) -> Closure:
+    return lambda env: left(env) and right(env)
+
+
+def _or(left: Closure, right: Closure) -> Closure:
+    return lambda env: left(env) or right(env)
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +191,16 @@ class _VarDecl:
     lo: int
     hi: int
     init: int
-
-
-@dataclass
-class _Update:
-    assignments: List[Tuple[str, Expr]]
+    line: int
+    col: int
 
 
 @dataclass
 class _Command:
     action: str
-    guard: Expr
-    alts: List[Tuple[Expr, _Update]]  # (rate expression, update)
+    guard: Closure
+    # (rate, assignments) per alternative; an empty list is the update `true`
+    alts: List[Tuple[Closure, List[Tuple[str, Closure]]]]
     line: int
     col: int
 
@@ -245,6 +209,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.module: Optional[Token] = None  # the `module` keyword
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -270,93 +235,99 @@ class _Parser:
 
     # expressions ----------------------------------------------------------
 
-    def num_expr(self) -> Expr:
-        e = self.num_term()
+    def num_expr(self) -> Closure:
+        f = self.num_term()
         while True:
             tok = self.accept("sym", "+") or self.accept("sym", "-")
             if not tok:
-                return e
-            e = Arith(tok.value, e, self.num_term())
+                return f
+            f = _binary(_ARITH[tok.value], f, self.num_term())
 
-    def num_term(self) -> Expr:
-        e = self.num_factor()
+    def num_term(self) -> Closure:
+        f = self.num_factor()
         while True:
             tok = self.accept("sym", "*") or self.accept("sym", "/")
             if not tok:
-                return e
-            e = Arith(tok.value, e, self.num_factor())
+                return f
+            if tok.value == "/":
+                f = _divide(tok, f, self.num_factor())
+            else:
+                f = _binary(_ARITH[tok.value], f, self.num_factor())
 
-    def num_factor(self) -> Expr:
+    def num_factor(self) -> Closure:
         if self.accept("sym", "-"):
-            return Neg(self.num_factor())
+            arg = self.num_factor()
+            return lambda env: -arg(env)
         if self.accept("sym", "("):
-            e = self.num_expr()
+            f = self.num_expr()
             self.expect("sym", ")")
-            return e
+            return f
         tok = self.peek()
         if tok.kind == "number":
             self.next()
-            return Num(float(tok.value))
+            value = float(tok.value)
+            return lambda env: value
         if tok.kind == "name":
             self.next()
-            return Var(tok.value, tok.line, tok.col)
+            return _lookup(tok)
         raise ModelSyntaxError(f"expected expression, found '{tok.value or tok.kind}'",
                                tok.line, tok.col)
 
-    def bool_expr(self) -> Expr:
-        args = [self.bool_term()]
+    def bool_expr(self) -> Closure:
+        f = self.bool_term()
         while self.accept("sym", "|"):
-            args.append(self.bool_term())
-        return args[0] if len(args) == 1 else BoolOp("|", tuple(args))
+            f = _or(f, self.bool_term())
+        return f
 
-    def bool_term(self) -> Expr:
-        args = [self.bool_unary()]
+    def bool_term(self) -> Closure:
+        f = self.bool_unary()
         while self.accept("sym", "&"):
-            args.append(self.bool_unary())
-        return args[0] if len(args) == 1 else BoolOp("&", tuple(args))
+            f = _and(f, self.bool_unary())
+        return f
 
-    def bool_unary(self) -> Expr:
+    def bool_unary(self) -> Closure:
         if self.accept("sym", "!"):
-            return Not(self.bool_unary())
+            arg = self.bool_unary()
+            return lambda env: not arg(env)
         tok = self.peek()
         if tok.kind == "name" and tok.value in ("true", "false"):
             self.next()
-            return BoolLit(tok.value == "true")
+            value = tok.value == "true"
+            return lambda env: value
         if tok.kind == "sym" and tok.value == "(":
             # could be a parenthesized boolean or the left side of a comparison
             mark = self.pos
             self.next()
             try:
-                e = self.bool_expr()
+                f = self.bool_expr()
                 if self.accept("sym", ")"):
-                    if self.peek().value in ("=", "!=", "<", "<=", ">", ">="):
+                    if self.peek().value in _CMP:
                         self.pos = mark
                     else:
-                        return e
+                        return f
                 else:
                     self.pos = mark
             except ModelError:
                 self.pos = mark
         return self.comparison()
 
-    def comparison(self) -> Expr:
+    def comparison(self) -> Closure:
         left = self.num_expr()
         tok = self.peek()
-        if tok.kind == "sym" and tok.value in ("=", "!=", "<", "<=", ">", ">="):
+        if tok.kind == "sym" and tok.value in _CMP:
             self.next()
-            return Cmp(tok.value, left, self.num_expr())
+            return _binary(_CMP[tok.value], left, self.num_expr())
         raise ModelSyntaxError("expected comparison operator", tok.line, tok.col)
 
     # declarations ---------------------------------------------------------
 
     def parse(self) -> Tuple[List[_VarDecl], List[_Command],
-                             List[Tuple[str, Expr]], Dict[str, float]]:
+                             List[Tuple[Token, Closure]], Env]:
         self.expect("name", "ctmdp")
-        consts: Dict[str, float] = {}
+        consts: Env = {}
         variables: List[_VarDecl] = []
         commands: List[_Command] = []
-        labels: List[Tuple[str, Expr]] = []
-        saw_module = False
+        labels: List[Tuple[Token, Closure]] = []
         while self.peek().kind != "eof":
             tok = self.peek()
             if tok.kind == "name" and tok.value == "const":
@@ -365,31 +336,30 @@ class _Parser:
                     self.next()
                 name = self.expect("name")
                 self.expect("sym", "=")
-                value = _eval(self.num_expr(), consts)
+                value = self.num_expr()(consts)
                 self.expect("sym", ";")
                 consts[name.value] = value
             elif tok.kind == "name" and tok.value == "module":
-                if saw_module:
+                if self.module is not None:
                     raise ModelSyntaxError("only one module is supported",
                                            tok.line, tok.col)
-                saw_module = True
-                self.next()
+                self.module = self.next()
                 self.expect("name")
                 variables, commands = self.parse_module(consts)
             elif tok.kind == "name" and tok.value == "label":
                 self.next()
                 name = self.expect("string")
                 self.expect("sym", "=")
-                labels.append((name.value, self.bool_expr()))
+                labels.append((name, self.bool_expr()))
                 self.expect("sym", ";")
             else:
                 raise ModelSyntaxError(f"unexpected token '{tok.value}'",
                                        tok.line, tok.col)
-        if not saw_module:
-            raise ModelSyntaxError("no module block", 1, 1)
+        if self.module is None:
+            raise ModelSyntaxError("no module block")
         return variables, commands, labels, consts
 
-    def parse_module(self, consts) -> Tuple[List[_VarDecl], List[_Command]]:
+    def parse_module(self, consts: Env) -> Tuple[List[_VarDecl], List[_Command]]:
         variables: List[_VarDecl] = []
         commands: List[_Command] = []
         while not self.accept("name", "endmodule"):
@@ -404,26 +374,27 @@ class _Parser:
                 raise ModelSyntaxError(f"unexpected token '{tok.value}' in module",
                                        tok.line, tok.col)
         if not commands:
-            raise ModelSemanticError("no commands in module", 1, 1)
+            raise ModelSemanticError("no commands in module",
+                                     self.module.line, self.module.col)
         return variables, commands
 
-    def parse_vardecl(self, consts) -> _VarDecl:
+    def parse_vardecl(self, consts: Env) -> _VarDecl:
         name = self.expect("name")
         self.expect("sym", ":")
         self.expect("sym", "[")
-        lo = _eval(self.num_expr(), consts)
+        lo = self.num_expr()(consts)
         self.expect("sym", "..")
-        hi = _eval(self.num_expr(), consts)
+        hi = self.num_expr()(consts)
         self.expect("sym", "]")
         init = lo
         if self.accept("name", "init"):
-            init = _eval(self.num_expr(), consts)
+            init = self.num_expr()(consts)
         self.expect("sym", ";")
         lo, hi, init = int(lo), int(hi), int(init)
         if lo > hi or not (lo <= init <= hi):
             raise ModelSemanticError(f"bad range for variable '{name.value}'",
                                      name.line, name.col)
-        return _VarDecl(name.value, lo, hi, init)
+        return _VarDecl(name.value, lo, hi, init, name.line, name.col)
 
     def parse_command(self) -> _Command:
         start = self.expect("sym", "[")
@@ -437,17 +408,17 @@ class _Parser:
         self.expect("sym", ";")
         return _Command(action, guard, alts, start.line, start.col)
 
-    def parse_alt(self) -> Tuple[Expr, _Update]:
+    def parse_alt(self) -> Tuple[Closure, List[Tuple[str, Closure]]]:
         rate = self.num_expr()
         self.expect("sym", ":")
         if self.accept("name", "true"):
-            return rate, _Update([])
+            return rate, []
         assignments = [self.parse_assignment()]
         while self.accept("sym", "&"):
             assignments.append(self.parse_assignment())
-        return rate, _Update(assignments)
+        return rate, assignments
 
-    def parse_assignment(self) -> Tuple[str, Expr]:
+    def parse_assignment(self) -> Tuple[str, Closure]:
         self.expect("sym", "(")
         name = self.expect("name")
         self.expect("sym", "'")
@@ -467,89 +438,88 @@ def parse_model(src) -> Ctmdp:
     parser = _Parser(text)
     variables, commands, labels, consts = parser.parse()
     if not variables:
-        raise ModelSemanticError("module declares no variables", 1, 1)
+        raise ModelSemanticError("module declares no variables",
+                                 parser.module.line, parser.module.col)
     seen = set(consts)
     for v in variables:
         if v.name in seen:
-            raise ModelSemanticError(f"duplicate identifier '{v.name}'", 1, 1)
+            raise ModelSemanticError(f"duplicate identifier '{v.name}'",
+                                     v.line, v.col)
         seen.add(v.name)
-    label_names = [name for name, _ in labels]
-    if len(set(label_names)) != len(label_names):
-        dup = next(n for n in label_names if label_names.count(n) > 1)
-        raise ModelSemanticError(f"duplicate label \"{dup}\"", 1, 1)
+    label_names = [name.value for name, _ in labels]
+    dup = next((n for n in label_names if label_names.count(n) > 1), None)
+    if dup is not None:
+        second = [name for name, _ in labels if name.value == dup][1]
+        raise ModelSemanticError(f"duplicate label \"{dup}\"",
+                                 second.line, second.col)
 
     var_names = [v.name for v in variables]
-    bounds = {v.name: (v.lo, v.hi) for v in variables}
-    init_val = tuple(v.init for v in variables)
+    slots = {v.name: (i, v.lo, v.hi) for i, v in enumerate(variables)}
 
-    def env_of(valuation):
+    def env_of(valuation) -> Env:
         env = dict(consts)
         env.update(zip(var_names, valuation))
         return env
 
-    def apply_update(valuation, update: _Update, cmd: _Command):
-        env = env_of(valuation)
-        new = dict(zip(var_names, valuation))
-        for name, expr in update.assignments:
-            if name not in bounds:
+    def apply_update(valuation, env: Env, assignments, cmd: _Command):
+        new = list(valuation)
+        for name, expr in assignments:
+            if name not in slots:
                 raise ModelSemanticError(
                     f"assignment to unknown variable '{name}'", cmd.line, cmd.col)
-            value = _eval(expr, env)
+            value = expr(env)
             ivalue = int(round(value))
-            lo, hi = bounds[name]
+            i, lo, hi = slots[name]
             if abs(value - ivalue) > 1e-9 or not (lo <= ivalue <= hi):
                 raise ModelSemanticError(
                     f"update drives '{name}' to {value}, outside [{lo}..{hi}]",
                     cmd.line, cmd.col)
-            new[name] = ivalue
-        return tuple(new[n] for n in var_names)
+            new[i] = ivalue
+        return tuple(new)
 
-    # breadth-first exploration of reachable valuations
-    state_ids: Dict[Tuple[int, ...], int] = {init_val: 0}
-    order = [init_val]
+    # Depth-first search from a stack: the state pushed last is expanded
+    # first.  States are numbered when first reached, so every state id, and
+    # with it the order of `transitions`, depends on this order.
+    order = [tuple(v.init for v in variables)]
+    state_ids: Dict[Tuple[int, ...], int] = {order[0]: 0}
+    envs = [env_of(order[0])]  # envs[s] is the environment of state s
     action_ids: Dict[str, int] = {}
     transitions: List[Tuple[int, int, int, float]] = []
-    frontier = [init_val]
-    while frontier:
-        valuation = frontier.pop()
-        s = state_ids[valuation]
-        env = env_of(valuation)
+    stack = [0]
+    while stack:
+        s = stack.pop()
+        valuation, env = order[s], envs[s]
         for cmd in commands:
-            if not _eval(cmd.guard, env):
+            if not cmd.guard(env):
                 continue
             a = action_ids.setdefault(cmd.action, len(action_ids))
-            for rate_expr, update in cmd.alts:
-                rate = _eval(rate_expr, env)
+            for rate_expr, assignments in cmd.alts:
+                rate = rate_expr(env)
                 if rate < 0:
                     raise ModelSemanticError(
                         f"negative rate in command [{cmd.action}]",
                         cmd.line, cmd.col)
                 if rate == 0:
                     continue
-                target = apply_update(valuation, update, cmd)
-                if target not in state_ids:
-                    state_ids[target] = len(order)
+                target = apply_update(valuation, env, assignments, cmd)
+                t = state_ids.get(target)
+                if t is None:
+                    t = state_ids[target] = len(order)
                     order.append(target)
-                    frontier.append(target)
-                transitions.append((s, a, state_ids[target], rate))
+                    envs.append(env_of(target))
+                    stack.append(t)
+                transitions.append((s, a, t, rate))
 
     state_names = tuple(",".join(f"{n}={v}" for n, v in zip(var_names, val))
                         for val in order)
     action_names = tuple(sorted(action_ids, key=action_ids.get))
-
-    ap = tuple(name for name, _ in labels)
-    state_labels = []
-    for val in order:
-        env = env_of(val)
-        state_labels.append(frozenset(
-            i for i, (_, expr) in enumerate(labels) if _eval(expr, env)))
-
+    state_labels = [frozenset(i for i, (_, expr) in enumerate(labels)
+                              if expr(env)) for env in envs]
     m = Ctmdp.from_transitions(state_names, action_names, 0, transitions,
-                               ap=ap, labels=state_labels)
-    from ..model import validate
+                               ap=tuple(label_names), labels=state_labels)
     problems = validate(m)
     if problems:
-        raise ModelSemanticError("; ".join(problems), 1, 1)
+        raise ModelSemanticError("; ".join(problems))
     return m
 
 
@@ -558,7 +528,11 @@ def _fmt_rate(x: float) -> str:
 
 
 def serialize_model(m: Ctmdp, name: str = "model") -> str:
-    """Emit a `.ctmdp` document; `parse_model` round-trips it."""
+    """Emit a `.ctmdp` document with one variable ``s`` over the state ids.
+
+    `parse_model` reads it back only if every action name is an identifier;
+    a product's action names, such as ``a>q0``, are not, so a product dump
+    does not re-parse."""
     lines = ["ctmdp", f"module {name}"]
     n = m.num_states
     lines.append(f"  s : [0..{n - 1}] init {m.initial};")

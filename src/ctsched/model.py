@@ -233,8 +233,11 @@ def validate(m: Ctmdp) -> List[str]:
     """Invariant check; returns human-readable violations (empty means valid)."""
     out: List[str] = []
     n = m.num_states
+    # read from the keys of trans: the choice index would divide by the exit
+    # rates before they are checked
+    has_action = {s for s, _ in m.trans}
     for s in range(n):
-        if not m.enabled(s):
+        if s not in has_action:
             out.append(f"state {m.state_names[s]}: no enabled action")
     for (s, a), (succ, rates) in m.trans.items():
         name = f"({m.state_names[s]}, {m.action_names[a]})"

@@ -144,6 +144,34 @@ def test_malformed_model_exits_with_parse_code(tmp_path, paths, capsys):
     assert "3:" in capsys.readouterr().err  # line number of the bad token
 
 
+
+def _write_model(tmp_path, text):
+    f = tmp_path / "bad.ctmdp"
+    f.write_text(text)
+    return f
+
+
+@pytest.mark.parametrize("const, where", [
+    ("const double r = 1/0;", "2:19: division by zero"),
+    ("const double r = 1.2.3;", "2:21: expected ';', found '.3'"),
+], ids=["division-by-zero", "malformed-number"])
+def test_bad_expression_exits_with_parse_code(tmp_path, paths, capsys, const,
+                                              where):
+    f = _write_model(tmp_path, f"ctmdp\n{const}\nmodule m\n z : [0..1] init 0;\n"
+                     "[a] true -> r : true;\nendmodule\n")
+    code = main(["check", "--model", str(f), "--automaton", paths["fig1.hoa"]])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {f}:{where}\n"
+
+
+def test_state_without_actions_exits_with_parse_code(tmp_path, paths, capsys):
+    f = _write_model(tmp_path, "ctmdp\nmodule m\n z : [0..1] init 0;\n"
+                     "[a] z=0 -> 1 : (z'=1);\nendmodule\n")
+    code = main(["check", "--model", str(f), "--automaton", paths["fig1.hoa"]])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == \
+        f"error: {f}: state z=1: no enabled action\n"
+
 def test_unknown_schedule_state_exits_with_validation_code(paths, tmp_path,
                                                            capsys):
     f = tmp_path / "sched.csv"

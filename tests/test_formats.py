@@ -1,11 +1,19 @@
 """Model language, HOA and result-table round trips."""
+import hashlib
+import warnings
+from importlib import resources
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctsched.bruteforce import random_buchi, random_ctmdp
+from ctsched.data import MODELS
 from ctsched.formats import (BenchRow, HoaError, HoaSource, ModelError,
-                             ModelSource, emit_hoa, emit_result_table,
-                             parse_hoa, parse_model, serialize_model)
+                             ModelSemanticError, ModelSource, ModelSyntaxError,
+                             emit_hoa, emit_result_table, parse_hoa,
+                             parse_model, serialize_model)
 from ctsched.model import exit_rate
 
 
@@ -142,6 +150,188 @@ def test_serialize_round_trip():
                 assert set(got) == set(want)
                 for k in want:
                     assert got[k] == pytest.approx(want[k], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# pinned parser output
+
+
+def _digest(m):
+    """SHA-256 over everything parse_model returns, trans in insertion order."""
+    h = hashlib.sha256()
+    h.update(repr((m.state_names, m.action_names, m.initial, m.ap,
+                   [sorted(lab) for lab in m.labels])).encode())
+    for (s, a), (succ, rates) in m.trans.items():
+        h.update(repr(((s, a), succ.tolist())).encode())
+        h.update(rates.tobytes())
+    return h.hexdigest()
+
+
+PINNED = {
+    "riskreward": "e04ba04ab0307df64175e88ec09e7ec1ce681270dbf8b4ff2b056814426ca796",
+    "mars": "e4d976eb4bbd2c3e21f7cc3682f3436b9bd0b9139b8bd7bf55c719c4518b9cd4",
+    "mec_demo": "13018eea2285f84150d67d33d5187d942aeb6475469bec1d2ee8170e23aefc01",
+    "uniform_demo": "c9988b239d59bd2e1a351d0e7d02db9dcbc1aacf46ad6c75680056e2c640c9d0",
+    "polling2": "5d296b846104c33025ce19da25aa7b78ab33c0a17d2250760cc9576c4d7155bd",
+    "polling8": "551b5cc7344e2d57adc0f1edf6173267bed2fbef4ac547ce2996bdca942aa8f5",
+    "hazard30": "339460837a6067cb77c936b2fff575819a7d3cc600bb84a959c3dd990f5fdb11",
+}
+
+
+def test_parsed_models_are_pinned(perfbench):
+    families = perfbench("families")
+    texts = {name: resources.files("ctsched.data").joinpath(
+        f"{name}.ctmdp").read_text() for name in MODELS}
+    texts["polling8"] = families.polling_text(
+        8, **families.polling_params(np.random.default_rng(1)))
+    texts["hazard30"] = families.hazard_text(
+        30, **families.hazard_params(np.random.default_rng(1)))
+    got = {name: _digest(parse_model(text)) for name, text in texts.items()}
+    assert got == PINNED
+
+
+# ---------------------------------------------------------------------------
+# expression semantics and error reports
+
+_HEAD = "ctmdp\nmodule m\n z : [0..1] init 0;\n"
+
+
+def _with_const(decl):
+    """A one-state model whose only rate is the constant ``r``."""
+    return (f"ctmdp\n{decl}\nmodule m\n z : [0..1] init 0;\n"
+            "[a] true -> r : true;\nendmodule\n")
+
+
+# Each expression is drawn as a pair (.ctmdp text, Python text) over the
+# integer variables x, y and the double constant c.  Both are fully
+# parenthesised, so they apply the same operations in the same order.
+_ATOMS = st.one_of(
+    st.sampled_from([("x", "x"), ("y", "y"), ("c", "c")]),
+    st.floats(0, 10).map(lambda v: (repr(v), repr(v))))
+# divisors are nonzero literals; division by zero has its own test
+_DIVISORS = st.sampled_from([0.5, 2.0, 3.0, 7.25])
+
+
+def _arith_node(sub):
+    return st.one_of(
+        st.tuples(sub, st.sampled_from("+-*"), sub).map(
+            lambda t: (f"({t[0][0]} {t[1]} {t[2][0]})",
+                       f"({t[0][1]} {t[1]} {t[2][1]})")),
+        st.tuples(sub, _DIVISORS).map(
+            lambda t: (f"({t[0][0]} / {t[1]!r})", f"({t[0][1]} / {t[1]!r})")),
+        sub.map(lambda e: (f"(-{e[0]})", f"(-{e[1]})")))
+
+
+_ARITH_EXPRS = st.recursive(_ATOMS, _arith_node, max_leaves=6)
+_CMP_OPS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+_COMPARISONS = st.tuples(_ARITH_EXPRS, st.sampled_from(sorted(_CMP_OPS)),
+                         _ARITH_EXPRS).map(
+    lambda t: (f"({t[0][0]} {t[1]} {t[2][0]})",
+               f"({t[0][1]} {_CMP_OPS[t[1]]} {t[2][1]})"))
+
+
+def _bool_node(sub):
+    return st.one_of(
+        st.tuples(sub, sub).map(lambda t: (f"({t[0][0]} & {t[1][0]})",
+                                           f"({t[0][1]} and {t[1][1]})")),
+        st.tuples(sub, sub).map(lambda t: (f"({t[0][0]} | {t[1][0]})",
+                                           f"({t[0][1]} or {t[1][1]})")),
+        sub.map(lambda e: (f"!{e[0]}", f"(not {e[1]})")))
+
+
+_BOOL_EXPRS = st.recursive(
+    st.one_of(_COMPARISONS, st.sampled_from([("true", "True"),
+                                             ("false", "False")])),
+    _bool_node, max_leaves=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(num=_ARITH_EXPRS, cond=_BOOL_EXPRS, x=st.integers(-5, 5),
+       y=st.integers(-5, 5), c=st.floats(-10, 10))
+def test_expressions_evaluate_as_python_does(num, cond, x, y, c):
+    env = {"x": x, "y": y, "c": c}
+    value = eval(num[1], {}, dict(env))
+    holds = eval(cond[1], {}, dict(env))
+    # the label "num" holds iff the parsed expression equals Python's value
+    # exactly: repr round-trips a float
+    m = parse_model(f"""ctmdp
+const double c = {c!r};
+module m
+  x : [{x}..{x}] init {x};
+  y : [{y}..{y}] init {y};
+  [a] true -> 1 : true;
+endmodule
+label "num" = {num[0]} = {value!r};
+label "cond" = {cond[0]};
+""")
+    assert 0 in m.labels[0], (num, value)
+    assert (1 in m.labels[0]) == holds, cond
+
+
+@pytest.mark.parametrize("text, error", [
+    (_HEAD + "[a] y=0 -> 1 : (z'=1);\nendmodule\n",
+     "4:5: unknown identifier 'y'"),
+    (_HEAD + "[a] z=0 -> 1 : (w'=1);\n[a] z=1 -> 1 : true;\nendmodule\n",
+     "4:1: assignment to unknown variable 'w'"),
+    (_HEAD + "[a] z=0 -> 1 : (z'=5);\nendmodule\n",
+     "4:1: update drives 'z' to 5.0, outside [0..1]"),
+    (_HEAD + "[a] true -> r : true;\nendmodule\nconst double r = 3;\n", None),
+    (_HEAD + "[a] true -> 1 : true;\n[b] z=1 & y=1 -> 1 : true;\nendmodule\n",
+     None),
+], ids=["unknown-identifier", "unknown-variable", "out-of-range",
+        "const-after-module", "never-evaluated"])
+def test_lazy_lookup_and_update_errors(text, error):
+    if error is None:
+        assert parse_model(text).num_states == 1
+        return
+    with pytest.raises(ModelSemanticError) as err:
+        parse_model(text)
+    assert str(err.value) == error
+
+
+@pytest.mark.parametrize("text, line, col", [
+    (_with_const("const double r = 1/0;"), 2, 19),
+    (_HEAD + "[a] true -> 1 + 1/z : true;\nendmodule\n", 4, 18),
+], ids=["const", "state"])
+def test_division_by_zero_is_a_semantic_error(text, line, col):
+    with pytest.raises(ModelSemanticError) as err:
+        parse_model(text)
+    assert (err.value.msg, err.value.line, err.value.col) == \
+        ("division by zero", line, col)
+
+
+def test_number_takes_at_most_one_decimal_point():
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(_with_const("const double r = 1.2.3;"))
+    assert (err.value.line, err.value.col) == (2, 21)
+
+
+def test_non_finite_rate_is_reported_before_any_numpy_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelSemanticError, match="non-finite rate"):
+            parse_model(_with_const("const double r = 1e400;"))
+
+
+@pytest.mark.parametrize("text, error", [
+    ("ctmdp\nconst int z = 1;\n" + _HEAD[6:] + "[a] true -> 1 : true;\n"
+     "endmodule\n", "4:2: duplicate identifier 'z'"),
+    (_HEAD + " z : [0..1] init 0;\n[a] true -> 1 : true;\nendmodule\n",
+     "4:2: duplicate identifier 'z'"),
+    (_HEAD + "[a] true -> 1 : true;\nendmodule\nlabel \"p\" = true;\n"
+     "label \"p\" = false;\n", "7:7: duplicate label \"p\""),
+    ("ctmdp\nmodule m\n[a] true -> 1 : true;\nendmodule\n",
+     "2:1: module declares no variables"),
+    (_HEAD + "endmodule\n", "2:1: no commands in module"),
+    ("ctmdp\nlabel \"x\" = true;\n", "no module block"),
+    (_HEAD + "[a] z=0 -> 1 : (z'=1);\nendmodule\n",
+     "state z=1: no enabled action"),
+], ids=["const-and-variable", "two-variables", "label", "no-variables",
+        "no-commands", "no-module", "validation"])
+def test_errors_point_at_their_token_or_nowhere(text, error):
+    with pytest.raises(ModelError) as err:
+        parse_model(text)
+    assert str(err.value) == error
 
 
 # ---------------------------------------------------------------------------
