@@ -5,7 +5,7 @@ model x automaton product on the fly and runs tabular Q-learning with
 dwell-time discounting.  The resulting greedy schedule is then evaluated
 exactly, which is the honest way to score a learned policy.
 
-Run:  python3 demos/02_learning_schedules.py   (about a minute)
+Run:  python3 demos/02_learning_schedules.py   (about 16 s on a 2-core Xeon)
 """
 import time
 

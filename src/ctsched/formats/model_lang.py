@@ -24,6 +24,7 @@ reachable state and evaluates every closure of that state against it.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -335,6 +336,10 @@ class _Parser:
                 if self.peek().value in ("int", "double"):
                     self.next()
                 name = self.expect("name")
+                if name.value in consts:
+                    raise ModelSemanticError(
+                        f"duplicate identifier '{name.value}'",
+                        name.line, name.col)
                 self.expect("sym", "=")
                 value = self.num_expr()(consts)
                 self.expect("sym", ";")
@@ -382,19 +387,27 @@ class _Parser:
         name = self.expect("name")
         self.expect("sym", ":")
         self.expect("sym", "[")
-        lo = self.num_expr()(consts)
+        lo = self.parse_bound(name, consts)
         self.expect("sym", "..")
-        hi = self.num_expr()(consts)
+        hi = self.parse_bound(name, consts)
         self.expect("sym", "]")
         init = lo
         if self.accept("name", "init"):
-            init = self.num_expr()(consts)
+            init = self.parse_bound(name, consts)
         self.expect("sym", ";")
-        lo, hi, init = int(lo), int(hi), int(init)
         if lo > hi or not (lo <= init <= hi):
             raise ModelSemanticError(f"bad range for variable '{name.value}'",
                                      name.line, name.col)
         return _VarDecl(name.value, lo, hi, init, name.line, name.col)
+
+    def parse_bound(self, var: Token, consts: Env) -> int:
+        tok = self.peek()
+        value = self.num_expr()(consts)
+        if not math.isfinite(value):
+            raise ModelSemanticError(
+                f"non-finite bound {value} for variable '{var.value}'",
+                tok.line, tok.col)
+        return int(value)
 
     def parse_command(self) -> _Command:
         start = self.expect("sym", "[")
@@ -468,9 +481,10 @@ def parse_model(src) -> Ctmdp:
                 raise ModelSemanticError(
                     f"assignment to unknown variable '{name}'", cmd.line, cmd.col)
             value = expr(env)
-            ivalue = int(round(value))
             i, lo, hi = slots[name]
-            if abs(value - ivalue) > 1e-9 or not (lo <= ivalue <= hi):
+            ivalue = round(value) if math.isfinite(value) else None
+            if (ivalue is None or abs(value - ivalue) > 1e-9
+                    or not (lo <= ivalue <= hi)):
                 raise ModelSemanticError(
                     f"update drives '{name}' to {value}, outside [{lo}..{hi}]",
                     cmd.line, cmd.col)

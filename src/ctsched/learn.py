@@ -20,11 +20,22 @@ trainers share the Q machinery:
 Both discount by exp(-alpha * dwell): discounting in continuous time at rate
 alpha, with alpha = C (1 - gamma) / gamma mapping a per-step discount gamma
 at uniformization rate C onto the continuous clock.
+
+The trainers step on integers.  ``_PairTable`` interns each product pair to
+an id when it is first met and, when the pair's row is first needed, keeps
+per id its action tuple, per action slot the successor ids and cumulative
+rates that ``simulate.race`` takes, its accepting flag, and one list of
+Q-values and one of visit counts over its action slots.  The update is
+
+    Q(s,a) <- (1-beta) Q(s,a) + beta (r + e^{-alpha dwell} max_a' Q(s',a'))
+
+with beta fixed or 1 / (1 + visits).  ``LearnResult.qtable`` gives the table
+keyed by (state pair, action pair), in the order of first update.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
@@ -86,14 +97,12 @@ class Hyperparams:
 
 
 class QTable:
-    """Sparse Q-function over (state key, action key); unseen entries are 0."""
+    """Learned Q-values and visit counts keyed (state pair, action pair), in
+    the order of each entry's first update; a missing entry is 0."""
 
     def __init__(self):
         self.q: Dict[Tuple[StatePair, ActionPair], float] = {}
         self.visits: Dict[Tuple[StatePair, ActionPair], int] = {}
-
-    def get(self, s: StatePair, a: ActionPair) -> float:
-        return self.q.get((s, a), 0.0)
 
     def best(self, s: StatePair, actions: Tuple[ActionPair, ...]) -> Tuple[ActionPair, float]:
         """Greedy action and value; ties go to the earliest action."""
@@ -104,15 +113,6 @@ class QTable:
             if v > best_v:
                 best_a, best_v = a, v
         return best_a, best_v
-
-    def value(self, s: StatePair, actions: Tuple[ActionPair, ...]) -> float:
-        return self.best(s, actions)[1]
-
-    def update(self, s: StatePair, a: ActionPair, beta: float, target: float):
-        key = (s, a)
-        old = self.q.get(key, 0.0)
-        self.q[key] = (1.0 - beta) * old + beta * target
-        self.visits[key] = self.visits.get(key, 0) + 1
 
     def visited_states(self) -> List[StatePair]:
         seen = []
@@ -187,36 +187,54 @@ def accepting_dwell(accepting: bool, dwell: float) -> float:
     return dwell if accepting else 0.0
 
 
-def select_action(q: QTable, s: StatePair, actions: Tuple[ActionPair, ...],
-                  epsilon: float, rng: RngHandle) -> ActionPair:
-    """Epsilon-greedy over the given action order."""
-    if epsilon > 0.0 and rng.uniform() < epsilon:
-        return actions[rng.integers(len(actions))]
-    return q.best(s, actions)[0]
+class _PairTable:
+    """The trainer's table on integers (see the module docstring).
 
-
-def q_update(q: QTable, s: StatePair, a: ActionPair, r: float, tau: float,
-             s_next: Optional[StatePair],
-             next_actions: Tuple[ActionPair, ...],
-             hp: Hyperparams) -> float:
-    """Q(s,a) <- (1-beta) Q(s,a) + beta (r + e^{-alpha tau} max_a' Q(s',a')).
-
-    ``next_actions`` empty (or ``s_next`` None) means the transition was
-    terminal and nothing is bootstrapped.  Requires ``hp.alpha`` to be set.
+    Row columns of an id hold None until ``row`` builds them from
+    ``OnTheFlyProductEnv._row``; ``succ[i][k]`` and ``cum[i][k]`` are what
+    ``race`` takes for action slot k.
     """
-    if tau < 0:
-        raise ValueError(f"negative dwell time {tau}")
-    if hp.alpha is None:
-        raise ValueError("hp.alpha must be resolved before updating")
-    cont = 0.0
-    if s_next is not None and next_actions:
-        cont = math.exp(-hp.alpha * tau) * q.value(s_next, next_actions)
-    if hp.decay_beta:
-        beta = 1.0 / (1 + q.visits.get((s, a), 0))
-    else:
-        beta = hp.beta
-    q.update(s, a, beta, r + cont)
-    return q.get(s, a)
+
+    def __init__(self, env: OnTheFlyProductEnv):
+        self.env = env
+        self.ids: Dict[StatePair, int] = {}
+        self.pairs: List[StatePair] = []
+        self.accepting: List[bool] = []
+        self.actions: List[Optional[Tuple[ActionPair, ...]]] = []
+        self.succ: List[Optional[List[Tuple[int, ...]]]] = []
+        self.cum: List[Optional[List[List[float]]]] = []
+        self.q: List[Optional[List[float]]] = []
+        self.visits: List[Optional[List[int]]] = []
+
+    def intern(self, pair: StatePair) -> int:
+        i = self.ids.get(pair)
+        if i is None:
+            i = self.ids[pair] = len(self.pairs)
+            self.pairs.append(pair)
+            self.accepting.append(self.env.is_accepting(pair))
+            for col in (self.actions, self.succ, self.cum, self.q, self.visits):
+                col.append(None)
+        return i
+
+    def row(self, i: int) -> List[float]:
+        """Build the row of id i, interning its successors; returns q[i]."""
+        actions, data = self.env._row(self.pairs[i])
+        slots = [data[a] for a in actions]
+        self.actions[i] = actions
+        self.succ[i] = [tuple(map(self.intern, pairs)) for pairs, _ in slots]
+        self.cum[i] = [cum for _, cum in slots]
+        self.visits[i] = [0] * len(actions)
+        q = self.q[i] = [0.0] * len(actions)
+        return q
+
+    def qtable(self, updated: List[Tuple[int, int]]) -> QTable:
+        """The (id, slot) entries in ``updated`` keyed by pairs, in order."""
+        out = QTable()
+        for i, k in updated:
+            key = (self.pairs[i], self.actions[i][k])
+            out.q[key] = self.q[i][k]
+            out.visits[key] = self.visits[i][k]
+        return out
 
 
 def extract_schedule(q: QTable, env: OnTheFlyProductEnv) -> Schedule:
@@ -251,9 +269,13 @@ def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
     rngs = make_rngs(seed)
     traj, coin, explore = rngs["trajectory"], rngs["coin"], rngs["exploration"]
     alpha = hp.alpha_for(env.m.max_exit_rate, satisfaction=satisfaction)
-    hp = replace(hp, alpha=alpha)
-    q = QTable()
-    init = env.reset()
+    table = _PairTable(env)
+    Q, N, succ, cum, acc = (table.q, table.visits, table.succ, table.cum,
+                            table.accepting)
+    init = table.intern(env.reset())
+    table.row(init)
+    updated: List[Tuple[int, int]] = []  # (id, slot) in first-update order
+    epsilon, beta, decay_beta = hp.epsilon, hp.beta, hp.decay_beta
     fail_pay = 1.0 - hp.zeta
     steps = 0
     history: List[float] = []
@@ -261,24 +283,39 @@ def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
     converged = False
     episodes = 0
     for episodes in range(1, hp.ep_n + 1):
-        s = init
+        i = init
         for _ in range(hp.ep_len):
-            actions = env.actions(s)
-            a = select_action(q, s, actions, hp.epsilon, explore)
-            s2, dwell = env.sample(s, a, traj)
-            steps += 1
-            if satisfaction:
-                if env.is_accepting(s) and coin.uniform() < fail_pay:
-                    # payout absorbs the run; nothing left to bootstrap
-                    q_update(q, s, a, 1.0, dwell, None, (), hp)
-                    break
-                q_update(q, s, a, 0.0, dwell, s2, env.actions(s2), hp)
+            qi = Q[i]
+            if epsilon > 0.0 and explore.uniform() < epsilon:
+                k = explore.integers(len(qi))
             else:
-                r = accepting_dwell(env.is_accepting(s), dwell)
-                q_update(q, s, a, r, dwell, s2, env.actions(s2), hp)
-            s = s2
+                # the earliest slot of the maximum, as a scan with > finds
+                k = qi.index(max(qi))
+            i2, dwell = race(succ[i][k], cum[i][k], traj)
+            steps += 1
+            payout = satisfaction and acc[i] and coin.uniform() < fail_pay
+            if payout:
+                # payout absorbs the run; nothing left to bootstrap
+                target = 1.0
+            else:
+                q2 = Q[i2]
+                if q2 is None:
+                    q2 = table.row(i2)
+                r = 0.0 if satisfaction else accepting_dwell(acc[i], dwell)
+                target = r + math.exp(-alpha * dwell) * max(q2)
+            ni = N[i]
+            n = ni[k]
+            if not n:
+                updated.append((i, k))
+            if decay_beta:
+                beta = 1.0 / (1 + n)
+            qi[k] = (1.0 - beta) * qi[k] + beta * target
+            ni[k] = n + 1
+            if payout:
+                break
+            i = i2
         if episodes % _CHECK_EVERY == 0:
-            est = q.value(init, env.actions(init))
+            est = max(Q[init])
             if history and abs(est - history[-1]) < hp.tol:
                 stable += 1
                 if stable >= _STABLE_CHECKS:
@@ -289,11 +326,12 @@ def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
                 stable = 0
             history.append(est)
 
-    estimate = q.value(init, env.actions(init))
+    estimate = max(Q[init])
     if not satisfaction:
         # undo the discounting: for small alpha, alpha * v approximates the
         # long-run time average of the reward rate
         estimate *= alpha
+    q = table.qtable(updated)
     return LearnResult(qtable=q, schedule=extract_schedule(q, env),
                        estimate=estimate, episodes_run=episodes,
                        steps_run=steps, converged=converged, alpha=alpha,

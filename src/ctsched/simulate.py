@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Dict, Sequence, Tuple, TypeVar
+from typing import Dict, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -27,7 +27,8 @@ _BUF = 8192
 
 
 class RngHandle:
-    """One named Philox stream.  ``uniform()`` draws from a refilled buffer."""
+    """One named Philox stream.  ``uniform()`` draws from a buffer of Python
+    floats, refilled from the generator ``_BUF`` doubles at a time."""
 
     def __init__(self, seed: int, stream: str = "trajectory"):
         if stream not in _STREAM_KEYS:
@@ -38,16 +39,16 @@ class RngHandle:
         self._gen = np.random.Generator(
             np.random.Philox(key=(np.uint64(seed) << np.uint64(32))
                              + np.uint64(_STREAM_KEYS[stream])))
-        self._buf = np.empty(0)
+        self._buf: List[float] = []
         self._pos = 0
 
     def uniform(self) -> float:
         if self._pos >= len(self._buf):
-            self._buf = self._gen.random(_BUF)
+            self._buf = self._gen.random(_BUF).tolist()
             self._pos = 0
         u = self._buf[self._pos]
         self._pos += 1
-        return float(u)
+        return u
 
     def integers(self, n: int) -> int:
         # uses the buffered uniforms so a single stream stays one sequence

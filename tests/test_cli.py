@@ -164,6 +164,22 @@ def test_bad_expression_exits_with_parse_code(tmp_path, paths, capsys, const,
     assert capsys.readouterr().err == f"error: {f}:{where}\n"
 
 
+@pytest.mark.parametrize("text, where", [
+    ("ctmdp\nconst double r = 1e400;\nmodule m\n z : [0..r] init 0;\n"
+     "[a] true -> 1 : true;\nendmodule\n",
+     "4:10: non-finite bound inf for variable 'z'"),
+    ("ctmdp\nmodule m\n z : [0..1] init 0;\n"
+     "[a] true -> 1 : (z'=1e400 - 1e400);\nendmodule\n",
+     "4:1: update drives 'z' to nan, outside [0..1]"),
+], ids=["inf-bound", "nan-update"])
+def test_non_finite_value_exits_with_parse_code(tmp_path, paths, capsys, text,
+                                                where):
+    f = _write_model(tmp_path, text)
+    code = main(["check", "--model", str(f), "--automaton", paths["fig1.hoa"]])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {f}:{where}\n"
+
+
 def test_state_without_actions_exits_with_parse_code(tmp_path, paths, capsys):
     f = _write_model(tmp_path, "ctmdp\nmodule m\n z : [0..1] init 0;\n"
                      "[a] z=0 -> 1 : (z'=1);\nendmodule\n")

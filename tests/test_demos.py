@@ -11,6 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", ["01_exact_checking.py",
+                                  "02_learning_schedules.py",
                                   "03_uniformization_blackwell.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)

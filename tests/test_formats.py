@@ -306,6 +306,24 @@ def test_number_takes_at_most_one_decimal_point():
     assert (err.value.line, err.value.col) == (2, 21)
 
 
+@pytest.mark.parametrize("text, error", [
+    ("ctmdp\nconst double r = 1e400;\nmodule m\n z : [0..r] init 0;\n"
+     "[a] true -> 1 : true;\nendmodule\n",
+     "4:10: non-finite bound inf for variable 'z'"),
+    ("ctmdp\nconst double r = 1e400 - 1e400;\nmodule m\n z : [0..1] init r;\n"
+     "[a] true -> 1 : true;\nendmodule\n",
+     "4:18: non-finite bound nan for variable 'z'"),
+    (_HEAD + "[a] true -> 1 : (z'=1e400);\nendmodule\n",
+     "4:1: update drives 'z' to inf, outside [0..1]"),
+    (_HEAD + "[a] true -> 1 : (z'=1e400 - 1e400);\nendmodule\n",
+     "4:1: update drives 'z' to nan, outside [0..1]"),
+], ids=["inf-bound", "nan-init", "inf-update", "nan-update"])
+def test_non_finite_bounds_and_updates_are_semantic_errors(text, error):
+    with pytest.raises(ModelSemanticError) as err:
+        parse_model(text)
+    assert str(err.value) == error
+
+
 def test_non_finite_rate_is_reported_before_any_numpy_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -318,6 +336,8 @@ def test_non_finite_rate_is_reported_before_any_numpy_warning():
      "endmodule\n", "4:2: duplicate identifier 'z'"),
     (_HEAD + " z : [0..1] init 0;\n[a] true -> 1 : true;\nendmodule\n",
      "4:2: duplicate identifier 'z'"),
+    (_with_const("const double r = 1;\nconst double r = 2;"),
+     "3:14: duplicate identifier 'r'"),
     (_HEAD + "[a] true -> 1 : true;\nendmodule\nlabel \"p\" = true;\n"
      "label \"p\" = false;\n", "7:7: duplicate label \"p\""),
     ("ctmdp\nmodule m\n[a] true -> 1 : true;\nendmodule\n",
@@ -326,7 +346,7 @@ def test_non_finite_rate_is_reported_before_any_numpy_warning():
     ("ctmdp\nlabel \"x\" = true;\n", "no module block"),
     (_HEAD + "[a] z=0 -> 1 : (z'=1);\nendmodule\n",
      "state z=1: no enabled action"),
-], ids=["const-and-variable", "two-variables", "label", "no-variables",
+], ids=["const-and-variable", "two-variables", "two-consts", "label", "no-variables",
         "no-commands", "no-module", "validation"])
 def test_errors_point_at_their_token_or_nowhere(text, error):
     with pytest.raises(ModelError) as err:

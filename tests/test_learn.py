@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from ctsched.automata import BuchiAutomaton, Edge, GAp, GNot, GTrue
-from ctsched.learn import (EXP_GAMMA, SAT_GAMMA, Hyperparams, OnTheFlyProductEnv,
-                           QTable, extract_schedule, learn_exp, learn_sat,
-                           q_update, select_action)
+from ctsched.automata import BuchiAutomaton, Edge, GAp, GNot
+from ctsched.bruteforce import random_buchi, random_ctmdp
+from ctsched.data import BENCH_PAIRS, load_automaton, load_model
+from ctsched.learn import (EXP_GAMMA, SAT_GAMMA, Hyperparams, LearnResult,
+                           OnTheFlyProductEnv, QTable, accepting_dwell,
+                           extract_schedule, learn_exp, learn_sat)
 from ctsched.model import Ctmdp
-from ctsched.product import build_product
-from ctsched.simulate import RngHandle, sample_transition
+from ctsched.product import TRAP_PAIR, build_product
+from ctsched.simulate import RngHandle, make_rngs, sample_transition
 
 
 def gf_g_automaton():
@@ -53,59 +55,102 @@ def test_alpha_for_objective_defaults():
     assert Hyperparams(alpha=0.25).alpha_for(cap) == 0.25
 
 
+def loop_model():
+    """One g-labelled state looping at rate 2: the product steps from (0, 0)
+    to the accepting pair (0, 1) and stays there, one action per pair."""
+    return Ctmdp.from_transitions(("s0",), ("a",), 0, [(0, 0, 0, 2.0)],
+                                  ap=("g",), labels=[{0}])
+
+
+def dwells(seed, n):
+    """The first n dwells the trainer draws on ``loop_model``: each race
+    takes a dwell draw, then a successor draw."""
+    rng = RngHandle(seed, "trajectory")
+    out = []
+    for _ in range(n):
+        out.append(-math.log1p(-rng.uniform()) / 2.0)
+        rng.uniform()
+    return out
+
+
 def test_qtable_best_breaks_ties_by_action_order():
     q = QTable()
     actions = ((0, 0), (1, 0))
     assert q.best((0, 0), actions) == ((0, 0), 0.0)
-    q.update((0, 0), (1, 0), 1.0, 0.5)
+    q.q[((0, 0), (1, 0))] = 0.5
     assert q.best((0, 0), actions) == ((1, 0), 0.5)
 
 
 def test_q_update_formula():
-    hp = Hyperparams(beta=0.25, alpha=0.5)
-    q = QTable()
-    s, a, s2 = (0, 0), (0, 0), (1, 0)
-    q.update(s2, (0, 0), 1.0, 2.0)  # bootstrap target max_a' Q(s2, a') = 2
-    tau = 0.8
-    got = q_update(q, s, a, 0.3, tau, s2, ((0, 0),), hp)
-    want = 0.25 * (0.3 + math.exp(-0.5 * tau) * 2.0)
-    assert got == pytest.approx(want, rel=1e-12)
+    # Q(s,a) <- (1-beta) Q(s,a) + beta (r + e^{-alpha tau} max_a' Q(s',a'))
+    hp = Hyperparams(beta=0.25, alpha=0.5, epsilon=0.0, ep_n=1, ep_len=4)
+    res = learn_exp(loop_model(), gf_g_automaton(), hp, seed=3)
+    d = dwells(3, 4)
+    q1 = 0.0
+    for tau in d[1:]:
+        target = accepting_dwell(True, tau) + math.exp(-0.5 * tau) * q1
+        q1 = (1 - 0.25) * q1 + 0.25 * target
+    # (0, 0) bootstraps from (0, 1) before (0, 1) is ever updated
+    assert res.qtable.q == {((0, 0), (0, 1)): 0.0, ((0, 1), (0, 1)): q1}
+    assert res.qtable.visits == {((0, 0), (0, 1)): 1, ((0, 1), (0, 1)): 3}
+    assert q1 > 0.0 and res.estimate == 0.0
 
 
 def test_q_update_terminal_skips_bootstrap():
-    hp = Hyperparams(beta=0.5, alpha=0.5)
-    q = QTable()
-    q.update((1, 0), (0, 0), 1.0, 100.0)  # would dominate if bootstrapped
-    got = q_update(q, (0, 0), (0, 0), 1.0, 0.1, None, (), hp)
-    assert got == pytest.approx(0.5 * 1.0)
-
-
-def test_q_update_requires_resolved_alpha():
-    with pytest.raises(ValueError):
-        q_update(QTable(), (0, 0), (0, 0), 0.0, 0.1, None, (), Hyperparams())
-    with pytest.raises(ValueError):
-        q_update(QTable(), (0, 0), (0, 0), 0.0, -0.1, None, (),
-                 Hyperparams(alpha=1.0))
+    # zeta = 0.01: every accepting step pays out with probability 0.99
+    hp = Hyperparams(beta=0.5, alpha=0.5, zeta=0.01, epsilon=0.0, ep_n=2,
+                     ep_len=10)
+    coin = RngHandle(1, "coin")
+    assert coin.uniform() < 0.99 and coin.uniform() < 0.99
+    res = learn_sat(loop_model(), gf_g_automaton(), hp, seed=1)
+    assert res.steps_run == 4
+    # each payout hits the target 1 with nothing bootstrapped; the second
+    # episode's first step bootstraps the first payout's value
+    q1 = 0.5 * 1.0
+    tau = dwells(1, 3)[2]
+    q0 = 0.5 * (0.0 + math.exp(-0.5 * tau) * q1)
+    assert res.qtable.q == {((0, 0), (0, 1)): q0,
+                            ((0, 1), (0, 1)): 0.5 * q1 + 0.5 * 1.0}
 
 
 def test_decay_beta_first_update_hits_target():
-    hp = Hyperparams(alpha=0.5, decay_beta=True)
-    q = QTable()
-    q_update(q, (0, 0), (0, 0), 0.7, 0.1, None, (), hp)
-    assert q.get((0, 0), (0, 0)) == pytest.approx(0.7)
+    hp = Hyperparams(alpha=0.5, decay_beta=True, epsilon=0.0, ep_n=1, ep_len=3)
+    res = learn_exp(loop_model(), gf_g_automaton(), hp, seed=0)
+    _, d1, d2 = dwells(0, 3)
+    first = d1 + math.exp(-0.5 * d1) * 0.0
     # the second update averages with weight 1/2
-    q_update(q, (0, 0), (0, 0), 0.1, 0.1, None, (), hp)
-    assert q.get((0, 0), (0, 0)) == pytest.approx(0.4)
+    second = (1 - 0.5) * first + 0.5 * (d2 + math.exp(-0.5 * d2) * first)
+    assert res.qtable.q[((0, 1), (0, 1))] == second
+    assert res.qtable.visits[((0, 1), (0, 1))] == 2
+
+
+def bad_first_fork():
+    """``fork_model`` with the dead trap behind action 0 and the accepting
+    trap behind action 1."""
+    return Ctmdp.from_transitions(
+        ("s0", "s1", "s2"), ("a", "b"), 0,
+        [(0, 0, 2, 2.0), (0, 1, 1, 2.0), (1, 0, 1, 1.0), (2, 0, 2, 1.0)],
+        ap=("g",), labels=[set(), {0}, set()])
 
 
 def test_select_action_greedy_and_exploring():
-    q = QTable()
-    actions = ((0, 0), (1, 0))
-    q.update((0, 0), (1, 0), 1.0, 1.0)
-    rng = RngHandle(0, "exploration")
-    assert select_action(q, (0, 0), actions, 0.0, rng) == (1, 0)
-    picks = {select_action(q, (0, 0), actions, 1.0, rng) for _ in range(100)}
-    assert picks == set(actions)
+    a = gf_g_automaton()
+    # epsilon 0: all values tie at 0 until taken, so the earliest slot wins
+    res = learn_exp(bad_first_fork(), a, Hyperparams(epsilon=0.0, ep_n=20,
+                                                     ep_len=5), seed=0)
+    env = OnTheFlyProductEnv(bad_first_fork(), a)
+    assert res.qtable.visits[((0, 0), (0, 0))] == 20
+    assert all(act == env.actions(s)[0] for s, act in res.qtable.q)
+    # epsilon 1: every step explores, and both actions of s0 are drawn
+    res = learn_exp(bad_first_fork(), a, Hyperparams(epsilon=1.0, ep_n=200,
+                                                     ep_len=1), seed=0)
+    picks = {act for s, act in res.qtable.q if s == (0, 0)}
+    assert picks == set(env.actions((0, 0)))
+    # once action 1 has paid, greedy steps take it over the earlier action 0
+    res = learn_exp(bad_first_fork(), a, Hyperparams(epsilon=0.2, ep_n=200,
+                                                     ep_len=3), seed=0)
+    v = res.qtable.visits
+    assert v[((0, 0), (1, 0))] > 4 * v[((0, 0), (0, 0))]
 
 
 def test_on_the_fly_env_matches_materialized_product(riskreward, mars):
@@ -194,3 +239,109 @@ def test_extract_schedule_covers_visited_states():
     sched = extract_schedule(res.qtable, env)
     for pair, action in sched.items():
         assert action in env.actions(pair)
+
+
+# A reference trainer: Q-learning over dicts keyed (state pair, action pair),
+# stepping the env by pairs.  The library trainer works on interned integer
+# ids instead and must agree with it bit for bit.
+
+def ref_train(m, a, hp, seed, satisfaction):
+    env = OnTheFlyProductEnv(m, a)
+    rngs = make_rngs(seed)
+    traj, coin, explore = rngs["trajectory"], rngs["coin"], rngs["exploration"]
+    alpha = hp.alpha_for(m.max_exit_rate, satisfaction=satisfaction)
+    q, visits = {}, {}
+
+    def best(s, actions):
+        best_a, best_v = actions[0], q.get((s, actions[0]), 0.0)
+        for act in actions[1:]:
+            v = q.get((s, act), 0.0)
+            if v > best_v:
+                best_a, best_v = act, v
+        return best_a, best_v
+
+    def update(s, act, r, tau, s_next):
+        cont = 0.0
+        if s_next is not None:
+            cont = math.exp(-alpha * tau) * best(s_next, env.actions(s_next))[1]
+        beta = 1.0 / (1 + visits.get((s, act), 0)) if hp.decay_beta else hp.beta
+        q[(s, act)] = (1.0 - beta) * q.get((s, act), 0.0) + beta * (r + cont)
+        visits[(s, act)] = visits.get((s, act), 0) + 1
+
+    init = env.reset()
+    steps, history, stable, converged = 0, [], 0, False
+    for episodes in range(1, hp.ep_n + 1):
+        s = init
+        for _ in range(hp.ep_len):
+            actions = env.actions(s)
+            if hp.epsilon > 0.0 and explore.uniform() < hp.epsilon:
+                act = actions[explore.integers(len(actions))]
+            else:
+                act = best(s, actions)[0]
+            s2, dwell = env.sample(s, act, traj)
+            steps += 1
+            if satisfaction:
+                if env.is_accepting(s) and coin.uniform() < 1.0 - hp.zeta:
+                    update(s, act, 1.0, dwell, None)
+                    break
+                update(s, act, 0.0, dwell, s2)
+            else:
+                update(s, act, accepting_dwell(env.is_accepting(s), dwell),
+                       dwell, s2)
+            s = s2
+        if episodes % 500 == 0:
+            est = best(init, env.actions(init))[1]
+            if history and abs(est - history[-1]) < hp.tol:
+                stable += 1
+                if stable >= 4:
+                    history.append(est)
+                    converged = True
+                    break
+            else:
+                stable = 0
+            history.append(est)
+    estimate = best(init, env.actions(init))[1] * (1.0 if satisfaction else alpha)
+    visited = list(dict.fromkeys(s for s, _ in q))
+    schedule = {s: best(s, env.actions(s))[0] for s in visited if s != TRAP_PAIR}
+    return LearnResult(qtable=None, schedule=schedule, estimate=estimate,
+                       episodes_run=episodes, steps_run=steps,
+                       converged=converged, alpha=alpha, history=history), q, visits
+
+
+def equivalence_cases():
+    """The bundled pairs, then random models times random automata; those
+    automata leave some letters without a move, so runs reach the trap."""
+    cases = [(load_model(mn), load_automaton(an)) for mn, an in BENCH_PAIRS]
+    rng = np.random.default_rng(909)
+    for _ in range(6):
+        m = random_ctmdp(rng, num_states=int(rng.integers(3, 7)),
+                         ap=("g", "p"))
+        cases.append((m, random_buchi(rng, num_states=int(rng.integers(2, 4)))))
+    return cases
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1])
+@pytest.mark.parametrize("decay_beta", [False, True])
+@pytest.mark.parametrize("satisfaction", [True, False])
+def test_trainer_matches_the_dict_keyed_reference(satisfaction, decay_beta,
+                                                  epsilon):
+    train = learn_sat if satisfaction else learn_exp
+    # 3000 episodes give six convergence checks, enough to stop early
+    hp = Hyperparams(ep_n=3000, ep_len=5, beta=0.05, epsilon=epsilon,
+                     decay_beta=decay_beta, tol=0.05)
+    trapped, converged = 0, set()
+    for seed, (m, a) in enumerate(equivalence_cases()):
+        res = train(m, a, hp, seed=seed)
+        ref, q, visits = ref_train(m, a, hp, seed, satisfaction)
+        assert ([(k, v.hex()) for k, v in res.qtable.q.items()]
+                == [(k, v.hex()) for k, v in q.items()])
+        assert list(res.qtable.visits.items()) == list(visits.items())
+        for field in ("steps_run", "episodes_run", "converged", "alpha"):
+            assert getattr(res, field) == getattr(ref, field), field
+        assert [h.hex() for h in res.history] == [h.hex() for h in ref.history]
+        assert res.estimate.hex() == ref.estimate.hex()
+        assert list(res.schedule.items()) == list(ref.schedule.items())
+        trapped += any(s == TRAP_PAIR for s, _ in q)
+        converged.add(res.converged)
+    assert trapped >= 2
+    assert True in converged

@@ -14,7 +14,7 @@ from ctsched.check import (alpha_from_gamma, average_optimal,
                            discounted_optimal, esem_optimal, psem_optimal)
 from ctsched.cli import main
 from ctsched.data import BENCH_PAIRS, load_automaton, load_model
-from ctsched.learn import Hyperparams, learn_sat
+from ctsched.learn import Hyperparams, learn_exp, learn_sat
 from ctsched.product import SINK_ACTION, SINK_PAIR, augment, build_product
 
 # learn_sat on riskreward, seed 0, Hyperparams(ep_n=50, ep_len=60, beta=0.05)
@@ -37,6 +37,29 @@ PINNED_Q = {
     ((3, 2), (2, 3)): "0x0.0p+0",
     ((3, 3), (2, 3)): "0x0.0p+0",
 }
+
+# learn_exp on mars x fig1, seed 0,
+# Hyperparams(ep_n=50, ep_len=60, decay_beta=True): the 1/visit-count rates;
+# entries in the order of their first update, as (Q hex, visits)
+PINNED_DECAY_STEPS = 3000
+PINNED_DECAY_ESTIMATE = "0x1.e688949b26b4bp-4"
+PINNED_DECAY_SCHEDULE = {
+    (0, 0): (1, 0), (3, 0): (2, 2), (3, 2): (2, 2), (1, 0): (5, 1),
+    (0, 1): (1, 0), (2, 0): (3, 1), (2, 1): (3, 1),
+}
+PINNED_DECAY_Q = [
+    (((0, 0), (1, 0)), "0x1.784da2efffef6p+2", 42),
+    (((3, 0), (2, 2)), "0x0.0p+0", 30),
+    (((3, 2), (2, 2)), "0x0.0p+0", 1067),
+    (((0, 0), (0, 0)), "0x1.5d95b815d9609p+0", 8),
+    (((1, 0), (5, 1)), "0x1.20e9900d2bb15p+1", 117),
+    (((0, 1), (0, 0)), "0x1.5b6a0f9b6f596p+1", 109),
+    (((0, 1), (1, 0)), "0x1.5f1e68c28f59fp+2", 93),
+    (((2, 0), (3, 1)), "0x1.0010ba490e5e1p+3", 97),
+    (((2, 1), (3, 1)), "0x1.213379892623cp+3", 1349),
+    (((2, 1), (4, 1)), "0x1.6eb31235eae88p+2", 82),
+    (((2, 0), (4, 1)), "0x1.259c9d3e9ea9ep+2", 6),
+]
 
 # ctsched simulate --model mars --automaton fig1 --seed 9, first five rows
 PINNED_SIMULATE = """\
@@ -113,6 +136,18 @@ def test_seeded_learner_and_simulate_outputs_are_pinned(riskreward, tmp_path,
                  "--seed", "9", "--steps", "5"])
     assert code == 0
     assert capsys.readouterr().out == PINNED_SIMULATE
+
+
+def test_decaying_rate_learner_output_is_pinned(mars):
+    m, a, _ = mars
+    res = learn_exp(m, a, Hyperparams(ep_n=50, ep_len=60, decay_beta=True),
+                    seed=0)
+    assert res.steps_run == PINNED_DECAY_STEPS
+    assert res.estimate.hex() == PINNED_DECAY_ESTIMATE
+    assert list(res.schedule.items()) == list(PINNED_DECAY_SCHEDULE.items())
+    assert [(k, v.hex(), res.qtable.visits[k])
+            for k, v in res.qtable.q.items()] == PINNED_DECAY_Q
+    assert list(res.qtable.visits) == list(res.qtable.q)
 
 
 def test_psem_optimal_schedule_is_pinned():

@@ -79,3 +79,23 @@ def test_same_seed_same_trajectory():
         return steps
 
     assert roll() == roll()
+
+
+def test_uniform_draws_are_the_philox_stream():
+    # 20000 draws cross two refills of the 8192-double buffer
+    rng = RngHandle(7, "trajectory")
+    draws = [rng.uniform() for _ in range(20000)]
+    assert all(type(u) is float for u in draws)
+    want = np.random.Generator(
+        np.random.Philox(key=(7 << 32) + 0x74726a)).random(20000)
+    assert draws == want.tolist()
+
+
+def test_integers_scale_the_uniform_stream():
+    rng = RngHandle(5, "exploration")
+    picks = [rng.integers(6) for _ in range(16)]
+    assert picks == [3, 1, 3, 1, 5, 0, 1, 0, 1, 3, 4, 2, 0, 2, 4, 3]
+    assert all(type(k) is int for k in picks)
+    us = np.random.Generator(
+        np.random.Philox(key=(5 << 32) + 0x657870)).random(16)
+    assert picks == [min(int(u * 6), 5) for u in us.tolist()]
