@@ -12,7 +12,12 @@ scores every choice with one sparse product and switches in ``_improve``:
   induced chain, their stationary distributions, and absorption
   probabilities;
 * average optimization is multichain policy iteration (gain stage, then bias
-  stage) on the uniformized chain;
+  stage) on the uniformized chain, started from a schedule that plays a
+  best-paying row wherever the step reward is maximal and steers every
+  other state toward those states along the reachability attractor;
+* a stationary distribution and a recurrent class's gain and bias are each
+  one square solve: the balance equations with one of them replaced by the
+  normalization, and the bordered system [[I - P, 1], [1^T, 0]];
 * acceptance probabilities combine maximal-end-component analysis with
   maximal reachability by policy iteration, one exact absorption solve per
   round; its graph passes, the attractors that give the starting schedule
@@ -42,6 +47,12 @@ _MAX_ROUNDS = 500
 
 class ConvergenceError(CtmdpError):
     pass
+
+
+def _no_convergence(stage: str, rounds: int, switched: int) -> ConvergenceError:
+    return ConvergenceError(
+        f"{stage} policy iteration did not converge: stopped at round "
+        f"{rounds} with {switched} states switched in the last round")
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +105,23 @@ def uniformized_reward_spec(m: Ctmdp, spec: RewardSpec, alpha: float,
 def step_reward_spec(m: Ctmdp, spec: RewardSpec, cap: float) -> Dict[Tuple[int, int], float]:
     """Per-step rewards on the cap-uniformized chain whose per-step average
     times cap equals the original time average, keyed in choice-row order."""
+    return dict(zip(m.choices.row, _step_rewards(m, spec, cap).tolist()))
+
+
+def _step_rewards(m: Ctmdp, spec: RewardSpec, cap: float) -> np.ndarray:
+    """``step_reward_spec`` as one value per choice row."""
     ch = m.choices
-    return {(s, a): (float(spec.state_rate[s]) + lam * spec.act(s, a)) / cap
-            for (s, a), lam in zip(ch.row, ch.exit.tolist())}
+    return (spec.state_rate[ch.state] + ch.exit * _row_rewards(m, spec)) / cap
+
+
+def _row_rewards(m: Ctmdp, spec: RewardSpec) -> np.ndarray:
+    """The transition reward of every choice row, by row."""
+    ch = m.choices
+    act = np.zeros(len(ch.state))
+    for key, value in spec.action_reward.items():
+        if key in ch.row:
+            act[ch.row[key]] = value
+    return act
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +195,28 @@ def _bsccs(P: np.ndarray) -> Tuple[List[List[int]], np.ndarray]:
 
 
 def _stationary(P: np.ndarray) -> np.ndarray:
-    """Stationary distribution of an irreducible stochastic matrix."""
+    """Stationary distribution of an irreducible stochastic matrix: the
+    balance equations pi (P - I) = 0 with the last one replaced by
+    sum(pi) = 1, which makes the system square and nonsingular."""
     k = P.shape[0]
-    A = np.vstack([P.T - np.eye(k), np.ones((1, k))])
-    b = np.zeros(k + 1)
+    A = P.T - np.eye(k)
+    A[-1] = 1.0
+    b = np.zeros(k)
     b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    pi = np.clip(pi, 0.0, None)
+    pi = np.clip(np.linalg.solve(A, b), 0.0, None)
     return pi / pi.sum()
+
+
+def _gain_bias(P: np.ndarray, r: np.ndarray) -> Tuple[float, np.ndarray]:
+    """(g, h) of an irreducible stochastic matrix: g + h = r + P h with
+    sum(h) = 0, as one square solve of the bordered system
+    [[I - P, 1], [1^T, 0]] [h; g] = [r; 0]."""
+    k = P.shape[0]
+    A = np.ones((k + 1, k + 1))
+    A[:k, :k] = np.eye(k) - P
+    A[k, k] = 0.0
+    x = np.linalg.solve(A, np.append(r, 0.0))
+    return float(x[k]), x[:k]
 
 
 def _absorption(P: np.ndarray, value: np.ndarray, fixed: Set[int],
@@ -223,19 +262,19 @@ def discounted_optimal(m: Ctmdp, spec: RewardSpec,
     """Policy iteration for the discounted objective; exact at fixed point."""
     ch = m.choices
     # q = act + rho / (alpha + lam) + lam / (lam + alpha) * (P v), per choice
-    act = np.array([spec.act(s, a) for s, a in ch.row])
-    base = act + spec.state_rate[ch.state] / (alpha + ch.exit)
+    base = _row_rewards(m, spec) + spec.state_rate[ch.state] / (alpha + ch.exit)
     discount = ch.exit / (ch.exit + alpha)
     rows = _first_rows(m)
-    for _ in range(_MAX_ROUNDS):
+    for rounds in range(1, _MAX_ROUNDS + 1):
         sigma = ch.action[rows]
         v = discounted_value(m, spec, sigma, alpha)
         new = _improve(ch, base + discount * _dot(ch, ch.prob, v), rows,
                        _TIE_TOL * max(1.0, float(np.abs(v).max())))
-        if np.array_equal(new, rows):
+        switched = int(np.count_nonzero(new != rows))
+        if not switched:
             return v, sigma
         rows = new
-    raise ConvergenceError("discounted policy iteration did not converge")
+    raise _no_convergence("discounted", rounds, switched)
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +309,7 @@ def _policy_gain_bias(P: np.ndarray, r: np.ndarray) -> Tuple[np.ndarray, np.ndar
     recurrent: Set[int] = set()
     for members in bsccs:
         idx = np.array(members)
-        sub = P[np.ix_(idx, idx)]
-        pi = _stationary(sub)
-        gain = float(pi @ r[idx])
-        g[idx] = gain
-        k = len(idx)
-        A = np.vstack([np.eye(k) - sub, np.ones((1, k))])
-        b = np.concatenate([r[idx] - gain, [0.0]])
-        h[idx], *_ = np.linalg.lstsq(A, b, rcond=None)
+        g[idx], h[idx] = _gain_bias(P[np.ix_(idx, idx)], r[idx])
         recurrent |= set(members)
     g = _absorption(P, g, recurrent)
     return g, _absorption(P, h, recurrent, rhs=r - g)
@@ -286,14 +318,37 @@ def _policy_gain_bias(P: np.ndarray, r: np.ndarray) -> Tuple[np.ndarray, np.ndar
 def average_optimal(m: Ctmdp, spec: RewardSpec) -> Tuple[np.ndarray, np.ndarray]:
     """Multichain policy iteration; returns per-state optimal gains and a
     gain-optimal, bias-improved schedule."""
+    gains, sigma, _ = _average_optimal(m, spec)
+    return gains, sigma
+
+
+def _average_optimal(m: Ctmdp,
+                     spec: RewardSpec) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``average_optimal`` plus the number of rounds it took.
+
+    The start plays, in each state with a row whose step reward is the
+    maximum over all rows, its first such row, and points every other state
+    that can reach those states at the attractor toward them (the others
+    keep their first row).  Any schedule is a valid start; this one steers
+    the chain into the best-paying states from the first round, where the
+    first rows can leave a gain-0 class that the bias stage then climbs out
+    of over many rounds while the bias grows without bound.
+    """
     ch = m.choices
     cap = m.max_exit_rate
     # the cap-uniformized chain: rates / cap off the self-loop mass
     scaled, stay = ch.rate / cap, 1.0 - ch.exit / cap
-    r_step = np.array(list(step_reward_spec(m, spec, cap).values()))  # by row
+    r_step = _step_rewards(m, spec, cap)
 
-    rows = _first_rows(m)
-    for _ in range(_MAX_ROUNDS):
+    sigma = ch.action[_first_rows(m)]
+    paying = np.flatnonzero(r_step == r_step.max())
+    states, first = np.unique(ch.state[paying], return_index=True)
+    sigma[states] = ch.action[paying[first]]
+    _attractor(ch, range(m.num_states), range(len(ch.state)),
+               set(states.tolist()), sigma)
+    rows = ch.lookup(sigma)
+
+    for rounds in range(1, _MAX_ROUNDS + 1):
         P = _gather(ch, rows, scaled)
         P[np.diag_indices_from(P)] += stay[rows]
         g, h = _policy_gain_bias(P, r_step[rows])
@@ -305,10 +360,12 @@ def average_optimal(m: Ctmdp, spec: RewardSpec) -> Tuple[np.ndarray, np.ndarray]
         qb = r_step - g[ch.state] + (_dot(ch, scaled, h) + stay * h[ch.state])
         qb[qg < qg[rows][ch.state] - tol] = -np.inf
         new = np.where(gain != rows, gain, _improve(ch, qb, rows, tol))
-        if np.array_equal(new, rows):
-            return g * cap, ch.action[rows]
+        switched = int(np.count_nonzero(new != rows))
+        if not switched:
+            return g * cap, ch.action[rows], rounds
+        stage = "gain" if np.any(gain != rows) else "bias"
         rows = new
-    raise ConvergenceError("average-reward policy iteration did not converge")
+    raise _no_convergence(f"average-reward ({stage} stage)", rounds, switched)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +465,8 @@ def _attractor(ch: ChoiceRows, order: Sequence[int], allowed: Container[int],
             s = state[r]
             ps = pos[s]
             if ps >= 0 and r in allowed:
-                first[s] = min(first[s], r)
+                if r < first[s]:
+                    first[s] = r
                 ks = k if ps > p else k + 1
                 if ks < due[s]:
                     due[s] = ks
@@ -454,12 +512,13 @@ def psem_optimal(p: ProductCtmdp) -> CheckResult:
         q = _dot(ch, ch.prob, v)
         q[settled] = -np.inf     # the region keeps its schedule
         new = _improve(ch, q, rows, _TIE_TOL)
-        if np.array_equal(new, rows):
+        switched = int(np.count_nonzero(new != rows))
+        if not switched:
             return CheckResult(values=v,
                                schedule=schedule_from_ids(p, ch.action[rows]),
                                initial=m.initial, iterations=rounds)
         rows = new
-    raise ConvergenceError("reachability policy iteration did not converge")
+    raise _no_convergence("reachability", rounds, switched)
 
 
 def esem_of(p: ProductCtmdp, schedule: Schedule) -> CheckResult:
@@ -472,11 +531,12 @@ def esem_of(p: ProductCtmdp, schedule: Schedule) -> CheckResult:
 
 def esem_optimal(p: ProductCtmdp) -> CheckResult:
     """Maximal long-run fraction of time in accepting states, by multichain
-    policy iteration; the fixed point is exact."""
+    policy iteration; the fixed point is exact.  ``iterations`` counts the
+    rounds."""
     spec = accepting_rate_spec(p.num_states, p.accepting)
-    gains, sigma = average_optimal(p.ctmdp, spec)
+    gains, sigma, rounds = _average_optimal(p.ctmdp, spec)
     return CheckResult(values=gains, schedule=schedule_from_ids(p, sigma),
-                       initial=p.ctmdp.initial)
+                       initial=p.ctmdp.initial, iterations=rounds)
 
 
 # ---------------------------------------------------------------------------

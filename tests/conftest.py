@@ -61,3 +61,18 @@ def hazard_line(perfbench):
         return build_product(parse_model(ModelSource(text, origin=f"hazard{n}")),
                              a), rates
     return make
+
+
+@pytest.fixture(scope="session")
+def polling_family(perfbench):
+    """polling_family(k, **rates) -> product: the two-queue polling system
+    of ``perfbench/families.py`` with queues of capacity k, times its
+    automaton."""
+    families = perfbench("families")
+    a = load_automaton(families.POLLING_HOA[:-len(".hoa")])
+
+    def make(k, **rates):
+        text = families.polling_text(k, **rates)
+        return build_product(parse_model(ModelSource(text, origin=f"polling{k}")),
+                             a)
+    return make

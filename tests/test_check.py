@@ -8,8 +8,9 @@ from ctsched.bruteforce import (_gate, brute_force_average,
                                 brute_force_psem, random_buchi, random_ctmdp,
                                 random_marked_product, random_reward_spec,
                                 random_schedule)
-from ctsched.check import (BlackwellReport, RewardSpec, _attractor, _bsccs,
-                           _induced_embedded, _reach_probability,
+from ctsched.check import (BlackwellReport, ConvergenceError, RewardSpec,
+                           _attractor, _bsccs, _gain_bias, _induced_embedded,
+                           _reach_probability, _stationary,
                            accepting_rate_spec, alpha_from_gamma,
                            average_optimal, average_value, blackwell_probe,
                            discounted_optimal, discounted_value, esem_of,
@@ -458,3 +459,118 @@ def test_psem_optimal_on_a_long_hazard_line(hazard_line, perfbench):
     assert abs(opt.value - want) <= 1e-6
     graded = psem_of(p, opt.schedule).values
     assert np.allclose(graded, opt.values, rtol=0, atol=1e-9)
+
+
+# Two members of the polling family on which multichain policy iteration
+# started from the first actions raised ConvergenceError: the bias grew to
+# about 1e15 over the rounds and the switches cycled.
+@pytest.mark.parametrize("k, rates", [
+    (25, dict(lambda1=1.206574, lambda2=0.792633, mu=3.926556)),
+    (30, dict(lambda1=1.2, lambda2=0.8, mu=4.0)),
+])
+def test_esem_optimal_converges_on_large_polling(polling_family, perfbench,
+                                                 k, rates):
+    p = polling_family(k, **rates)
+    opt = esem_optimal(p)
+    want = perfbench("reference").average_reward_lp(p.ctmdp, p.accepting)
+    assert abs(opt.value - want) <= 1e-6
+    # the polling model is communicating: one gain everywhere
+    assert np.ptp(opt.values) <= 1e-9
+    graded = esem_of(p, opt.schedule).values
+    assert np.allclose(graded, opt.values, rtol=0, atol=1e-9)
+
+
+def test_esem_optimal_counts_its_rounds(polling_family, perfbench):
+    # the start aimed at the accepting states leaves a few rounds of bias
+    # improvement at K=20; from the first actions it took 42
+    rates = perfbench("families").polling_params(np.random.default_rng(1))
+    opt = esem_optimal(polling_family(20, **rates))
+    assert 1 <= opt.iterations <= 15
+
+
+def _lstsq_stationary(P):
+    """The least-squares form: every balance equation plus the
+    normalization, k + 1 equations in k unknowns."""
+    k = P.shape[0]
+    A = np.vstack([P.T - np.eye(k), np.ones((1, k))])
+    b = np.zeros(k + 1)
+    b[-1] = 1.0
+    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
+    pi = np.clip(pi, 0.0, None)
+    return pi / pi.sum()
+
+
+def _lstsq_gain_bias(P, r):
+    """The gain from the stationary distribution, then the bias by least
+    squares on (I - P) h = r - g with sum(h) = 0."""
+    gain = float(_lstsq_stationary(P) @ r)
+    k = len(r)
+    A = np.vstack([np.eye(k) - P, np.ones((1, k))])
+    h, *_ = np.linalg.lstsq(A, np.concatenate([r - gain, [0.0]]), rcond=None)
+    return gain, h
+
+
+def _irreducible_chains(rng):
+    """Random irreducible chains (a random cycle through every state plus
+    random extra edges), periodic ones, and near-absorbing ones."""
+    yield np.array([[1.0]])
+    yield np.array([[0.0, 1.0], [1.0, 0.0]])
+    for n in (3, 7, 20):
+        yield np.roll(np.eye(n), 1, axis=1)
+
+    def irreducible(n):
+        perm = rng.permutation(n)
+        P = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 0.5))
+        P[perm, np.roll(perm, 1)] += rng.uniform(0.05, 1.0, n)
+        return P / P.sum(axis=1, keepdims=True)
+
+    for _ in range(170):
+        yield irreducible(int(rng.integers(2, 40)))
+    for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        for _ in range(5):
+            P = irreducible(int(rng.integers(2, 30)))
+            s = int(rng.integers(len(P)))
+            P[s] *= eps
+            P[s, s] += 1.0 - eps
+            yield P
+
+
+def test_square_solves_match_the_least_squares_reference():
+    rng = np.random.default_rng(34)
+    count = 0
+    for P in _irreducible_chains(rng):
+        count += 1
+        r = rng.uniform(-1.0, 2.0, len(P))
+        pi = _stationary(P)
+        assert np.allclose(pi, _lstsq_stationary(P), rtol=0, atol=1e-10)
+        assert np.allclose(pi @ P, pi, rtol=0, atol=1e-12)
+        assert abs(pi.sum() - 1.0) <= 1e-12
+        g, h = _gain_bias(P, r)
+        want_g, want_h = _lstsq_gain_bias(P, r)
+        scale = max(1.0, float(np.abs(want_h).max()))
+        assert abs(g - want_g) <= 1e-10
+        assert np.allclose(h, want_h, rtol=0, atol=1e-10 * scale)
+        assert np.allclose(g + h, r + P @ h, rtol=0, atol=1e-10 * scale)
+        assert abs(h.sum()) <= 1e-10 * scale
+    assert count == 200
+
+
+def test_convergence_error_names_solver_stage_and_round(
+        riskreward, hazard_line, monkeypatch):
+    # each of these needs a second round to confirm its first switch
+    _, _, p = riskreward
+    monkeypatch.setattr("ctsched.check._MAX_ROUNDS", 1)
+    with pytest.raises(ConvergenceError, match=(
+            r"^average-reward \((gain|bias) stage\) policy iteration did not "
+            r"converge: stopped at round 1 with [1-9]\d* states switched in "
+            r"the last round$")):
+        esem_optimal(p)
+    with pytest.raises(ConvergenceError, match=(
+            r"^reachability policy iteration did not converge: stopped at "
+            r"round 1 with [1-9]\d* states switched")):
+        psem_optimal(hazard_line(10)[0])
+    spec = accepting_rate_spec(p.num_states, p.accepting)
+    with pytest.raises(ConvergenceError, match=(
+            r"^discounted policy iteration did not converge: stopped at "
+            r"round 1 with [1-9]\d* states switched")):
+        discounted_optimal(p.ctmdp, spec, 0.1)

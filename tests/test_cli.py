@@ -226,6 +226,19 @@ def test_missing_file_exits_with_validation_code(paths, capsys):
     assert code == EXIT_VALIDATION
 
 
+def test_non_convergence_exits_with_numeric_code(paths, monkeypatch, capsys):
+    # riskreward's ESem needs a second round to confirm its first switch
+    monkeypatch.setattr("ctsched.check._MAX_ROUNDS", 1)
+    code = main(["check", "--model", paths["riskreward.ctmdp"],
+                 "--automaton", paths["riskreward.hoa"], "--objective", "exp"])
+    assert code == EXIT_NUMERIC
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    assert lines[0].startswith("error: average-reward (")
+    assert "stage) policy iteration did not converge: stopped at round 1" \
+        in lines[0]
+
+
 def test_singular_solve_exits_with_numeric_code(paths, monkeypatch, capsys):
     def singular(p):
         raise np.linalg.LinAlgError("Singular matrix")
