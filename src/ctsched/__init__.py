@@ -10,8 +10,7 @@ from .check import (BlackwellReport, CheckResult, RewardSpec, average_optimal,
 from .formats import (HoaSource, ModelSource, emit_hoa, emit_result_table,
                       parse_hoa, parse_model, serialize_model)
 from .learn import (EXP_GAMMA, SAT_GAMMA, Hyperparams, LearnResult,
-                    OnTheFlyProductEnv, QTable, extract_schedule, learn_exp,
-                    learn_sat)
+                    OnTheFlyProductEnv, QTable, learn_exp, learn_sat)
 from .model import (Ctmdp, CtmdpError, Mec, MecSet, embed, exit_rate,
                     mec_decompose, uniformize, validate)
 from .product import (AugmentedProduct, ProductCtmdp, Schedule, augment,

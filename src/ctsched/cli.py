@@ -257,8 +257,7 @@ def cmd_product(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    hp_sat = _hyperparams(args)
-    hp_exp = _hyperparams(args)
+    hp = _hyperparams(args)
     rows = []
     for model_name, aut_name in bundled.BENCH_PAIRS:
         m = bundled.load_model(model_name)
@@ -269,11 +268,11 @@ def cmd_bench(args) -> int:
         sat_vals, sat_times, exp_vals, exp_times = [], [], [], []
         for i in range(args.runs):
             t0 = time.perf_counter()
-            res = learn_sat(m, a, hp_sat, seed=args.seed + i)
+            res = learn_sat(m, a, hp, seed=args.seed + i)
             sat_vals.append(psem_of(p, res.schedule).value)
             sat_times.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            res = learn_exp(m, a, hp_exp, seed=args.seed + i)
+            res = learn_exp(m, a, hp, seed=args.seed + i)
             exp_vals.append(esem_of(p, res.schedule).value)
             exp_times.append(time.perf_counter() - t0)
         rows.append(BenchRow(name=model_name, states=m.num_states,

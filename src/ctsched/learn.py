@@ -1,9 +1,10 @@
 """Model-free Q-learning of schedules on the model x automaton product.
 
-The product is never materialized: ``OnTheFlyProductEnv`` tracks a pair
-(model state, automaton state) and exposes actions (a, q') that combine a
-model action with a resolution of the automaton's nondeterminism.  Two
-trainers share the Q machinery:
+The product is never materialized.  ``OnTheFlyProductEnv`` is the learner's
+one table of it: pairs (model state, automaton state) get integer ids as
+they are met, and a pair's actions (a, q') combine a model action with a
+resolution of the automaton's nondeterminism.  Two trainers share the Q
+machinery:
 
 * ``learn_sat`` maximizes the probability of visiting accepting states
   forever.  Transitions out of accepting states pay 1 with probability
@@ -18,19 +19,18 @@ trainers share the Q machinery:
   reports); episodes have a fixed length.
 
 Both discount by exp(-alpha * dwell): discounting in continuous time at rate
-alpha, with alpha = C (1 - gamma) / gamma mapping a per-step discount gamma
-at uniformization rate C onto the continuous clock.
+alpha, with alpha = C (1 - gamma) / gamma (``check.alpha_from_gamma``)
+mapping a per-step discount gamma at uniformization rate C onto the
+continuous clock.
 
-The trainers step on integers.  ``_PairTable`` interns each product pair to
-an id when it is first met and, when the pair's row is first needed, keeps
-per id its action tuple, per action slot the successor ids and cumulative
-rates that ``simulate.race`` takes, its accepting flag, and one list of
-Q-values and one of visit counts over its action slots.  The update is
+The trainers step on the table's ids and action slots.  The update is
 
     Q(s,a) <- (1-beta) Q(s,a) + beta (r + e^{-alpha dwell} max_a' Q(s',a'))
 
 with beta fixed or 1 / (1 + visits).  ``LearnResult.qtable`` gives the table
-keyed by (state pair, action pair), in the order of first update.
+keyed by (state pair, action pair), in the order of first update, and the
+learned schedule plays in each updated pair its earliest slot of maximal
+value.
 """
 from __future__ import annotations
 
@@ -40,7 +40,8 @@ from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from .automata import BuchiAutomaton, step
-from .model import Ctmdp
+from .check import alpha_from_gamma
+from .model import ActionNotEnabled, Ctmdp, CtmdpError
 from .product import (ActionPair, Schedule, StatePair, TRAP_ACTION, TRAP_PAIR,
                       _ap_map, automaton_letter)
 from .simulate import RngHandle, make_rngs, race
@@ -93,44 +94,33 @@ class Hyperparams:
         gamma = self.gamma
         if gamma is None:
             gamma = SAT_GAMMA if satisfaction else EXP_GAMMA
-        return uniform_rate * (1.0 - gamma) / gamma
+        return alpha_from_gamma(gamma, uniform_rate)
 
 
+@dataclass
 class QTable:
     """Learned Q-values and visit counts keyed (state pair, action pair), in
     the order of each entry's first update; a missing entry is 0."""
 
-    def __init__(self):
-        self.q: Dict[Tuple[StatePair, ActionPair], float] = {}
-        self.visits: Dict[Tuple[StatePair, ActionPair], int] = {}
-
-    def best(self, s: StatePair, actions: Tuple[ActionPair, ...]) -> Tuple[ActionPair, float]:
-        """Greedy action and value; ties go to the earliest action."""
-        best_a = actions[0]
-        best_v = self.q.get((s, best_a), 0.0)
-        for a in actions[1:]:
-            v = self.q.get((s, a), 0.0)
-            if v > best_v:
-                best_a, best_v = a, v
-        return best_a, best_v
-
-    def visited_states(self) -> List[StatePair]:
-        seen = []
-        marked = set()
-        for (s, _a) in self.q:
-            if s not in marked:
-                marked.add(s)
-                seen.append(s)
-        return seen
+    q: Dict[Tuple[StatePair, ActionPair], float] = field(
+        default_factory=dict)
+    visits: Dict[Tuple[StatePair, ActionPair], int] = field(
+        default_factory=dict)
 
 
 class OnTheFlyProductEnv:
-    """Simulates the model x automaton product pair by pair.
+    """The model x automaton product as one table, built pair by pair.
 
-    Per-pair transition data (action list, successor pairs, cumulative rates
-    as Python floats) is built lazily and cached, so only the reachable
-    fragment is ever touched; ``sample`` races a cached row with
-    ``simulate.race``, the sampler ``sample_transition`` also uses.
+    ``intern`` gives each pair met an id; per id the table keeps the pair,
+    its accepting flag and, once ``row`` has built it, its action tuple, per
+    action slot k the successor ids ``succ[i][k]`` and cumulative rates
+    ``cum[i][k]`` that ``simulate.race`` takes, and one list of Q-values and
+    one of visit counts over its slots.  Row columns hold None until then,
+    so only the reachable fragment is ever touched.  Rows come from the
+    model's choice rows; a pair whose automaton run dies loops in the trap.
+
+    ``reset``, ``is_accepting``, ``actions`` and ``sample`` read the same
+    rows keyed by pairs, and check the pairs and actions they are given.
     """
 
     def __init__(self, m: Ctmdp, a: BuchiAutomaton):
@@ -139,68 +129,10 @@ class OnTheFlyProductEnv:
         ap_map = _ap_map(m, a)
         self._letters = [automaton_letter(m, a, s, ap_map)
                          for s in range(m.num_states)]
-        self._cache: Dict[StatePair, Tuple[Tuple[ActionPair, ...],
-                                           Dict[ActionPair, tuple]]] = {}
-        self._accepting = a.accepting
-
-    def reset(self) -> StatePair:
-        return (self.m.initial, self.a.initial)
-
-    def is_accepting(self, pair: StatePair) -> bool:
-        return pair[1] in self._accepting
-
-    def _row(self, pair: StatePair):
-        hit = self._cache.get(pair)
-        if hit is not None:
-            return hit
-        s, q = pair
-        choices = () if s is None else sorted(step(self.a, q, self._letters[s]))
-        if not choices:
-            # the trap, and pairs whose automaton run dies, loop in the trap
-            entry = ((TRAP_ACTION,), {TRAP_ACTION: ((TRAP_PAIR,), [1.0])})
-            self._cache[pair] = entry
-            return entry
-        actions: List[ActionPair] = []
-        data = {}
-        for act in self.m.enabled(s):
-            succ, rates = self.m.successors(s, act)
-            cum = list(accumulate(rates.tolist()))
-            for q2 in choices:
-                actions.append((act, q2))
-                data[(act, q2)] = (tuple((int(t), q2) for t in succ), cum)
-        entry = (tuple(actions), data)
-        self._cache[pair] = entry
-        return entry
-
-    def actions(self, pair: StatePair) -> Tuple[ActionPair, ...]:
-        return self._row(pair)[0]
-
-    def sample(self, pair: StatePair, action: ActionPair,
-               rng: RngHandle) -> Tuple[StatePair, float]:
-        pairs, cum = self._row(pair)[1][action]
-        return race(pairs, cum, rng)
-
-
-def accepting_dwell(accepting: bool, dwell: float) -> float:
-    """Expectation reward of a transition: its dwell if the state left is
-    accepting, else 0."""
-    return dwell if accepting else 0.0
-
-
-class _PairTable:
-    """The trainer's table on integers (see the module docstring).
-
-    Row columns of an id hold None until ``row`` builds them from
-    ``OnTheFlyProductEnv._row``; ``succ[i][k]`` and ``cum[i][k]`` are what
-    ``race`` takes for action slot k.
-    """
-
-    def __init__(self, env: OnTheFlyProductEnv):
-        self.env = env
         self.ids: Dict[StatePair, int] = {}
         self.pairs: List[StatePair] = []
         self.accepting: List[bool] = []
-        self.actions: List[Optional[Tuple[ActionPair, ...]]] = []
+        self.acts: List[Optional[Tuple[ActionPair, ...]]] = []
         self.succ: List[Optional[List[Tuple[int, ...]]]] = []
         self.cum: List[Optional[List[List[float]]]] = []
         self.q: List[Optional[List[float]]] = []
@@ -211,41 +143,77 @@ class _PairTable:
         if i is None:
             i = self.ids[pair] = len(self.pairs)
             self.pairs.append(pair)
-            self.accepting.append(self.env.is_accepting(pair))
-            for col in (self.actions, self.succ, self.cum, self.q, self.visits):
+            self.accepting.append(self.is_accepting(pair))
+            for col in (self.acts, self.succ, self.cum, self.q, self.visits):
                 col.append(None)
         return i
 
     def row(self, i: int) -> List[float]:
         """Build the row of id i, interning its successors; returns q[i]."""
-        actions, data = self.env._row(self.pairs[i])
-        slots = [data[a] for a in actions]
-        self.actions[i] = actions
-        self.succ[i] = [tuple(map(self.intern, pairs)) for pairs, _ in slots]
-        self.cum[i] = [cum for _, cum in slots]
-        self.visits[i] = [0] * len(actions)
-        q = self.q[i] = [0.0] * len(actions)
+        s, q = self.pairs[i]
+        choices = () if s is None else sorted(step(self.a, q, self._letters[s]))
+        if not choices:
+            # the trap, and pairs whose automaton run dies, loop in the trap
+            acts, cums = (TRAP_ACTION,), [[1.0]]
+            succ = [(self.intern(TRAP_PAIR),)]
+        else:
+            ch = self.m.choices
+            lo, hi = ch.start[s:s + 2].tolist()
+            ptr = ch.ptr[lo:hi + 1].tolist()
+            acts, succ, cums = [], [], []
+            for act, b, e in zip(ch.action[lo:hi].tolist(), ptr, ptr[1:]):
+                targets = ch.succ[b:e].tolist()
+                cum = list(accumulate(ch.rate[b:e].tolist()))
+                for q2 in choices:
+                    acts.append((act, q2))
+                    succ.append(tuple(self.intern((t, q2)) for t in targets))
+                    cums.append(cum)
+            acts = tuple(acts)
+        self.acts[i], self.succ[i], self.cum[i] = acts, succ, cums
+        self.visits[i] = [0] * len(acts)
+        q = self.q[i] = [0.0] * len(acts)
         return q
 
-    def qtable(self, updated: List[Tuple[int, int]]) -> QTable:
-        """The (id, slot) entries in ``updated`` keyed by pairs, in order."""
-        out = QTable()
-        for i, k in updated:
-            key = (self.pairs[i], self.actions[i][k])
-            out.q[key] = self.q[i][k]
-            out.visits[key] = self.visits[i][k]
-        return out
+    def _built(self, pair: StatePair) -> int:
+        """The id of ``pair`` with its row built."""
+        i = self.ids.get(pair)
+        if i is None:
+            s, q = pair
+            if pair != TRAP_PAIR and not (s in range(self.m.num_states)
+                                          and q in range(self.a.num_states)):
+                raise CtmdpError(
+                    f"product pair {pair} out of range: the model has "
+                    f"{self.m.num_states} states, the automaton "
+                    f"{self.a.num_states}")
+            i = self.intern(pair)
+        if self.q[i] is None:
+            self.row(i)
+        return i
+
+    def reset(self) -> StatePair:
+        return (self.m.initial, self.a.initial)
+
+    def is_accepting(self, pair: StatePair) -> bool:
+        return pair[1] in self.a.accepting
+
+    def actions(self, pair: StatePair) -> Tuple[ActionPair, ...]:
+        return self.acts[self._built(pair)]
+
+    def sample(self, pair: StatePair, action: ActionPair,
+               rng: RngHandle) -> Tuple[StatePair, float]:
+        i = self._built(pair)
+        try:
+            k = self.acts[i].index(action)
+        except ValueError:
+            raise ActionNotEnabled(pair, action) from None
+        t, dwell = race(self.succ[i][k], self.cum[i][k], rng)
+        return self.pairs[t], dwell
 
 
-def extract_schedule(q: QTable, env: OnTheFlyProductEnv) -> Schedule:
-    """Greedy schedule on the visited fragment of the product."""
-    out: Schedule = {}
-    for s in q.visited_states():
-        if s == TRAP_PAIR:
-            continue
-        actions = env.actions(s)
-        out[s] = q.best(s, actions)[0]
-    return out
+def accepting_dwell(accepting: bool, dwell: float) -> float:
+    """Expectation reward of a transition: its dwell if the state left is
+    accepting, else 0."""
+    return dwell if accepting else 0.0
 
 
 @dataclass
@@ -269,11 +237,9 @@ def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
     rngs = make_rngs(seed)
     traj, coin, explore = rngs["trajectory"], rngs["coin"], rngs["exploration"]
     alpha = hp.alpha_for(env.m.max_exit_rate, satisfaction=satisfaction)
-    table = _PairTable(env)
-    Q, N, succ, cum, acc = (table.q, table.visits, table.succ, table.cum,
-                            table.accepting)
-    init = table.intern(env.reset())
-    table.row(init)
+    Q, N, succ, cum, acc = env.q, env.visits, env.succ, env.cum, env.accepting
+    init = env.intern(env.reset())
+    env.row(init)
     updated: List[Tuple[int, int]] = []  # (id, slot) in first-update order
     epsilon, beta, decay_beta = hp.epsilon, hp.beta, hp.decay_beta
     fail_pay = 1.0 - hp.zeta
@@ -300,7 +266,7 @@ def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
             else:
                 q2 = Q[i2]
                 if q2 is None:
-                    q2 = table.row(i2)
+                    q2 = env.row(i2)
                 r = 0.0 if satisfaction else accepting_dwell(acc[i], dwell)
                 target = r + math.exp(-alpha * dwell) * max(q2)
             ni = N[i]
@@ -331,11 +297,16 @@ def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
         # undo the discounting: for small alpha, alpha * v approximates the
         # long-run time average of the reward rate
         estimate *= alpha
-    q = table.qtable(updated)
-    return LearnResult(qtable=q, schedule=extract_schedule(q, env),
-                       estimate=estimate, episodes_run=episodes,
-                       steps_run=steps, converged=converged, alpha=alpha,
-                       history=history)
+    table, schedule = QTable(), {}
+    for i, k in updated:
+        pair, acts, qi = env.pairs[i], env.acts[i], Q[i]
+        table.q[(pair, acts[k])] = qi[k]
+        table.visits[(pair, acts[k])] = N[i][k]
+        if pair != TRAP_PAIR and pair not in schedule:
+            schedule[pair] = acts[qi.index(max(qi))]
+    return LearnResult(qtable=table, schedule=schedule, estimate=estimate,
+                       episodes_run=episodes, steps_run=steps,
+                       converged=converged, alpha=alpha, history=history)
 
 
 def learn_sat(m: Ctmdp, a: BuchiAutomaton, hp: Optional[Hyperparams] = None,

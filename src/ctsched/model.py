@@ -188,14 +188,6 @@ class Mec:
 class MecSet:
     components: Tuple[Mec, ...]
 
-    def component_of(self) -> Dict[int, int]:
-        """State id -> index of the component containing it."""
-        out: Dict[int, int] = {}
-        for i, mec in enumerate(self.components):
-            for s in mec.states:
-                out[s] = i
-        return out
-
 
 def exit_rate(m: Ctmdp, s: int, a: int) -> float:
     succ, rates = m.successors(s, a)

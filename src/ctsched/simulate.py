@@ -7,7 +7,8 @@ are independent and each is reproducible from the seed alone.
 ``race`` is the one sampler: it draws the dwell time by inverting the
 exponential CDF, then the successor by bisecting a list of cumulative rates.
 ``sample_transition`` feeds it one (state, action) row of a Ctmdp; the
-learner's product environment feeds it rows it caches per product action.
+learner and ``OnTheFlyProductEnv.sample`` feed it one action slot of the
+learner's product table.
 """
 from __future__ import annotations
 

@@ -8,9 +8,9 @@ from ctsched.automata import BuchiAutomaton, Edge, GAp, GNot
 from ctsched.bruteforce import random_buchi, random_ctmdp
 from ctsched.data import BENCH_PAIRS, load_automaton, load_model
 from ctsched.learn import (EXP_GAMMA, SAT_GAMMA, Hyperparams, LearnResult,
-                           OnTheFlyProductEnv, QTable, accepting_dwell,
-                           extract_schedule, learn_exp, learn_sat)
-from ctsched.model import Ctmdp
+                           OnTheFlyProductEnv, accepting_dwell, learn_exp,
+                           learn_sat)
+from ctsched.model import ActionNotEnabled, Ctmdp, CtmdpError
 from ctsched.product import TRAP_PAIR, build_product
 from ctsched.simulate import RngHandle, make_rngs, sample_transition
 
@@ -73,14 +73,6 @@ def dwells(seed, n):
     return out
 
 
-def test_qtable_best_breaks_ties_by_action_order():
-    q = QTable()
-    actions = ((0, 0), (1, 0))
-    assert q.best((0, 0), actions) == ((0, 0), 0.0)
-    q.q[((0, 0), (1, 0))] = 0.5
-    assert q.best((0, 0), actions) == ((1, 0), 0.5)
-
-
 def test_q_update_formula():
     # Q(s,a) <- (1-beta) Q(s,a) + beta (r + e^{-alpha tau} max_a' Q(s',a'))
     hp = Hyperparams(beta=0.25, alpha=0.5, epsilon=0.0, ep_n=1, ep_len=4)
@@ -131,6 +123,21 @@ def bad_first_fork():
         ("s0", "s1", "s2"), ("a", "b"), 0,
         [(0, 0, 2, 2.0), (0, 1, 1, 2.0), (1, 0, 1, 1.0), (2, 0, 2, 1.0)],
         ap=("g",), labels=[set(), {0}, set()])
+
+
+def test_schedule_breaks_ties_by_action_order():
+    a = gf_g_automaton()
+    env = OnTheFlyProductEnv(bad_first_fork(), a)
+    # epsilon 0: the first slot is taken and stays at 0 in the dead trap,
+    # every untaken slot ties with it at 0, so the earliest action wins
+    res = learn_exp(bad_first_fork(), a, Hyperparams(epsilon=0.0, ep_n=20,
+                                                     ep_len=5), seed=0)
+    assert res.schedule
+    assert all(act == env.actions(s)[0] for s, act in res.schedule.items())
+    # a later slot of strictly greater value wins
+    res = learn_exp(bad_first_fork(), a, Hyperparams(epsilon=0.2, ep_n=200,
+                                                     ep_len=3), seed=0)
+    assert res.schedule[(0, 0)] == (1, 0)
 
 
 def test_select_action_greedy_and_exploring():
@@ -196,6 +203,22 @@ def test_env_sampling_respects_rates():
     assert hits / n == pytest.approx(0.75, abs=0.01)
 
 
+def test_env_sample_rejects_a_disabled_action(mars):
+    m, a, _ = mars
+    env = OnTheFlyProductEnv(m, a)
+    with pytest.raises(ActionNotEnabled, match=r"\(9, 9\).*\(0, 0\)"):
+        env.sample((0, 0), (9, 9), RngHandle(0, "trajectory"))
+
+
+def test_env_rejects_a_pair_out_of_range(mars):
+    m, a, _ = mars
+    env = OnTheFlyProductEnv(m, a)
+    with pytest.raises(CtmdpError, match=r"\(99, 0\)"):
+        env.actions((99, 0))
+    with pytest.raises(CtmdpError, match=r"\(99, 0\)"):
+        env.sample((99, 0), (0, 0), RngHandle(0, "trajectory"))
+
+
 def test_learn_sat_finds_the_accepting_trap():
     m = fork_model()
     a = gf_g_automaton()
@@ -230,14 +253,15 @@ def test_learn_results_are_seed_reproducible():
     assert r1.qtable.q != r3.qtable.q
 
 
-def test_extract_schedule_covers_visited_states():
+def test_schedule_covers_visited_states():
     m = fork_model()
     a = gf_g_automaton()
     hp = Hyperparams(ep_len=20, ep_n=100)
     res = learn_sat(m, a, hp, seed=1)
     env = OnTheFlyProductEnv(m, a)
-    sched = extract_schedule(res.qtable, env)
-    for pair, action in sched.items():
+    visited = dict.fromkeys(s for s, _ in res.qtable.q if s != TRAP_PAIR)
+    assert list(res.schedule) == list(visited)
+    for pair, action in res.schedule.items():
         assert action in env.actions(pair)
 
 

@@ -167,12 +167,3 @@ def test_mec_decompose_matches_recurrence_oracle():
             assert ours == set(brute_force_mec_pairs(prod.ctmdp))
             compared += 1
     assert traps >= 10 and compared >= 40
-
-
-def test_component_of_maps_members():
-    m = load_model("mec_demo")
-    mecs = mec_decompose(embed(m))
-    owner = mecs.component_of()
-    for i, mec in enumerate(mecs.components):
-        for s in mec.states:
-            assert owner[s] == i
