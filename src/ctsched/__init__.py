@@ -9,13 +9,13 @@ from .check import (BlackwellReport, CheckResult, RewardSpec, average_optimal,
                     psem_optimal)
 from .formats import (HoaSource, ModelSource, emit_hoa, emit_result_table,
                       parse_hoa, parse_model, serialize_model)
-from .learn import (EXP_GAMMA, SAT_GAMMA, Hyperparams, LearnResult,
-                    OnTheFlyProductEnv, QTable, learn_exp, learn_sat)
+from .learn import (EXP_GAMMA, SAT_GAMMA, Hyperparams, LearnResult, QTable,
+                    learn_exp, learn_sat)
 from .model import (Ctmdp, CtmdpError, Mec, MecSet, embed, exit_rate,
                     mec_decompose, uniformize, validate)
-from .product import (AugmentedProduct, ProductCtmdp, Schedule, augment,
-                      build_product, project_schedule, schedule_from_ids,
-                      schedule_to_ids)
+from .product import (AugmentedProduct, OnTheFlyProductEnv, ProductCtmdp,
+                      Schedule, augment, build_product, project_schedule,
+                      schedule_from_ids, schedule_to_ids)
 from .simulate import RngHandle, sample_transition
 
 __version__ = "0.1.0"

@@ -169,7 +169,7 @@ def random_reward_spec(rng: np.random.Generator, m: Ctmdp,
     state_rate = rng.uniform(0.0, 2.0, size=m.num_states)
     action_reward: Dict[Tuple[int, int], float] = {}
     if with_action_rewards:
-        for key in m.trans:
+        for key in m.choices.row:
             action_reward[key] = float(rng.uniform(0.0, 2.0))
     return RewardSpec(state_rate=state_rate, action_reward=action_reward)
 

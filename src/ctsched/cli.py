@@ -28,11 +28,10 @@ from .check import (CheckResult, ConvergenceError, esem_of, esem_optimal,
 from .formats import (BenchRow, HoaError, HoaSource, ModelError, ModelSource,
                       emit_result_table, parse_hoa, parse_model,
                       serialize_model)
-from .learn import (Hyperparams, OnTheFlyProductEnv, accepting_dwell,
-                    learn_exp, learn_sat)
+from .learn import Hyperparams, accepting_dwell, learn_exp, learn_sat
 from .model import Ctmdp, CtmdpError
-from .product import (ProductCtmdp, Schedule, action_name, build_product,
-                      state_name)
+from .product import (OnTheFlyProductEnv, ProductCtmdp, Schedule,
+                      action_name, build_product, state_name)
 from .simulate import RngHandle
 
 EXIT_PARSE = 2
@@ -122,7 +121,7 @@ def read_schedule(p: ProductCtmdp, path: str) -> Schedule:
             raise CliError(f"{path}:{ln}: unknown action '{act_name}'",
                            EXIT_VALIDATION)
         choice = (action_ids[act_name], q2)
-        if (known[(s, q)], choices.get(choice, -1)) not in p.ctmdp.trans:
+        if (known[(s, q)], choices.get(choice, -1)) not in p.ctmdp.choices.row:
             raise CliError(f"{path}:{ln}: action '{act_name}' with qnext {q2} "
                            f"is not enabled at product state ({s},{q})",
                            EXIT_VALIDATION)

@@ -1,10 +1,11 @@
 """Model-free Q-learning of schedules on the model x automaton product.
 
-The product is never materialized.  ``OnTheFlyProductEnv`` is the learner's
-one table of it: pairs (model state, automaton state) get integer ids as
-they are met, and a pair's actions (a, q') combine a model action with a
-resolution of the automaton's nondeterminism.  Two trainers share the Q
-machinery:
+``product.OnTheFlyProductEnv`` is the one table of the product: pairs
+(model state, automaton state) get integer ids as they are met, and a
+pair's actions (a, q') combine a model action with a resolution of the
+automaton's nondeterminism.  The learner builds the rows its runs reach;
+``build_product`` builds every reachable row of the same table and
+materializes the product from them.  Two trainers share the Q machinery:
 
 * ``learn_sat`` maximizes the probability of visiting accepting states
   forever.  Transitions out of accepting states pay 1 with probability
@@ -36,15 +37,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
-from .automata import BuchiAutomaton, step
+from .automata import BuchiAutomaton
 from .check import alpha_from_gamma
-from .model import ActionNotEnabled, Ctmdp, CtmdpError
-from .product import (ActionPair, Schedule, StatePair, TRAP_ACTION, TRAP_PAIR,
-                      _ap_map, automaton_letter)
-from .simulate import RngHandle, make_rngs, race
+from .model import Ctmdp
+from .product import (ActionPair, OnTheFlyProductEnv, Schedule, StatePair,
+                      TRAP_PAIR)
+from .simulate import make_rngs, race
 
 
 # Default per-step discounts.  Satisfaction values live in [0, 1] and need a
@@ -106,108 +106,6 @@ class QTable:
         default_factory=dict)
     visits: Dict[Tuple[StatePair, ActionPair], int] = field(
         default_factory=dict)
-
-
-class OnTheFlyProductEnv:
-    """The model x automaton product as one table, built pair by pair.
-
-    ``intern`` gives each pair met an id; per id the table keeps the pair,
-    its accepting flag and, once ``row`` has built it, its action tuple, per
-    action slot k the successor ids ``succ[i][k]`` and cumulative rates
-    ``cum[i][k]`` that ``simulate.race`` takes, and one list of Q-values and
-    one of visit counts over its slots.  Row columns hold None until then,
-    so only the reachable fragment is ever touched.  Rows come from the
-    model's choice rows; a pair whose automaton run dies loops in the trap.
-
-    ``reset``, ``is_accepting``, ``actions`` and ``sample`` read the same
-    rows keyed by pairs, and check the pairs and actions they are given.
-    """
-
-    def __init__(self, m: Ctmdp, a: BuchiAutomaton):
-        self.m = m
-        self.a = a
-        ap_map = _ap_map(m, a)
-        self._letters = [automaton_letter(m, a, s, ap_map)
-                         for s in range(m.num_states)]
-        self.ids: Dict[StatePair, int] = {}
-        self.pairs: List[StatePair] = []
-        self.accepting: List[bool] = []
-        self.acts: List[Optional[Tuple[ActionPair, ...]]] = []
-        self.succ: List[Optional[List[Tuple[int, ...]]]] = []
-        self.cum: List[Optional[List[List[float]]]] = []
-        self.q: List[Optional[List[float]]] = []
-        self.visits: List[Optional[List[int]]] = []
-
-    def intern(self, pair: StatePair) -> int:
-        i = self.ids.get(pair)
-        if i is None:
-            i = self.ids[pair] = len(self.pairs)
-            self.pairs.append(pair)
-            self.accepting.append(self.is_accepting(pair))
-            for col in (self.acts, self.succ, self.cum, self.q, self.visits):
-                col.append(None)
-        return i
-
-    def row(self, i: int) -> List[float]:
-        """Build the row of id i, interning its successors; returns q[i]."""
-        s, q = self.pairs[i]
-        choices = () if s is None else sorted(step(self.a, q, self._letters[s]))
-        if not choices:
-            # the trap, and pairs whose automaton run dies, loop in the trap
-            acts, cums = (TRAP_ACTION,), [[1.0]]
-            succ = [(self.intern(TRAP_PAIR),)]
-        else:
-            ch = self.m.choices
-            lo, hi = ch.start[s:s + 2].tolist()
-            ptr = ch.ptr[lo:hi + 1].tolist()
-            acts, succ, cums = [], [], []
-            for act, b, e in zip(ch.action[lo:hi].tolist(), ptr, ptr[1:]):
-                targets = ch.succ[b:e].tolist()
-                cum = list(accumulate(ch.rate[b:e].tolist()))
-                for q2 in choices:
-                    acts.append((act, q2))
-                    succ.append(tuple(self.intern((t, q2)) for t in targets))
-                    cums.append(cum)
-            acts = tuple(acts)
-        self.acts[i], self.succ[i], self.cum[i] = acts, succ, cums
-        self.visits[i] = [0] * len(acts)
-        q = self.q[i] = [0.0] * len(acts)
-        return q
-
-    def _built(self, pair: StatePair) -> int:
-        """The id of ``pair`` with its row built."""
-        i = self.ids.get(pair)
-        if i is None:
-            s, q = pair
-            if pair != TRAP_PAIR and not (s in range(self.m.num_states)
-                                          and q in range(self.a.num_states)):
-                raise CtmdpError(
-                    f"product pair {pair} out of range: the model has "
-                    f"{self.m.num_states} states, the automaton "
-                    f"{self.a.num_states}")
-            i = self.intern(pair)
-        if self.q[i] is None:
-            self.row(i)
-        return i
-
-    def reset(self) -> StatePair:
-        return (self.m.initial, self.a.initial)
-
-    def is_accepting(self, pair: StatePair) -> bool:
-        return pair[1] in self.a.accepting
-
-    def actions(self, pair: StatePair) -> Tuple[ActionPair, ...]:
-        return self.acts[self._built(pair)]
-
-    def sample(self, pair: StatePair, action: ActionPair,
-               rng: RngHandle) -> Tuple[StatePair, float]:
-        i = self._built(pair)
-        try:
-            k = self.acts[i].index(action)
-        except ValueError:
-            raise ActionNotEnabled(pair, action) from None
-        t, dwell = race(self.succ[i][k], self.cum[i][k], rng)
-        return self.pairs[t], dwell
 
 
 def accepting_dwell(accepting: bool, dwell: float) -> float:

@@ -52,7 +52,6 @@ class ChoiceRows:
     ptr: np.ndarray
     succ: np.ndarray
     rate: np.ndarray
-    prob: np.ndarray
     row: Dict[Tuple[int, int], int]
 
     @staticmethod
@@ -73,8 +72,13 @@ class ChoiceRows:
             start=np.searchsorted(state, np.arange(num_states + 1)),
             state=state, action=np.array([a for _, a in keys], dtype=np.int64),
             exit=lam, ptr=ptr, succ=np.concatenate(succ), rate=rate,
-            prob=rate / np.repeat(lam, counts),
             row=dict(zip(keys, range(len(keys)))))
+
+    @cached_property
+    def prob(self) -> np.ndarray:
+        """Jump probabilities ``rate / exit``; built on first use, so that
+        ``validate`` checks the rates before anything divides by them."""
+        return self.rate / np.repeat(self.exit, np.diff(self.ptr))
 
     @cached_property
     def preds(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -210,6 +214,8 @@ def uniformize(m: Ctmdp, cap: Optional[float] = None) -> Ctmdp:
     top = m.max_exit_rate
     if cap is None:
         cap = top
+    if not np.isfinite(cap):
+        raise CtmdpError(f"uniformization constant {cap} is not finite")
     if cap < top - ROW_SUM_TOL * max(1.0, top):
         raise CtmdpError(f"uniformization constant {cap} below max exit rate {top}")
     # the added self-loop mass sums with an existing self-loop
@@ -221,30 +227,42 @@ def uniformize(m: Ctmdp, cap: Optional[float] = None) -> Ctmdp:
          for t, r in zip(succ, rates)] + loops, m.ap, m.labels)
 
 
+def _name(names: Sequence[str], i: int) -> str:
+    return names[i] if 0 <= i < len(names) else str(i)
+
+
 def validate(m: Ctmdp) -> List[str]:
     """Invariant check; returns human-readable violations (empty means valid)."""
-    out: List[str] = []
     n = m.num_states
-    # read from the keys of trans: the choice index would divide by the exit
-    # rates before they are checked
-    has_action = {s for s, _ in m.trans}
-    for s in range(n):
-        if s not in has_action:
-            out.append(f"state {m.state_names[s]}: no enabled action")
-    for (s, a), (succ, rates) in m.trans.items():
-        name = f"({m.state_names[s]}, {m.action_names[a]})"
-        if len(succ) == 0 or rates.sum() <= 0:
-            out.append(f"{name}: zero exit rate")
-        if np.any(rates < 0):
-            out.append(f"{name}: negative rate")
-        if not np.all(np.isfinite(rates)):
-            out.append(f"{name}: non-finite rate")
-        if np.any(succ < 0) or np.any(succ >= n):
-            out.append(f"{name}: successor out of range")
+    ch = m.choices
+    out = [f"state {m.state_names[s]}: no enabled action"
+           for s in np.flatnonzero(np.diff(ch.start) == 0).tolist()]
+    counts = np.diff(ch.ptr)
+    edge_row = np.repeat(np.arange(len(counts)), counts)
+
+    def rows_with(bad_edge: np.ndarray) -> np.ndarray:
+        return np.bincount(edge_row[bad_edge], minlength=len(counts)) > 0
+
+    checks = {
+        "state out of range": (ch.state < 0) | (ch.state >= n),
+        "action out of range": (ch.action < 0) | (ch.action >= m.num_actions),
+        "zero exit rate": (counts == 0) | (ch.exit <= 0),
+        "negative rate": rows_with(ch.rate < 0),
+        "non-finite rate": rows_with(~np.isfinite(ch.rate)),
+        "successor out of range": rows_with((ch.succ < 0) | (ch.succ >= n)),
+    }
+    bad = np.array(list(checks.values()))
+    for i in np.flatnonzero(bad.any(axis=0)).tolist():
+        name = (f"({_name(m.state_names, int(ch.state[i]))}, "
+                f"{_name(m.action_names, int(ch.action[i]))})")
+        out.extend(f"{name}: {what}"
+                   for what, flag in zip(checks, bad[:, i]) if flag)
+    if len(m.labels) != n:
+        out.append(f"labels given for {len(m.labels)} states, not {n}")
     for s, lab in enumerate(m.labels):
         for i in lab:
             if i < 0 or i >= len(m.ap):
-                out.append(f"state {m.state_names[s]}: label index {i} out of range")
+                out.append(f"state {_name(m.state_names, s)}: label index {i} out of range")
     if not (0 <= m.initial < n):
         out.append("initial state out of range")
     return out

@@ -8,7 +8,7 @@ are independent and each is reproducible from the seed alone.
 exponential CDF, then the successor by bisecting a list of cumulative rates.
 ``sample_transition`` feeds it one (state, action) row of a Ctmdp; the
 learner and ``OnTheFlyProductEnv.sample`` feed it one action slot of the
-learner's product table.
+product table.
 """
 from __future__ import annotations
 

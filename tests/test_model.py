@@ -88,6 +88,12 @@ def test_uniformize_explicit_cap_and_bad_cap():
         uniformize(m, cap=5.0)
 
 
+@pytest.mark.parametrize("cap", [float("nan"), float("inf")])
+def test_uniformize_rejects_a_non_finite_cap(cap):
+    with pytest.raises(CtmdpError, match="not finite"):
+        uniformize(two_state(), cap=cap)
+
+
 def test_uniformize_preserves_embedded_jump_targets():
     rng = np.random.default_rng(11)
     m = random_ctmdp(rng, num_states=6)
@@ -108,6 +114,29 @@ def test_validate_flags_problems():
     bad = Ctmdp.from_transitions(("s0", "s1"), ("a",), 0, [(0, 0, 1, 1.0)])
     problems = validate(bad)
     assert any("no enabled action" in p for p in problems)
+
+
+def _with_choice(key):
+    """two_state() plus one choice under ``key``, a self-loop of rate 1."""
+    m = two_state()
+    return Ctmdp(m.state_names, m.action_names, m.initial,
+                 {**m.trans, key: (np.array([0]), np.array([1.0]))})
+
+
+def test_validate_reports_choice_ids_out_of_range():
+    assert validate(_with_choice((2, 0))) == ["(2, a): state out of range"]
+    assert validate(_with_choice((1, 2))) == ["(s1, 2): action out of range"]
+
+
+def test_validate_reports_a_negative_action_id():
+    assert validate(_with_choice((1, -1))) == ["(s1, -1): action out of range"]
+
+
+def test_validate_reports_labels_short_of_the_state_count():
+    m = Ctmdp.from_transitions(("s0", "s1"), ("a",), 0,
+                               [(0, 0, 1, 1.0), (1, 0, 0, 1.0)],
+                               ap=("x",), labels=[{0}])
+    assert validate(m) == ["labels given for 1 states, not 2"]
 
 
 def test_mec_decompose_on_bundled_model():

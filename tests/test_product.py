@@ -1,10 +1,14 @@
 """Model x automaton products, the sink augmentation and schedule plumbing."""
+import hashlib
+
 import numpy as np
 import pytest
 
 from ctsched.automata import BuchiAutomaton, Edge, GFalse, GTrue
 from ctsched.bruteforce import random_buchi, random_ctmdp
 from ctsched.check import esem_of, psem_of
+from ctsched.data import BENCH_PAIRS, load_automaton, load_model
+from ctsched.formats import ModelSource, parse_model
 from ctsched.model import Ctmdp, CtmdpError, exit_rate
 from ctsched.product import (ApMismatch, TRAP_PAIR, augment, build_product,
                              project_schedule, schedule_from_ids,
@@ -165,3 +169,46 @@ def test_project_schedule(mars):
     for (s, q), act in proj.items():
         assert act in m.enabled(s)
     assert set(proj) == {(s, q) for (s, q) in p.pairs if s is not None}
+
+
+# ---------------------------------------------------------------------------
+# pinned products
+
+
+def _product_digest(p):
+    """SHA-256 over the pairs, names, labels and accepting set of a product,
+    and the bytes of its choice rows."""
+    m, ch = p.ctmdp, p.ctmdp.choices
+    h = hashlib.sha256()
+    h.update(repr((p.pairs, p.action_pairs, m.state_names, m.action_names,
+                   [sorted(lab) for lab in m.labels],
+                   sorted(p.accepting))).encode())
+    for col in (ch.state, ch.action, ch.ptr, ch.succ, ch.rate):
+        h.update(col.tobytes())
+    return h.hexdigest()
+
+
+PINNED_PRODUCTS = {
+    "riskrewardxriskreward": "7dbe9a1508fceb97643ddfa485191973ee9cf198af322d413acb958d2e56983e",
+    "marsxfig1": "6d81515f793009fa7510af50801a722d67fbbfb148de0ac4e66e10306a4ca792",
+    "polling2xpolling": "017cab1ba7d63d8afec80278e48678907270bb2dc803d418607665c35e9353f7",
+    "polling8": "ac999ac313de927548713171f0c3a63b0607838a3d0e37d64ae016fd3d7e872b",
+    "hazard30": "e9453e083b30ca1f81e9dfe274e641b2a666c0849de245cf13c8479c567cf27b",
+}
+
+
+def test_built_products_are_pinned(perfbench):
+    families = perfbench("families")
+    products = {f"{m}x{a}": build_product(load_model(m), load_automaton(a))
+                for m, a in BENCH_PAIRS}
+    for name, text in (
+            ("polling8", families.polling_text(
+                8, **families.polling_params(np.random.default_rng(1)))),
+            ("hazard30", families.hazard_text(
+                30, **families.hazard_params(np.random.default_rng(1))))):
+        hoa = (families.POLLING_HOA if name.startswith("polling")
+               else families.HAZARD_HOA)
+        products[name] = build_product(parse_model(ModelSource(text, origin=name)),
+                                       load_automaton(hoa[:-len(".hoa")]))
+    got = {name: _product_digest(p) for name, p in products.items()}
+    assert got == PINNED_PRODUCTS
