@@ -15,8 +15,8 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .automata import BuchiAutomaton, Edge, GAnd, GAp, GNot, GTrue, Guard
-from .check import (RewardSpec, average_value, discounted_value, esem_of,
-                    psem_of)
+from .check import (RewardSpec, _bsccs, _gather, average_value,
+                    discounted_value, esem_of, psem_of)
 from .model import Ctmdp, CtmdpError
 from .product import ProductCtmdp, Schedule, schedule_from_ids
 
@@ -100,11 +100,10 @@ def brute_force_mec_pairs(m: Ctmdp) -> FrozenSet[Tuple[int, int]]:
     makes s recurrent with sigma(s) = a; collecting recurrent pairs over the
     whole schedule space enumerates them.
     """
-    from .check import _bsccs, _induced_embedded
+    ch = m.choices
     pairs = set()
     for sigma in schedule_space(m):
-        P, _ = _induced_embedded(m, sigma)
-        bsccs, _ = _bsccs(P)
+        bsccs, _ = _bsccs(_gather(ch, ch.lookup(sigma), ch.prob))
         for members in bsccs:
             for s in members:
                 pairs.add((s, int(sigma[s])))

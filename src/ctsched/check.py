@@ -8,16 +8,17 @@ scores every choice with one sparse product and switches in ``_improve``:
 
 * discounted values solve v = rho + Gamma P v, where Gamma(s) =
   lam(s, a) / (lam(s, a) + alpha) is the expected dwell discount;
-* long-run averages come from bottom strongly connected components of the
-  induced chain, their stationary distributions, and absorption
+* long-run averages come from the bottom strongly connected components of
+  the uniformized induced chain, the gain of each, and absorption
   probabilities;
 * average optimization is multichain policy iteration (gain stage, then bias
   stage) on the uniformized chain, started from a schedule that plays a
   best-paying row wherever the step reward is maximal and steers every
   other state toward those states along the reachability attractor;
-* a stationary distribution and a recurrent class's gain and bias are each
-  one square solve: the balance equations with one of them replaced by the
-  normalization, and the bordered system [[I - P, 1], [1^T, 0]];
+* grading a schedule runs its optimizer's evaluation step on the rows the
+  schedule plays, so grading an optimum reproduces it bit for bit;
+* a recurrent class's gain and bias are one square solve of the bordered
+  system [[I - P, 1], [1^T, 0]]; one LU factorization extends both;
 * acceptance probabilities combine maximal-end-component analysis with
   maximal reachability by policy iteration, one exact absorption solve per
   round; its graph passes, the attractors that give the starting schedule
@@ -29,10 +30,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import (Container, Dict, FrozenSet, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Callable, Container, Dict, FrozenSet, List, Optional,
+                    Sequence, Set, Tuple)
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -66,9 +68,6 @@ class RewardSpec:
     state_rate: np.ndarray
     action_reward: Dict[Tuple[int, int], float] = field(default_factory=dict)
 
-    def act(self, s: int, a: int) -> float:
-        return self.action_reward.get((s, a), 0.0)
-
 
 def accepting_rate_spec(num_states: int, accepting: FrozenSet[int]) -> RewardSpec:
     """Rate 1 while in an accepting state, nothing else."""
@@ -96,9 +95,10 @@ def uniformized_reward_spec(m: Ctmdp, spec: RewardSpec, alpha: float,
     transition reward by (alpha + lam) / (alpha + cap) compensates exactly.
     """
     ch = m.choices
-    adjusted = {key: spec.act(*key) * (alpha + lam) / (alpha + cap)
-                for key, lam in zip(ch.row, ch.exit.tolist())
-                if spec.act(*key) != 0.0}
+    act = _row_rewards(m, spec)
+    scaled = act * (alpha + ch.exit) / (alpha + cap)
+    adjusted = {key: x for key, x, a in zip(ch.row, scaled.tolist(), act)
+                if a != 0.0}
     return RewardSpec(state_rate=spec.state_rate.copy(), action_reward=adjusted)
 
 
@@ -143,12 +143,11 @@ def _dot(ch: ChoiceRows, data: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.add.reduceat(data * v[ch.succ], ch.ptr[:-1])
 
 
-def _induced_embedded(m: Ctmdp, sigma: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(P, lam): embedded transition matrix and exit rates of the chain that
-    the schedule sigma induces; raises if sigma picks a disabled action."""
-    ch = m.choices
-    rows = ch.lookup(sigma)
-    return _gather(ch, rows, ch.prob), ch.exit[rows]
+def _uniform_chain(ch: ChoiceRows, rows: np.ndarray, cap: float) -> np.ndarray:
+    """The chain that ``rows`` induce, uniformized to exit rate ``cap``."""
+    P = _gather(ch, rows, ch.rate / cap)
+    P[np.diag_indices_from(P)] += 1.0 - ch.exit[rows] / cap
+    return P
 
 
 def _first_rows(m: Ctmdp) -> np.ndarray:
@@ -177,12 +176,6 @@ def _improve(ch: ChoiceRows, q: np.ndarray, rows: np.ndarray,
     return new
 
 
-def _uniformized(P: np.ndarray, lam: np.ndarray, cap: float) -> np.ndarray:
-    out = (lam / cap)[:, None] * P
-    out[np.diag_indices_from(out)] += 1.0 - lam / cap
-    return out
-
-
 def _bsccs(P: np.ndarray) -> Tuple[List[List[int]], np.ndarray]:
     """Bottom SCCs of a stochastic matrix plus the SCC id per state."""
     graph = csr_matrix(P > 0)
@@ -192,19 +185,6 @@ def _bsccs(P: np.ndarray) -> Tuple[List[List[int]], np.ndarray]:
     leaves[comp[rows[comp[rows] != comp[cols]]]] = False
     out = [sorted(np.flatnonzero(comp == c)) for c in range(ncomp) if leaves[c]]
     return out, comp
-
-
-def _stationary(P: np.ndarray) -> np.ndarray:
-    """Stationary distribution of an irreducible stochastic matrix: the
-    balance equations pi (P - I) = 0 with the last one replaced by
-    sum(pi) = 1, which makes the system square and nonsingular."""
-    k = P.shape[0]
-    A = P.T - np.eye(k)
-    A[-1] = 1.0
-    b = np.zeros(k)
-    b[-1] = 1.0
-    pi = np.clip(np.linalg.solve(A, b), 0.0, None)
-    return pi / pi.sum()
 
 
 def _gain_bias(P: np.ndarray, r: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -219,26 +199,34 @@ def _gain_bias(P: np.ndarray, r: np.ndarray) -> Tuple[float, np.ndarray]:
     return float(x[k]), x[:k]
 
 
-def _absorption(P: np.ndarray, value: np.ndarray, fixed: Set[int],
-                rhs: Optional[np.ndarray] = None) -> np.ndarray:
-    """Extend a value given on the ``fixed`` states to the others t by
-    solving (I - P[t,t]) v[t] = rhs[t] + P[t,fixed] v[fixed]; ``rhs``
-    defaults to 0, which gives the harmonic extension v = P v.
+def _absorption(P: np.ndarray, fixed: Set[int]) -> Callable[..., np.ndarray]:
+    """Factor I - P[t,t] over the states t outside ``fixed`` once, and return
+    ``extend(value, rhs=None)``: it extends a value given on the fixed
+    states to the others by solving (I - P[t,t]) v[t] = rhs[t] +
+    P[t,fixed] v[fixed]; ``rhs`` defaults to 0, which gives the harmonic
+    extension v = P v.
 
-    This is the one place that solves a transient linear system.
+    This is the one place that solves a transient linear system.  LAPACK's
+    getrf and getrs, the LU that ``np.linalg.solve`` runs, are called
+    directly to skip the wrapper cost that dominates on small chains.
     """
-    n = P.shape[0]
-    out = value.astype(float).copy()
-    transient = [s for s in range(n) if s not in fixed]
-    if not transient:
+    inside = np.zeros(len(P), dtype=bool)
+    inside[list(fixed)] = True
+    t, f = np.flatnonzero(~inside), np.flatnonzero(inside)
+    if len(t):
+        lu, piv, info = dgetrf(np.eye(len(t)) - P[np.ix_(t, t)])
+        if info > 0:
+            raise np.linalg.LinAlgError("Singular matrix")
+
+    def extend(value: np.ndarray,
+               rhs: Optional[np.ndarray] = None) -> np.ndarray:
+        out = value.astype(float)
+        if len(t):
+            b = P[np.ix_(t, f)] @ out[f]
+            out[t] = dgetrs(lu, piv, b if rhs is None else rhs[t] + b)[0]
         return out
-    t = np.array(transient)
-    f = np.array(sorted(fixed), dtype=np.int64)
-    b = P[np.ix_(t, f)] @ out[f] if len(f) else np.zeros(len(t))
-    if rhs is not None:
-        b = rhs[t] + b
-    out[t] = np.linalg.solve(np.eye(len(t)) - P[np.ix_(t, t)], b)
-    return out
+
+    return extend
 
 
 # ---------------------------------------------------------------------------
@@ -247,27 +235,37 @@ def _absorption(P: np.ndarray, value: np.ndarray, fixed: Set[int],
 def discounted_value(m: Ctmdp, spec: RewardSpec, sigma: np.ndarray,
                      alpha: float) -> np.ndarray:
     """v(s) = E[sum over transitions of e^{-alpha t} rewards] under sigma."""
+    base, discount = _discount_rows(m, spec, alpha)
+    return _discounted(m.choices, m.choices.lookup(sigma), base, discount)
+
+
+def _discount_rows(m: Ctmdp, spec: RewardSpec,
+                   alpha: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(base, discount): choice row i scores base[i] + discount[i] (P v)."""
     if alpha <= 0:
         raise CtmdpError(f"alpha must be positive, got {alpha}")
-    n = m.num_states
-    P, lam = _induced_embedded(m, sigma)
-    gamma = lam / (lam + alpha)
-    rho = np.array([spec.act(s, int(sigma[s])) for s in range(n)])
-    rho += spec.state_rate / (alpha + lam)
-    return np.linalg.solve(np.eye(n) - gamma[:, None] * P, rho)
+    ch = m.choices
+    # base = act + rho / (alpha + lam), discount = lam / (lam + alpha)
+    base = _row_rewards(m, spec) + spec.state_rate[ch.state] / (alpha + ch.exit)
+    return base, ch.exit / (ch.exit + alpha)
+
+
+def _discounted(ch: ChoiceRows, rows: np.ndarray, base: np.ndarray,
+                discount: np.ndarray) -> np.ndarray:
+    """The v = base + discount (P v) of the chain that ``rows`` induce."""
+    P = discount[rows][:, None] * _gather(ch, rows, ch.prob)
+    return _absorption(P, set())(np.zeros(len(rows)), base[rows])
 
 
 def discounted_optimal(m: Ctmdp, spec: RewardSpec,
                        alpha: float) -> Tuple[np.ndarray, np.ndarray]:
     """Policy iteration for the discounted objective; exact at fixed point."""
     ch = m.choices
-    # q = act + rho / (alpha + lam) + lam / (lam + alpha) * (P v), per choice
-    base = _row_rewards(m, spec) + spec.state_rate[ch.state] / (alpha + ch.exit)
-    discount = ch.exit / (ch.exit + alpha)
+    base, discount = _discount_rows(m, spec, alpha)
     rows = _first_rows(m)
     for rounds in range(1, _MAX_ROUNDS + 1):
         sigma = ch.action[rows]
-        v = discounted_value(m, spec, sigma, alpha)
+        v = _discounted(ch, rows, base, discount)
         new = _improve(ch, base + discount * _dot(ch, ch.prob, v), rows,
                        _TIE_TOL * max(1.0, float(np.abs(v).max())))
         switched = int(np.count_nonzero(new != rows))
@@ -282,26 +280,18 @@ def discounted_optimal(m: Ctmdp, spec: RewardSpec,
 
 def average_value(m: Ctmdp, spec: RewardSpec, sigma: np.ndarray) -> np.ndarray:
     """Per-state long-run reward per unit time under the schedule sigma."""
-    n = m.num_states
-    P, lam = _induced_embedded(m, sigma)
-    cap = float(lam.max())
-    PC = _uniformized(P, lam, cap)
-    bsccs, _ = _bsccs(PC)
-    gains = np.zeros(n)
-    recurrent: Set[int] = set()
-    for members in bsccs:
-        idx = np.array(members)
-        pi = _stationary(PC[np.ix_(idx, idx)])
-        rate = np.array([spec.state_rate[s] + lam[s] * spec.act(s, int(sigma[s]))
-                         for s in members])
-        g = float(pi @ rate)
-        gains[idx] = g
-        recurrent |= set(members)
-    return _absorption(PC, gains, recurrent)
+    ch = m.choices
+    cap = m.max_exit_rate
+    rows = ch.lookup(sigma)
+    P = _uniform_chain(ch, rows, cap)
+    g, _, recurrent = _recurrent_gain_bias(P, _step_rewards(m, spec, cap)[rows])
+    return _absorption(P, recurrent)(g) * cap
 
 
-def _policy_gain_bias(P: np.ndarray, r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(g, h) with g = P g and g + h = r + P h for a stochastic matrix P."""
+def _recurrent_gain_bias(P: np.ndarray, r: np.ndarray
+                         ) -> Tuple[np.ndarray, np.ndarray, Set[int]]:
+    """(g, h, recurrent): ``_gain_bias`` of each bottom SCC of P on its
+    states and 0 on the others, which are not in ``recurrent``."""
     n = P.shape[0]
     bsccs, _ = _bsccs(P)
     g = np.zeros(n)
@@ -311,8 +301,15 @@ def _policy_gain_bias(P: np.ndarray, r: np.ndarray) -> Tuple[np.ndarray, np.ndar
         idx = np.array(members)
         g[idx], h[idx] = _gain_bias(P[np.ix_(idx, idx)], r[idx])
         recurrent |= set(members)
-    g = _absorption(P, g, recurrent)
-    return g, _absorption(P, h, recurrent, rhs=r - g)
+    return g, h, recurrent
+
+
+def _policy_gain_bias(P: np.ndarray, r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(g, h) with g = P g and g + h = r + P h for a stochastic matrix P."""
+    g, h, recurrent = _recurrent_gain_bias(P, r)
+    extend = _absorption(P, recurrent)
+    g = extend(g)
+    return g, extend(h, r - g)
 
 
 def average_optimal(m: Ctmdp, spec: RewardSpec) -> Tuple[np.ndarray, np.ndarray]:
@@ -336,7 +333,7 @@ def _average_optimal(m: Ctmdp,
     """
     ch = m.choices
     cap = m.max_exit_rate
-    # the cap-uniformized chain: rates / cap off the self-loop mass
+    # the cap-uniformized chain, as ``_uniform_chain`` gathers it
     scaled, stay = ch.rate / cap, 1.0 - ch.exit / cap
     r_step = _step_rewards(m, spec, cap)
 
@@ -349,8 +346,7 @@ def _average_optimal(m: Ctmdp,
     rows = ch.lookup(sigma)
 
     for rounds in range(1, _MAX_ROUNDS + 1):
-        P = _gather(ch, rows, scaled)
-        P[np.diag_indices_from(P)] += stay[rows]
+        P = _uniform_chain(ch, rows, cap)
         g, h = _policy_gain_bias(P, r_step[rows])
         tol = _TIE_TOL * max(1.0, float(np.abs(g).max()), float(np.abs(h).max()))
         # gain stage: strictly increase P g where possible
@@ -407,14 +403,14 @@ def _reach_probability(P: np.ndarray, target: Set[int]) -> np.ndarray:
     v = np.zeros(n)
     v[list(target)] = 1.0
     fixed = set(target) | (set(rest.tolist()) - can)
-    return np.clip(_absorption(P, v, fixed), 0.0, 1.0)
+    return np.clip(_absorption(P, fixed)(v), 0.0, 1.0)
 
 
 def psem_of(p: ProductCtmdp, schedule: Schedule) -> CheckResult:
     """Probability of visiting accepting states infinitely often under a
     fixed schedule."""
-    sigma = schedule_to_ids(p, schedule)
-    P, _ = _induced_embedded(p.ctmdp, sigma)
+    ch = p.ctmdp.choices
+    P = _gather(ch, ch.lookup(schedule_to_ids(p, schedule)), ch.prob)
     bsccs, _ = _bsccs(P)
     good: Set[int] = set()
     for members in bsccs:

@@ -76,6 +76,9 @@ class AugmentedProduct:
 def _letters(m: Ctmdp, a: BuchiAutomaton) -> List[FrozenSet[int]]:
     """Each model state's label re-indexed into the automaton's AP space,
     with propositions matched by name."""
+    if len(m.labels) != m.num_states:
+        raise CtmdpError(f"model has {m.num_states} states but labels for "
+                         f"{len(m.labels)}")
     model_index = {name: i for i, name in enumerate(m.ap)}
     for name in a.ap:
         if name not in model_index:

@@ -15,9 +15,9 @@ from scipy import stats
 from ctsched.bruteforce import (brute_force_esem, brute_force_psem,
                                 random_ctmdp, random_marked_product,
                                 random_reward_spec)
-from ctsched.check import (_bsccs, _induced_embedded, _policy_gain_bias,
-                           _uniformized, accepting_rate_spec,
-                           alpha_from_gamma, average_optimal, average_value,
+from ctsched.check import (_bsccs, _gather, _policy_gain_bias,
+                           accepting_rate_spec, alpha_from_gamma,
+                           average_optimal, average_value,
                            discounted_optimal, discounted_value, esem_of,
                            esem_optimal, psem_of, psem_optimal,
                            step_reward_spec, uniformized_reward_spec)
@@ -146,7 +146,9 @@ def test_criterion_5_expectation_identity_and_monte_carlo():
             p = random_marked_product(rng, num_states=int(rng.integers(3, 8)))
             sigma = np.array([int(rng.choice(p.ctmdp.enabled(s)))
                               for s in range(p.num_states)])
-            P, lam = _induced_embedded(p.ctmdp, sigma)
+            ch = p.ctmdp.choices
+            rows = ch.lookup(sigma)
+            P, lam = _gather(ch, rows, ch.prob), ch.exit[rows]
             if len(_bsccs(P)[0]) == 1:
                 break
         sched = schedule_from_ids(p, sigma)
@@ -163,6 +165,30 @@ def test_criterion_5_expectation_identity_and_monte_carlo():
     _report("criterion 5 (expectation identity + Monte Carlo, 20 pairs)", ok,
             f"bit-identical values, worst MC gap={worst_mc:.4f}, "
             f"{elapsed:.1f}s")
+
+
+def _renewal_gains(P, lam, rate):
+    """Long-run reward per unit time of the chain with embedded matrix P and
+    exit rates lam that pays ``rate`` per unit time, without uniformizing:
+    in each bottom class the renewal-reward ratio sum(pi rate / lam) /
+    sum(pi / lam) over the embedded stationary distribution pi (the balance
+    equations with the last one replaced by sum(pi) = 1), elsewhere the
+    harmonic extension g = P g."""
+    n = len(lam)
+    g = np.zeros(n)
+    recurrent = np.zeros(n, dtype=bool)
+    for members in _bsccs(P)[0]:
+        idx = np.array(members)
+        A = P[np.ix_(idx, idx)].T - np.eye(len(idx))
+        A[-1] = 1.0
+        pi = np.linalg.solve(A, np.eye(len(idx))[-1])
+        g[idx] = (pi @ (rate[idx] / lam[idx])) / (pi @ (1.0 / lam[idx]))
+        recurrent[idx] = True
+    t, f = np.flatnonzero(~recurrent), np.flatnonzero(recurrent)
+    if len(t):
+        g[t] = np.linalg.solve(np.eye(len(t)) - P[np.ix_(t, t)],
+                               P[np.ix_(t, f)] @ g[f])
+    return g
 
 
 def test_criterion_6_blackwell_and_uniformization():
@@ -190,10 +216,16 @@ def test_criterion_6_blackwell_and_uniformization():
         worst_eq8 = max(worst_eq8, float(np.max(np.abs(v1 - v2))) / scale8)
 
         r_step = step_reward_spec(m, spec, cap)
-        P, lam = _induced_embedded(m, sigma)
+        ch = m.choices
+        rows = ch.lookup(sigma)
+        P, lam = _gather(ch, rows, ch.prob), ch.exit[rows]
+        PC = (lam / cap)[:, None] * P
+        PC[np.diag_indices_from(PC)] += 1.0 - lam / cap
         r = np.array([r_step[(s, int(sigma[s]))] for s in range(m.num_states)])
-        g_step, _ = _policy_gain_bias(_uniformized(P, lam, cap), r)
-        g_time = average_value(m, spec, sigma)
+        g_step, _ = _policy_gain_bias(PC, r)
+        act = np.array([spec.action_reward.get((s, int(sigma[s])), 0.0)
+                        for s in range(m.num_states)])
+        g_time = _renewal_gains(P, lam, spec.state_rate + lam * act)
         scale10 = max(1.0, float(np.max(np.abs(g_time))))
         worst_eq10 = max(worst_eq10,
                          float(np.max(np.abs(cap * g_step - g_time))) / scale10)

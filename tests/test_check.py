@@ -1,7 +1,12 @@
 """Exact checker: discounted values, long-run averages, PSem/ESem and their
 optimizers, cross-checked against closed forms and brute-force enumeration."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import ctsched.check
 
 from ctsched.bruteforce import (_gate, brute_force_average,
                                 brute_force_discounted, brute_force_esem,
@@ -9,8 +14,8 @@ from ctsched.bruteforce import (_gate, brute_force_average,
                                 random_marked_product, random_reward_spec,
                                 random_schedule)
 from ctsched.check import (BlackwellReport, ConvergenceError, RewardSpec,
-                           _attractor, _bsccs, _gain_bias, _induced_embedded,
-                           _reach_probability, _stationary,
+                           _attractor, _bsccs, _gain_bias, _gather,
+                           _reach_probability,
                            accepting_rate_spec, alpha_from_gamma,
                            average_optimal, average_value, blackwell_probe,
                            discounted_optimal, discounted_value, esem_of,
@@ -428,7 +433,9 @@ def test_induced_embedded_matches_the_row_loop():
         m = random_ctmdp(rng, num_states=int(rng.integers(2, 10)))
         sigma = np.array([int(rng.choice(m.enabled(s)))
                           for s in range(m.num_states)])
-        P, lam = _induced_embedded(m, sigma)
+        ch = m.choices
+        rows = ch.lookup(sigma)
+        P, lam = _gather(ch, rows, ch.prob), ch.exit[rows]
         want = np.zeros((m.num_states, m.num_states))
         for s in range(m.num_states):
             succ, rates = m.successors(s, int(sigma[s]))
@@ -541,10 +548,6 @@ def test_square_solves_match_the_least_squares_reference():
     for P in _irreducible_chains(rng):
         count += 1
         r = rng.uniform(-1.0, 2.0, len(P))
-        pi = _stationary(P)
-        assert np.allclose(pi, _lstsq_stationary(P), rtol=0, atol=1e-10)
-        assert np.allclose(pi @ P, pi, rtol=0, atol=1e-12)
-        assert abs(pi.sum() - 1.0) <= 1e-12
         g, h = _gain_bias(P, r)
         want_g, want_h = _lstsq_gain_bias(P, r)
         scale = max(1.0, float(np.abs(want_h).max()))
@@ -574,3 +577,61 @@ def test_convergence_error_names_solver_stage_and_round(
             r"^discounted policy iteration did not converge: stopped at "
             r"round 1 with [1-9]\d* states switched")):
         discounted_optimal(p.ctmdp, spec, 0.1)
+
+
+def test_grading_reproduces_the_optimum(riskreward, mars, polling_family,
+                                        hazard_line, perfbench):
+    # each grader is the evaluation step its optimizer runs on the rows of
+    # the returned schedule, so the values agree bit for bit
+    rates = perfbench("families").polling_params(np.random.default_rng(1))
+    for p in (riskreward[2], mars[2], polling_family(20, **rates),
+              hazard_line(200)[0]):
+        opt = esem_optimal(p)
+        assert np.array_equal(esem_of(p, opt.schedule).values, opt.values)
+        opt = psem_optimal(p)
+        assert np.array_equal(psem_of(p, opt.schedule).values, opt.values)
+    rng = np.random.default_rng(48)
+    for _ in range(50):
+        m = random_ctmdp(rng, num_states=int(rng.integers(2, 9)))
+        spec = random_reward_spec(rng, m)
+        g, sigma = average_optimal(m, spec)
+        assert np.array_equal(average_value(m, spec, sigma), g)
+        alpha = float(rng.uniform(0.1, 2.0))
+        v, sigma = discounted_optimal(m, spec, alpha)
+        assert np.array_equal(discounted_value(m, spec, sigma, alpha), v)
+
+
+def _calls_by_function(tree):
+    """{top-level name: the dotted names of the calls inside it, with
+    whether each allocates a 2-D array}."""
+    out = {}
+    for node in tree.body:
+        name = getattr(node, "name", "<module>")
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                func = ast.unparse(call.func)
+                shape = call.args[0] if call.args else None
+                two_d = func.endswith("_like") or (
+                    func in ("np.zeros", "np.ones", "np.empty", "np.full")
+                    and (isinstance(shape, ast.Tuple)
+                         or (isinstance(shape, ast.Attribute)
+                             and shape.attr == "shape")))
+                out.setdefault(name, []).append((func, two_d))
+    return out
+
+
+def test_checker_solves_and_builds_chains_in_one_place_each():
+    # the sparse core swaps exactly these: the transient solve, the
+    # recurrent-class solve, and the one gather of a dense chain
+    tree = ast.parse(Path(ctsched.check.__file__).read_text())
+    calls = _calls_by_function(tree)
+    solvers = {"np.linalg.solve", "np.linalg.lstsq", "np.linalg.inv",
+               "lu_factor", "lu_solve", "dgetrf", "dgetrs", "np.eye",
+               "np.identity"}
+    solving = {name for name, found in calls.items()
+               if any(func in solvers for func, _ in found)}
+    assert solving == {"_absorption", "_gain_bias"}
+    # _gain_bias allocates its bordered system, not a chain
+    building = {name for name, found in calls.items()
+                if any(two_d for _, two_d in found)}
+    assert building == {"_gather", "_gain_bias"}

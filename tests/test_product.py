@@ -10,9 +10,9 @@ from ctsched.check import esem_of, psem_of
 from ctsched.data import BENCH_PAIRS, load_automaton, load_model
 from ctsched.formats import ModelSource, parse_model
 from ctsched.model import Ctmdp, CtmdpError, exit_rate
-from ctsched.product import (ApMismatch, TRAP_PAIR, augment, build_product,
-                             project_schedule, schedule_from_ids,
-                             schedule_to_ids)
+from ctsched.product import (ApMismatch, TRAP_PAIR, OnTheFlyProductEnv,
+                             augment, build_product, project_schedule,
+                             schedule_from_ids, schedule_to_ids)
 
 
 def test_mars_product_shape(mars):
@@ -75,6 +75,21 @@ def test_ap_mismatch_raises():
                        edges=((Edge(GTrue(), 0),),), accepting=frozenset({0}))
     with pytest.raises(ApMismatch):
         build_product(m, a)
+
+
+def test_short_labels_raise_a_model_error():
+    # from_transitions accepts any number of labels; only validate counts
+    # them, so the product names the mismatch instead of indexing past it
+    m = Ctmdp.from_transitions(("s0", "s1"), ("a",), 0,
+                               [(0, 0, 1, 1.0), (1, 0, 0, 1.0)],
+                               ap=("x",), labels=[{0}])
+    a = BuchiAutomaton(num_states=1, initial=0, ap=("x",),
+                       edges=((Edge(GTrue(), 0),),), accepting=frozenset({0}))
+    message = "model has 2 states but labels for 1"
+    with pytest.raises(CtmdpError, match=message):
+        build_product(m, a)
+    with pytest.raises(CtmdpError, match=message):
+        OnTheFlyProductEnv(m, a)
 
 
 def test_augment_splits_accepting_exits(riskreward):
