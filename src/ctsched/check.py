@@ -4,7 +4,12 @@ time in accepting states).
 
 Everything reduces to linear algebra on the uniformized embedded chain, read
 from the model's choice rows (``Ctmdp.choices``); each policy-iteration round
-scores every choice with one sparse product and switches in ``_improve``:
+scores every choice with one sparse product and switches in ``_improve``.
+The chain a schedule induces is a CSR (``Chain``) taken straight from the
+rows it plays; the graph passes read its entries, and ``_factor`` is the one
+place that factors a system: dense LAPACK LU while the system's rows fit in
+``_DENSE_MAX`` squared entries, SuperLU above, so no large chain is held
+dense:
 
 * discounted values solve v = rho + Gamma P v, where Gamma(s) =
   lam(s, a) / (lam(s, a) + alpha) is the expected dwell discount;
@@ -17,8 +22,10 @@ scores every choice with one sparse product and switches in ``_improve``:
   other state toward those states along the reachability attractor;
 * grading a schedule runs its optimizer's evaluation step on the rows the
   schedule plays, so grading an optimum reproduces it bit for bit;
-* a recurrent class's gain and bias are one square solve of the bordered
-  system [[I - P, 1], [1^T, 0]]; one LU factorization extends both;
+* a recurrent class's gain and bias are one square solve of the pinned
+  system: h is 0 at one state of the class, whose column of I - P carries
+  g instead, and h is then shifted to sum 0; one LU factorization of the
+  transient states extends both;
 * acceptance probabilities combine maximal-end-component analysis with
   maximal reachability by policy iteration, one exact absorption solve per
   round; its graph passes, the attractors that give the starting schedule
@@ -30,13 +37,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import (Callable, Container, Dict, FrozenSet, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Callable, Container, Dict, FrozenSet, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_array
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 from .model import ChoiceRows, Ctmdp, CtmdpError, mec_decompose
 from .product import ProductCtmdp, Schedule, schedule_from_ids, schedule_to_ids
@@ -127,15 +135,43 @@ def _row_rewards(m: Ctmdp, spec: RewardSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Induced-chain plumbing
 
-def _gather(ch: ChoiceRows, rows: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Dense matrix whose row s holds ``data`` (one value per successor entry
+# A system is factored dense by LAPACK while the rows of its states fit in a
+# dense block of this value squared entries, so every system of a chain of
+# at most this many states is, and by SuperLU otherwise: below the measured
+# crossover (CHANGES.md) the sparse path's fixed cost dominates, above it
+# the dense LU's cubic work.
+_DENSE_MAX = 256
+
+
+class Chain(NamedTuple):
+    """A finite Markov chain in CSR layout: row s has the entries
+    ``data[ptr[s]:ptr[s + 1]]`` in the columns ``col[ptr[s]:ptr[s + 1]]``,
+    every entry positive and no column twice in a row."""
+
+    ptr: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
+
+
+def _entries(ptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(counts, entries): the number of entries of each of ``rows`` in a
+    CSR with row pointer ``ptr``, and their indices, row after row."""
+    lo = ptr[rows]
+    k = ptr[rows + 1] - lo
+    return k, np.arange(k.sum()) + np.repeat(lo - (np.cumsum(k) - k), k)
+
+
+def _gather(ch: ChoiceRows, rows: np.ndarray, data: np.ndarray) -> Chain:
+    """The chain whose row s holds ``data`` (one value per successor entry
     of ``ch``) on the successors of choice row ``rows[s]``."""
-    lo = ch.ptr[rows]
-    k = ch.ptr[rows + 1] - lo
-    entries = np.arange(k.sum()) + np.repeat(lo - (np.cumsum(k) - k), k)
-    out = np.zeros((len(rows), len(ch.start) - 1))
-    out[np.repeat(np.arange(len(rows)), k), ch.succ[entries]] = data[entries]
-    return out
+    k, entries = _entries(ch.ptr, rows)
+    return Chain(np.concatenate(([0], np.cumsum(k))), ch.succ[entries],
+                 data[entries])
+
+
+def _sources(P: Chain) -> np.ndarray:
+    """The row of every entry of P."""
+    return np.repeat(np.arange(len(P.ptr) - 1), np.diff(P.ptr))
 
 
 def _dot(ch: ChoiceRows, data: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -143,11 +179,25 @@ def _dot(ch: ChoiceRows, data: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.add.reduceat(data * v[ch.succ], ch.ptr[:-1])
 
 
-def _uniform_chain(ch: ChoiceRows, rows: np.ndarray, cap: float) -> np.ndarray:
-    """The chain that ``rows`` induce, uniformized to exit rate ``cap``."""
+def _uniform_chain(ch: ChoiceRows, rows: np.ndarray, cap: float) -> Chain:
+    """The chain that ``rows`` induce, uniformized to exit rate ``cap``: a
+    state's self-loop mass 1 - exit / cap adds to its own entry, or gets an
+    entry of its own at the end of its row."""
     P = _gather(ch, rows, ch.rate / cap)
-    P[np.diag_indices_from(P)] += 1.0 - ch.exit[rows] / cap
-    return P
+    stay = 1.0 - ch.exit[rows] / cap
+    src = _sources(P)
+    loop = P.col == src
+    P.data[loop] += stay[src[loop]]
+    add = stay > 0
+    add[src[loop]] = False
+    ptr = P.ptr + np.concatenate(([0], np.cumsum(add)))
+    end = ptr[1:][add] - 1
+    keep = np.ones(ptr[-1], dtype=bool)
+    keep[end] = False
+    col, data = np.empty(ptr[-1], dtype=P.col.dtype), np.empty(ptr[-1])
+    col[keep], data[keep] = P.col, P.data
+    col[end], data[end] = np.flatnonzero(add), stay[add]
+    return Chain(ptr, col, data)
 
 
 def _first_rows(m: Ctmdp) -> np.ndarray:
@@ -176,54 +226,119 @@ def _improve(ch: ChoiceRows, q: np.ndarray, rows: np.ndarray,
     return new
 
 
-def _bsccs(P: np.ndarray) -> Tuple[List[List[int]], np.ndarray]:
-    """Bottom SCCs of a stochastic matrix plus the SCC id per state."""
-    graph = csr_matrix(P > 0)
-    ncomp, comp = connected_components(graph, directed=True, connection="strong")
+def _bsccs(P: Chain) -> Tuple[List[List[int]], np.ndarray]:
+    """Bottom SCCs of a chain, each sorted, in order of their SCC id, plus
+    the SCC id per state."""
+    n = len(P.ptr) - 1
+    graph = csr_array((P.data, P.col.astype(np.int32), P.ptr.astype(np.int32)),
+                      shape=(n, n))
+    ncomp, comp = connected_components(graph, directed=True,
+                                       connection="strong")
+    tail = comp[_sources(P)]
     leaves = np.ones(ncomp, dtype=bool)
-    rows, cols = np.nonzero(P > 0)
-    leaves[comp[rows[comp[rows] != comp[cols]]]] = False
-    out = [sorted(np.flatnonzero(comp == c)) for c in range(ncomp) if leaves[c]]
-    return out, comp
+    leaves[tail[tail != comp[P.col]]] = False
+    members = np.flatnonzero(leaves[comp])
+    members = members[np.argsort(comp[members], kind="stable")]
+    cut = np.flatnonzero(np.diff(comp[members])) + 1
+    bottom = np.split(members, cut) if len(members) else []
+    return [x.tolist() for x in bottom], comp
 
 
-def _gain_bias(P: np.ndarray, r: np.ndarray) -> Tuple[float, np.ndarray]:
-    """(g, h) of an irreducible stochastic matrix: g + h = r + P h with
-    sum(h) = 0, as one square solve of the bordered system
-    [[I - P, 1], [1^T, 0]] [h; g] = [r; 0]."""
-    k = P.shape[0]
-    A = np.ones((k + 1, k + 1))
-    A[:k, :k] = np.eye(k) - P
-    A[k, k] = 0.0
-    x = np.linalg.solve(A, np.append(r, 0.0))
-    return float(x[k]), x[:k]
+def _factor(P: Chain, t: np.ndarray, f: np.ndarray, pinned: bool = False
+            ) -> Tuple[Callable[[np.ndarray], np.ndarray],
+                       Callable[[np.ndarray], np.ndarray]]:
+    """Factor A = I - P[t, t] over the states ``t`` once, with its first
+    column all ones if ``pinned``, and return ``(solve, couple)``:
+    ``solve(b)`` is A^-1 b and ``couple(x)`` is P[t, f] x for x given on
+    the states ``f``.
 
-
-def _absorption(P: np.ndarray, fixed: Set[int]) -> Callable[..., np.ndarray]:
-    """Factor I - P[t,t] over the states t outside ``fixed`` once, and return
-    ``extend(value, rhs=None)``: it extends a value given on the fixed
-    states to the others by solving (I - P[t,t]) v[t] = rhs[t] +
-    P[t,fixed] v[fixed]; ``rhs`` defaults to 0, which gives the harmonic
-    extension v = P v.
-
-    This is the one place that solves a transient linear system.  LAPACK's
-    getrf and getrs, the LU that ``np.linalg.solve`` runs, are called
-    directly to skip the wrapper cost that dominates on small chains.
+    This is the one place that factors a matrix.  While the rows of ``t``
+    fit in a dense block of ``_DENSE_MAX`` squared entries, that block
+    gives A and P[t, f], and A goes to LAPACK's getrf and getrs, called
+    directly to skip the wrapper cost that dominates on small chains;
+    otherwise A is assembled sparse and goes to SuperLU (``splu``) with its
+    default COLAMD ordering.  A singular A raises ``np.linalg.LinAlgError``
+    on both.
     """
-    inside = np.zeros(len(P), dtype=bool)
-    inside[list(fixed)] = True
-    t, f = np.flatnonzero(~inside), np.flatnonzero(inside)
-    if len(t):
-        lu, piv, info = dgetrf(np.eye(len(t)) - P[np.ix_(t, t)])
+    n, k = len(P.ptr) - 1, len(t)
+    counts, entries = _entries(P.ptr, t)
+    i, j, p = np.repeat(np.arange(k), counts), P.col[entries], P.data[entries]
+    if k * n <= _DENSE_MAX ** 2:
+        D = np.zeros((k, n))
+        D[i, j] = p
+        A = np.eye(k) - D[:, t]
+        if pinned:
+            A[:, 0] = 1.0
+        lu, piv, info = dgetrf(A)
         if info > 0:
             raise np.linalg.LinAlgError("Singular matrix")
+        B = D[:, f]
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            return dgetrs(lu, piv, b)[0]
+
+        def couple(x: np.ndarray) -> np.ndarray:
+            return B @ x
+        return solve, couple
+
+    pos = np.zeros(n, dtype=np.int64)
+    pos[t] = np.arange(k)
+    pos[f] = np.arange(len(f))
+    into = np.zeros(n, dtype=bool)
+    into[t] = True
+    into = into[j]
+    # A as (row, column, value) triplets; csc_matrix adds repeats up
+    diag = np.arange(k)
+    rows = np.concatenate((i[into], diag))
+    cols = np.concatenate((pos[j[into]], diag))
+    vals = np.concatenate((-p[into], np.ones(k)))
+    if pinned:
+        keep = cols != 0
+        rows = np.concatenate((rows[keep], diag))
+        cols = np.concatenate((cols[keep], np.zeros(k, dtype=np.int64)))
+        vals = np.concatenate((vals[keep], np.ones(k)))
+    try:
+        lu = splu(csc_matrix((vals, (rows, cols)), shape=(k, k)))
+    except RuntimeError as exc:     # "Factor is exactly singular"
+        raise np.linalg.LinAlgError(str(exc)) from None
+    out = ~into
+    fi, fj, fp = i[out], pos[j[out]], p[out]
+
+    def couple(x: np.ndarray) -> np.ndarray:
+        return np.bincount(fi, weights=fp * x[fj], minlength=k)
+    return lu.solve, couple
+
+
+def _gain_bias(P: Chain, members: np.ndarray,
+               r: np.ndarray) -> Tuple[float, np.ndarray]:
+    """(g, h) of the closed irreducible class ``members`` of P, with r and h
+    on its states: g + h = r + P h with sum(h) = 0.  One square solve with
+    h pinned to 0 at the first member, whose column carries g,
+    [1, (I - P) e_2, ..., (I - P) e_k] [g; h_2; ...; h_k] = r, then h
+    shifted to sum 0."""
+    solve, _ = _factor(P, members, members[:0], pinned=True)
+    x = solve(r)
+    g = float(x[0])
+    x[0] = 0.0
+    return g, x - x.mean()
+
+
+def _absorption(P: Chain, fixed: np.ndarray) -> Callable[..., np.ndarray]:
+    """Factor I - P[t,t] over the states t outside the mask ``fixed`` once,
+    and return ``extend(value, rhs=None)``: it extends a value given on the
+    fixed states to the others by solving (I - P[t,t]) v[t] = rhs[t] +
+    P[t,fixed] v[fixed]; ``rhs`` defaults to 0, which gives the harmonic
+    extension v = P v.  This is the one transient linear solve."""
+    t, f = np.flatnonzero(~fixed), np.flatnonzero(fixed)
+    if len(t):
+        solve, couple = _factor(P, t, f)
 
     def extend(value: np.ndarray,
                rhs: Optional[np.ndarray] = None) -> np.ndarray:
         out = value.astype(float)
         if len(t):
-            b = P[np.ix_(t, f)] @ out[f]
-            out[t] = dgetrs(lu, piv, b if rhs is None else rhs[t] + b)[0]
+            b = couple(out[f])
+            out[t] = solve(b if rhs is None else rhs[t] + b)
         return out
 
     return extend
@@ -253,8 +368,10 @@ def _discount_rows(m: Ctmdp, spec: RewardSpec,
 def _discounted(ch: ChoiceRows, rows: np.ndarray, base: np.ndarray,
                 discount: np.ndarray) -> np.ndarray:
     """The v = base + discount (P v) of the chain that ``rows`` induce."""
-    P = discount[rows][:, None] * _gather(ch, rows, ch.prob)
-    return _absorption(P, set())(np.zeros(len(rows)), base[rows])
+    P = _gather(ch, rows, ch.prob)
+    P.data[:] *= discount[rows][_sources(P)]
+    return _absorption(P, np.zeros(len(rows), dtype=bool))(
+        np.zeros(len(rows)), base[rows])
 
 
 def discounted_optimal(m: Ctmdp, spec: RewardSpec,
@@ -288,24 +405,23 @@ def average_value(m: Ctmdp, spec: RewardSpec, sigma: np.ndarray) -> np.ndarray:
     return _absorption(P, recurrent)(g) * cap
 
 
-def _recurrent_gain_bias(P: np.ndarray, r: np.ndarray
-                         ) -> Tuple[np.ndarray, np.ndarray, Set[int]]:
+def _recurrent_gain_bias(P: Chain, r: np.ndarray
+                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(g, h, recurrent): ``_gain_bias`` of each bottom SCC of P on its
-    states and 0 on the others, which are not in ``recurrent``."""
-    n = P.shape[0]
-    bsccs, _ = _bsccs(P)
+    states and 0 on the others, which the mask ``recurrent`` leaves out."""
+    n = len(P.ptr) - 1
     g = np.zeros(n)
     h = np.zeros(n)
-    recurrent: Set[int] = set()
-    for members in bsccs:
+    recurrent = np.zeros(n, dtype=bool)
+    for members in _bsccs(P)[0]:
         idx = np.array(members)
-        g[idx], h[idx] = _gain_bias(P[np.ix_(idx, idx)], r[idx])
-        recurrent |= set(members)
+        g[idx], h[idx] = _gain_bias(P, idx, r[idx])
+        recurrent[idx] = True
     return g, h, recurrent
 
 
-def _policy_gain_bias(P: np.ndarray, r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(g, h) with g = P g and g + h = r + P h for a stochastic matrix P."""
+def _policy_gain_bias(P: Chain, r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(g, h) with g = P g and g + h = r + P h for a stochastic chain P."""
     g, h, recurrent = _recurrent_gain_bias(P, r)
     extend = _absorption(P, recurrent)
     g = extend(g)
@@ -379,31 +495,30 @@ class CheckResult:
         return float(self.values[self.initial])
 
 
-def _reach_probability(P: np.ndarray, target: Set[int]) -> np.ndarray:
+def _reach_probability(P: Chain, target: Set[int]) -> np.ndarray:
     """Probability of ever hitting ``target`` in the chain P (exact solve)."""
-    n = P.shape[0]
-    # one backward search over P > 0 from the target: states that cannot
-    # reach it at all have probability 0.  Only states outside the target
-    # can join, so only their rows give predecessor lists.
+    n = len(P.ptr) - 1
+    # one backward search over the entries of P from the target: states
+    # that cannot reach it at all have probability 0.  Only states outside
+    # the target can join, so only their rows give predecessor lists.
     inside = np.zeros(n, dtype=bool)
     inside[list(target)] = True
-    rest = np.flatnonzero(~inside)
-    src, dst = np.nonzero((P > 0)[rest])
+    src = _sources(P)
+    out = ~inside[src]
+    src, dst = src[out], P.col[out]
     by_dst = np.argsort(dst, kind="stable")
     ptr = np.searchsorted(dst[by_dst], np.arange(n + 1)).tolist()
-    src = rest[src[by_dst]].tolist()
-    can = set(target)
+    src = src[by_dst].tolist()
+    can = inside.tolist()
     stack = np.unique(dst[inside[dst]]).tolist()
     while stack:
         t = stack.pop()
         for s in src[ptr[t]:ptr[t + 1]]:
-            if s not in can:
-                can.add(s)
+            if not can[s]:
+                can[s] = True
                 stack.append(s)
-    v = np.zeros(n)
-    v[list(target)] = 1.0
-    fixed = set(target) | (set(rest.tolist()) - can)
-    return np.clip(_absorption(P, fixed)(v), 0.0, 1.0)
+    extend = _absorption(P, inside | ~np.array(can))
+    return np.clip(extend(inside.astype(float)), 0.0, 1.0)
 
 
 def psem_of(p: ProductCtmdp, schedule: Schedule) -> CheckResult:

@@ -41,9 +41,10 @@ class ChoiceRows:
     row i plays ``action[i]`` in ``state[i]``, at exit rate ``exit[i]``; the
     rows of state s are ``start[s]:start[s + 1]`` in increasing action id,
     and ``row`` maps (s, a) to its row.  Row i's successors are
-    ``succ[ptr[i]:ptr[i + 1]]`` (CSR layout), entered at ``rate`` or with
-    jump probability ``prob``.  The reverse index ``preds`` lists, for each
-    state, the rows that have it among their successors."""
+    ``succ[ptr[i]:ptr[i + 1]]`` (CSR layout), each at most once in a valid
+    model, entered at ``rate`` or with jump probability ``prob``.  The
+    reverse index ``preds`` lists, for each state, the rows that have it
+    among their successors."""
 
     start: np.ndarray
     state: np.ndarray
@@ -243,6 +244,14 @@ def validate(m: Ctmdp) -> List[str]:
     def rows_with(bad_edge: np.ndarray) -> np.ndarray:
         return np.bincount(edge_row[bad_edge], minlength=len(counts)) > 0
 
+    # the checker gathers its chains from these rows as CSR, and scipy's
+    # strong-component search does not terminate on a CSR that lists a
+    # column twice in a row
+    inside = (ch.succ >= 0) & (ch.succ < n)
+    edge = np.sort(edge_row[inside] * n + ch.succ[inside])
+    repeated = np.zeros(len(counts), dtype=bool)
+    repeated[edge[1:][edge[1:] == edge[:-1]] // n] = True
+
     checks = {
         "state out of range": (ch.state < 0) | (ch.state >= n),
         "action out of range": (ch.action < 0) | (ch.action >= m.num_actions),
@@ -250,6 +259,7 @@ def validate(m: Ctmdp) -> List[str]:
         "negative rate": rows_with(ch.rate < 0),
         "non-finite rate": rows_with(~np.isfinite(ch.rate)),
         "successor out of range": rows_with((ch.succ < 0) | (ch.succ >= n)),
+        "repeated successor": repeated,
     }
     bad = np.array(list(checks.values()))
     for i in np.flatnonzero(bad.any(axis=0)).tolist():

@@ -11,11 +11,12 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.sparse import csr_matrix
 
 from ctsched.bruteforce import (brute_force_esem, brute_force_psem,
                                 random_ctmdp, random_marked_product,
                                 random_reward_spec)
-from ctsched.check import (_bsccs, _gather, _policy_gain_bias,
+from ctsched.check import (Chain, _bsccs, _gather, _policy_gain_bias,
                            accepting_rate_spec, alpha_from_gamma,
                            average_optimal, average_value,
                            discounted_optimal, discounted_value, esem_of,
@@ -114,6 +115,17 @@ def test_criterion_4_sink_reduction_oracle():
             f"{elapsed:.1f}s")
 
 
+def _chain(P):
+    """The checker's CSR form of a dense stochastic matrix."""
+    A = csr_matrix(P)
+    return Chain(A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data)
+
+
+def _dense(P):
+    n = len(P.ptr) - 1
+    return csr_matrix((P.data, P.col, P.ptr), shape=(n, n)).toarray()
+
+
 def _simulated_time_fraction(P, lam, accepting, start, steps, rng):
     """One long trajectory: jump chain step by step, dwells drawn per state.
 
@@ -151,6 +163,7 @@ def test_criterion_5_expectation_identity_and_monte_carlo():
             P, lam = _gather(ch, rows, ch.prob), ch.exit[rows]
             if len(_bsccs(P)[0]) == 1:
                 break
+        P = _dense(P)
         sched = schedule_from_ids(p, sigma)
         spec = accepting_rate_spec(p.num_states, p.accepting)
         exact = esem_of(p, sched)
@@ -177,7 +190,7 @@ def _renewal_gains(P, lam, rate):
     n = len(lam)
     g = np.zeros(n)
     recurrent = np.zeros(n, dtype=bool)
-    for members in _bsccs(P)[0]:
+    for members in _bsccs(_chain(P))[0]:
         idx = np.array(members)
         A = P[np.ix_(idx, idx)].T - np.eye(len(idx))
         A[-1] = 1.0
@@ -218,11 +231,11 @@ def test_criterion_6_blackwell_and_uniformization():
         r_step = step_reward_spec(m, spec, cap)
         ch = m.choices
         rows = ch.lookup(sigma)
-        P, lam = _gather(ch, rows, ch.prob), ch.exit[rows]
+        P, lam = _dense(_gather(ch, rows, ch.prob)), ch.exit[rows]
         PC = (lam / cap)[:, None] * P
         PC[np.diag_indices_from(PC)] += 1.0 - lam / cap
         r = np.array([r_step[(s, int(sigma[s]))] for s in range(m.num_states)])
-        g_step, _ = _policy_gain_bias(PC, r)
+        g_step, _ = _policy_gain_bias(_chain(PC), r)
         act = np.array([spec.action_reward.get((s, int(sigma[s])), 0.0)
                         for s in range(m.num_states)])
         g_time = _renewal_gains(P, lam, spec.state_rate + lam * act)

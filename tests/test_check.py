@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 import ctsched.check
 
@@ -13,9 +14,10 @@ from ctsched.bruteforce import (_gate, brute_force_average,
                                 brute_force_psem, random_buchi, random_ctmdp,
                                 random_marked_product, random_reward_spec,
                                 random_schedule)
-from ctsched.check import (BlackwellReport, ConvergenceError, RewardSpec,
-                           _attractor, _bsccs, _gain_bias, _gather,
-                           _reach_probability,
+from ctsched.check import (BlackwellReport, Chain, ConvergenceError,
+                           RewardSpec, _absorption, _attractor, _bsccs,
+                           _gain_bias, _gather, _policy_gain_bias,
+                           _reach_probability, _uniform_chain,
                            accepting_rate_spec, alpha_from_gamma,
                            average_optimal, average_value, blackwell_probe,
                            discounted_optimal, discounted_value, esem_of,
@@ -266,6 +268,17 @@ def test_blackwell_probe_stabilizes(riskreward):
     assert np.allclose(g_stable, g_opt, atol=1e-9)
 
 
+def _chain(P):
+    """The chain of a dense stochastic matrix, as the checker stores it."""
+    A = csr_matrix(P)
+    return Chain(A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data)
+
+
+def _dense(P):
+    n = len(P.ptr) - 1
+    return csr_matrix((P.data, P.col, P.ptr), shape=(n, n)).toarray()
+
+
 def _random_chain(rng, n):
     """Sparse random stochastic matrix: most entries are zero, so chains
     with several bottom components and dead ends are common."""
@@ -278,7 +291,7 @@ def test_bsccs_match_the_edge_loop():
     rng = np.random.default_rng(31)
     for _ in range(200):
         P = _random_chain(rng, int(rng.integers(2, 12)))
-        got, comp = _bsccs(P)
+        got, comp = _bsccs(_chain(P))
         leaves = np.ones(comp.max() + 1, dtype=bool)
         for i, j in zip(*np.nonzero(P > 0)):
             if comp[i] != comp[j]:
@@ -360,7 +373,7 @@ def test_reach_probability_matches_the_fixpoint_reference():
         if len(t):
             A = np.eye(len(t)) - P[np.ix_(t, t)]
             want[t] = np.linalg.solve(A, P[np.ix_(t, sorted(target))].sum(axis=1))
-        got = _reach_probability(P, target)
+        got = _reach_probability(_chain(P), target)
         assert np.array_equal(got == 0, want == 0)
         assert np.allclose(got, np.clip(want, 0.0, 1.0), rtol=0, atol=1e-12)
         deep_zeros += n >= 30 and bool(np.any(got == 0))
@@ -427,7 +440,7 @@ def test_attractor_matches_the_sweep_reference():
 
 def test_induced_embedded_matches_the_row_loop():
     # the gather from the choice rows gives the very floats of a per-state
-    # loop over the transition table
+    # loop over the transition table, row s on the successors of s in order
     rng = np.random.default_rng(33)
     for _ in range(50):
         m = random_ctmdp(rng, num_states=int(rng.integers(2, 10)))
@@ -440,8 +453,32 @@ def test_induced_embedded_matches_the_row_loop():
         for s in range(m.num_states):
             succ, rates = m.successors(s, int(sigma[s]))
             assert lam[s] == rates.sum()
+            assert np.array_equal(P.col[P.ptr[s]:P.ptr[s + 1]], succ)
             want[s, succ] = rates / rates.sum()
-        assert np.array_equal(P, want)
+        assert np.array_equal(_dense(P), want)
+
+
+def test_uniform_chain_matches_the_dense_formula():
+    # the self-loop mass joins a state's own entry or gets one, with the
+    # floats of adding it to the diagonal of the gathered matrix; no entry
+    # is zero and no column repeats, so the CSR is canonical
+    rng = np.random.default_rng(35)
+    for i in range(100):
+        m = random_ctmdp(rng, num_states=int(rng.integers(2, 12)))
+        sigma = np.array([int(rng.choice(m.enabled(s)))
+                          for s in range(m.num_states)])
+        ch, cap = m.choices, m.max_exit_rate
+        if i % 2:
+            cap *= 1.5      # no state at the cap: every row has stay > 0
+        rows = ch.lookup(sigma)
+        want = _dense(_gather(ch, rows, ch.rate / cap))
+        want[np.diag_indices_from(want)] += 1.0 - ch.exit[rows] / cap
+        P = _uniform_chain(ch, rows, cap)
+        assert np.array_equal(_dense(P), want)
+        assert np.all(P.data > 0)
+        for s in range(m.num_states):
+            cols = P.col[P.ptr[s]:P.ptr[s + 1]]
+            assert len(set(cols.tolist())) == len(cols)
 
 
 def test_optimizers_name_a_state_without_actions():
@@ -548,7 +585,7 @@ def test_square_solves_match_the_least_squares_reference():
     for P in _irreducible_chains(rng):
         count += 1
         r = rng.uniform(-1.0, 2.0, len(P))
-        g, h = _gain_bias(P, r)
+        g, h = _gain_bias(_chain(P), np.arange(len(P)), r)
         want_g, want_h = _lstsq_gain_bias(P, r)
         scale = max(1.0, float(np.abs(want_h).max()))
         assert abs(g - want_g) <= 1e-10
@@ -556,6 +593,114 @@ def test_square_solves_match_the_least_squares_reference():
         assert np.allclose(g + h, r + P @ h, rtol=0, atol=1e-10 * scale)
         assert abs(h.sum()) <= 1e-10 * scale
     assert count == 200
+
+
+def _multichain_chain(rng, n):
+    """Random chain of n >= 4 states, renumbered, with one to three bottom
+    classes and at least one transient state: each transient state has an
+    edge into a class or into a transient state numbered before it."""
+    k = int(rng.integers(1, 4))
+    sizes = rng.multinomial(n - k - 1, np.ones(k + 1) / (k + 1)) + 1
+    P = np.zeros((n, n))
+    ends = np.cumsum(sizes)
+    for lo, hi in zip(ends[:k] - sizes[:k], ends[:k]):
+        idx = np.arange(lo, hi)
+        P[np.ix_(idx, idx)] = (rng.random((len(idx), len(idx)))
+                               * (rng.random((len(idx), len(idx))) < 0.3))
+        P[idx, np.roll(idx, 1)] += rng.uniform(0.05, 1.0, len(idx))
+    for s in range(ends[k - 1], n):
+        P[s] = rng.random(n) * (rng.random(n) < 0.2)
+        P[s, int(rng.integers(0, s))] += rng.uniform(0.05, 1.0)
+    P /= P.sum(axis=1, keepdims=True)
+    return _renumbered(rng, P, set())[0]
+
+
+def test_factorization_branches_agree(monkeypatch):
+    # every system factored both ways, dense LAPACK and SuperLU, by moving
+    # the size cutoff: the gain and bias of irreducible chains, of chains
+    # with several bottom classes and transient states, and hitting
+    # probabilities agree with the references and with each other
+    def both(solve):
+        out = []
+        for cutoff in (10**9, 0):
+            monkeypatch.setattr("ctsched.check._DENSE_MAX", cutoff)
+            out.append(solve())
+        return out
+
+    rng = np.random.default_rng(34)
+    count = 0
+    for P in _irreducible_chains(rng):
+        count += 1
+        r = rng.uniform(-1.0, 2.0, len(P))
+        want_g, want_h = _lstsq_gain_bias(P, r)
+        scale = max(1.0, float(np.abs(want_h).max()))
+        (gd, hd), (gs, hs) = both(
+            lambda: _gain_bias(_chain(P), np.arange(len(P)), r))
+        for g, h in ((gd, hd), (gs, hs)):
+            assert abs(g - want_g) <= 1e-10
+            assert np.allclose(h, want_h, rtol=0, atol=1e-10 * scale)
+        assert abs(gd - gs) <= 1e-10
+        assert np.allclose(hd, hs, rtol=0, atol=1e-10 * scale)
+    assert count == 200
+
+    rng = np.random.default_rng(36)
+    classes = 0
+    for _ in range(100):
+        n = int(rng.integers(4, 40))
+        P = _multichain_chain(rng, n)
+        r = rng.uniform(-1.0, 2.0, n)
+        (gd, hd), (gs, hs) = both(lambda: _policy_gain_bias(_chain(P), r))
+        scale = max(1.0, float(np.abs(hd).max()))
+        for g, h in ((gd, hd), (gs, hs)):
+            assert np.allclose(g, P @ g, rtol=0, atol=1e-10)
+            assert np.allclose(g + h, r + P @ h, rtol=0, atol=1e-10 * scale)
+        assert np.allclose(gd, gs, rtol=0, atol=1e-10)
+        assert np.allclose(hd, hs, rtol=0, atol=1e-10 * scale)
+        bsccs = _bsccs(_chain(P))[0]
+        for members in bsccs:
+            idx = np.array(members)
+            want_g, want_h = _lstsq_gain_bias(P[np.ix_(idx, idx)], r[idx])
+            assert np.allclose(gd[idx], want_g, rtol=0, atol=1e-10)
+            assert np.allclose(hd[idx], want_h, rtol=0, atol=1e-10 * scale)
+        assert sum(map(len, bsccs)) < n
+        classes += len(bsccs) > 1
+        target = set(rng.choice(n, int(rng.integers(1, n)),
+                                replace=False).tolist())
+        vd, vs = both(lambda: _reach_probability(_chain(P), target))
+        assert np.allclose(vd, vs, rtol=0, atol=1e-12)
+    assert classes >= 50
+
+    # a closed class outside the fixed states makes I - P[t,t] singular
+    P = _chain(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.3, 0.7]]))
+    for cutoff in (10**9, 0):
+        monkeypatch.setattr("ctsched.check._DENSE_MAX", cutoff)
+        with pytest.raises(np.linalg.LinAlgError):
+            _absorption(P, np.zeros(3, dtype=bool))
+
+
+def test_esem_optimal_on_polling_above_the_dense_cutoff(polling_family,
+                                                        perfbench):
+    # 1683 product states: every round's gain/bias solve is sparse
+    rates = perfbench("families").polling_params(np.random.default_rng(1))
+    p = polling_family(40, **rates)
+    assert p.num_states == 1683 > ctsched.check._DENSE_MAX
+    opt = esem_optimal(p)
+    want = perfbench("reference").average_reward_lp(p.ctmdp, p.accepting)
+    assert abs(opt.value - want) <= 1e-6
+    graded = esem_of(p, opt.schedule).values
+    assert np.allclose(graded, opt.values, rtol=0, atol=1e-9)
+
+
+def test_psem_optimal_on_a_hazard_line_above_the_dense_cutoff(hazard_line,
+                                                              perfbench):
+    # 3004 product states: every round's absorption solve is sparse
+    p, rates = hazard_line(3000)
+    assert p.num_states == 3004
+    opt = psem_optimal(p)
+    want = perfbench("reference").hazard_max_reach(3000, **rates)
+    assert abs(opt.value - want) <= 1e-6
+    graded = psem_of(p, opt.schedule).values
+    assert np.allclose(graded, opt.values, rtol=0, atol=1e-9)
 
 
 def test_convergence_error_names_solver_stage_and_round(
@@ -601,37 +746,48 @@ def test_grading_reproduces_the_optimum(riskreward, mars, polling_family,
         assert np.array_equal(discounted_value(m, spec, sigma, alpha), v)
 
 
+def _two_d(call):
+    """Whether a call allocates a dense 2-D array."""
+    func = ast.unparse(call.func)
+    shape = call.args[0] if call.args else None
+    return (func.endswith(("_like", ".toarray", ".todense"))
+            or func in ("np.eye", "np.identity")
+            or (func in ("np.zeros", "np.ones", "np.empty", "np.full")
+                and (isinstance(shape, ast.Tuple)
+                     or (isinstance(shape, ast.Attribute)
+                         and shape.attr == "shape"))))
+
+
 def _calls_by_function(tree):
-    """{top-level name: the dotted names of the calls inside it, with
-    whether each allocates a 2-D array}."""
+    """{top-level name: the calls inside it}."""
     out = {}
     for node in tree.body:
         name = getattr(node, "name", "<module>")
-        for call in ast.walk(node):
-            if isinstance(call, ast.Call):
-                func = ast.unparse(call.func)
-                shape = call.args[0] if call.args else None
-                two_d = func.endswith("_like") or (
-                    func in ("np.zeros", "np.ones", "np.empty", "np.full")
-                    and (isinstance(shape, ast.Tuple)
-                         or (isinstance(shape, ast.Attribute)
-                             and shape.attr == "shape")))
-                out.setdefault(name, []).append((func, two_d))
+        out[name] = [call for call in ast.walk(node)
+                     if isinstance(call, ast.Call)]
     return out
 
 
 def test_checker_solves_and_builds_chains_in_one_place_each():
-    # the sparse core swaps exactly these: the transient solve, the
-    # recurrent-class solve, and the one gather of a dense chain
+    # one helper factors every system, and a dense 2-D array exists only in
+    # its branches for systems and blocks under the size cutoff; chains are
+    # CSR everywhere else
     tree = ast.parse(Path(ctsched.check.__file__).read_text())
     calls = _calls_by_function(tree)
     solvers = {"np.linalg.solve", "np.linalg.lstsq", "np.linalg.inv",
-               "lu_factor", "lu_solve", "dgetrf", "dgetrs", "np.eye",
-               "np.identity"}
+               "lu_factor", "lu_solve", "dgetrf", "dgetrs", "splu",
+               "spsolve", "factorized", "np.eye", "np.identity"}
     solving = {name for name, found in calls.items()
-               if any(func in solvers for func, _ in found)}
-    assert solving == {"_absorption", "_gain_bias"}
-    # _gain_bias allocates its bordered system, not a chain
+               if any(ast.unparse(call.func) in solvers for call in found)}
+    assert solving == {"_factor"}
     building = {name for name, found in calls.items()
-                if any(two_d for _, two_d in found)}
-    assert building == {"_gather", "_gain_bias"}
+                if any(_two_d(call) for call in found)}
+    assert building == {"_factor"}
+    factor = next(node for node in tree.body
+                  if getattr(node, "name", None) == "_factor")
+    dense = {id(call) for branch in ast.walk(factor)
+             if isinstance(branch, ast.If)
+             and "_DENSE_MAX" in ast.unparse(branch.test)
+             for stmt in branch.body for call in ast.walk(stmt)}
+    assert all(id(call) in dense for call in calls["_factor"]
+               if _two_d(call))

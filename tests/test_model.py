@@ -132,6 +132,15 @@ def test_validate_reports_a_negative_action_id():
     assert validate(_with_choice((1, -1))) == ["(s1, -1): action out of range"]
 
 
+def test_validate_reports_a_repeated_successor():
+    # from_transitions adds duplicate edges up; a table built by hand that
+    # lists a successor twice in one choice is reported
+    m = two_state()
+    m = Ctmdp(m.state_names, m.action_names, m.initial,
+              {**m.trans, (1, 0): (np.array([0, 1, 0]), np.ones(3))})
+    assert validate(m) == ["(s1, a): repeated successor"]
+
+
 def test_validate_reports_labels_short_of_the_state_count():
     m = Ctmdp.from_transitions(("s0", "s1"), ("a",), 0,
                                [(0, 0, 1, 1.0), (1, 0, 0, 1.0)],
