@@ -17,17 +17,11 @@ class Guard:
     def eval(self, letter: Letter) -> bool:
         raise NotImplementedError
 
-    def aps(self) -> FrozenSet[int]:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class GTrue(Guard):
     def eval(self, letter):
         return True
-
-    def aps(self):
-        return frozenset()
 
     def __str__(self):
         return "t"
@@ -37,9 +31,6 @@ class GTrue(Guard):
 class GFalse(Guard):
     def eval(self, letter):
         return False
-
-    def aps(self):
-        return frozenset()
 
     def __str__(self):
         return "f"
@@ -52,9 +43,6 @@ class GAp(Guard):
     def eval(self, letter):
         return self.index in letter
 
-    def aps(self):
-        return frozenset({self.index})
-
     def __str__(self):
         return str(self.index)
 
@@ -65,9 +53,6 @@ class GNot(Guard):
 
     def eval(self, letter):
         return not self.arg.eval(letter)
-
-    def aps(self):
-        return self.arg.aps()
 
     def __str__(self):
         if isinstance(self.arg, (GAnd, GOr)):
@@ -82,9 +67,6 @@ class GAnd(Guard):
     def eval(self, letter):
         return all(g.eval(letter) for g in self.args)
 
-    def aps(self):
-        return frozenset().union(*(g.aps() for g in self.args))
-
     def __str__(self):
         return " & ".join(f"({g})" if isinstance(g, GOr) else str(g)
                           for g in self.args)
@@ -96,9 +78,6 @@ class GOr(Guard):
 
     def eval(self, letter):
         return any(g.eval(letter) for g in self.args)
-
-    def aps(self):
-        return frozenset().union(*(g.aps() for g in self.args))
 
     def __str__(self):
         return " | ".join(str(g) for g in self.args)

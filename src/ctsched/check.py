@@ -2,28 +2,30 @@
 two product objectives (probability of Buchi acceptance, long-run fraction of
 time in accepting states).
 
-Everything reduces to linear algebra on the uniformized embedded chain, read
-from the model's choice rows (``Ctmdp.choices``); each policy-iteration round
-scores every choice with one sparse product and switches in ``_improve``.
-The chain a schedule induces is a CSR (``Chain``) taken straight from the
-rows it plays; the graph passes read its entries, and ``_factor`` is the one
-place that factors a system: dense LAPACK LU while the system's rows fit in
-``_DENSE_MAX`` squared entries, SuperLU above, so no large chain is held
-dense:
+Everything reduces to linear algebra on chains read from the model's choice
+rows (``Ctmdp.choices``); each policy-iteration round scores every choice
+with one sparse product and switches in ``_improve``.  The chain a schedule
+induces is a CSR (``Chain``) taken straight from the rows it plays, whose
+systems are D - P: D is the identity, except that long-run averages put
+exit / cap on it and so solve the balance equations of the chain uniformized
+at the maximal exit rate cap, with no self-loop entry.  The graph passes
+read its entries, and ``_factor`` is the one place that factors a system:
+dense LAPACK LU while the system's rows fit in ``_DENSE_MAX`` squared
+entries, SuperLU above, so no large chain is held dense:
 
 * discounted values solve v = rho + Gamma P v, where Gamma(s) =
   lam(s, a) / (lam(s, a) + alpha) is the expected dwell discount;
 * long-run averages come from the bottom strongly connected components of
-  the uniformized induced chain, the gain of each, and absorption
-  probabilities;
+  the induced chain, the gain of each, and absorption probabilities, all
+  solved on its uniformized balance equations;
 * average optimization is multichain policy iteration (gain stage, then bias
-  stage) on the uniformized chain, started from a schedule that plays a
+  stage) on those equations, started from a schedule that plays a
   best-paying row wherever the step reward is maximal and steers every
   other state toward those states along the reachability attractor;
 * grading a schedule runs its optimizer's evaluation step on the rows the
   schedule plays, so grading an optimum reproduces it bit for bit;
 * a recurrent class's gain and bias are one square solve of the pinned
-  system: h is 0 at one state of the class, whose column of I - P carries
+  system: h is 0 at one state of the class, whose column of D - P carries
   g instead, and h is then shifted to sum 0; one LU factorization of the
   transient states extends both;
 * acceptance probabilities combine maximal-end-component analysis with
@@ -146,11 +148,13 @@ _DENSE_MAX = 256
 class Chain(NamedTuple):
     """A finite Markov chain in CSR layout: row s has the entries
     ``data[ptr[s]:ptr[s + 1]]`` in the columns ``col[ptr[s]:ptr[s + 1]]``,
-    every entry positive and no column twice in a row."""
+    every entry positive and no column twice in a row.  Its systems are
+    D - P, with D the diagonal ``diag``, or the identity if that is None."""
 
     ptr: np.ndarray
     col: np.ndarray
     data: np.ndarray
+    diag: Optional[np.ndarray] = None
 
 
 def _entries(ptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -180,24 +184,10 @@ def _dot(ch: ChoiceRows, data: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _uniform_chain(ch: ChoiceRows, rows: np.ndarray, cap: float) -> Chain:
-    """The chain that ``rows`` induce, uniformized to exit rate ``cap``: a
-    state's self-loop mass 1 - exit / cap adds to its own entry, or gets an
-    entry of its own at the end of its row."""
-    P = _gather(ch, rows, ch.rate / cap)
-    stay = 1.0 - ch.exit[rows] / cap
-    src = _sources(P)
-    loop = P.col == src
-    P.data[loop] += stay[src[loop]]
-    add = stay > 0
-    add[src[loop]] = False
-    ptr = P.ptr + np.concatenate(([0], np.cumsum(add)))
-    end = ptr[1:][add] - 1
-    keep = np.ones(ptr[-1], dtype=bool)
-    keep[end] = False
-    col, data = np.empty(ptr[-1], dtype=P.col.dtype), np.empty(ptr[-1])
-    col[keep], data[keep] = P.col, P.data
-    col[end], data[end] = np.flatnonzero(add), stay[add]
-    return Chain(ptr, col, data)
+    """The chain that ``rows`` induce, uniformized to exit rate ``cap``, with
+    no self-loop entry: its systems are diag(exit / cap) - R / cap, the
+    balance equations of the chain scaled by 1 / cap."""
+    return _gather(ch, rows, ch.rate / cap)._replace(diag=ch.exit[rows] / cap)
 
 
 def _first_rows(m: Ctmdp) -> np.ndarray:
@@ -247,8 +237,9 @@ def _bsccs(P: Chain) -> Tuple[List[List[int]], np.ndarray]:
 def _factor(P: Chain, t: np.ndarray, f: np.ndarray, pinned: bool = False
             ) -> Tuple[Callable[[np.ndarray], np.ndarray],
                        Callable[[np.ndarray], np.ndarray]]:
-    """Factor A = I - P[t, t] over the states ``t`` once, with its first
-    column all ones if ``pinned``, and return ``(solve, couple)``:
+    """Factor A = D[t, t] - P[t, t] over the states ``t`` once (D as in
+    ``Chain``), with its first column all ones if ``pinned``, and return
+    ``(solve, couple)``:
     ``solve(b)`` is A^-1 b and ``couple(x)`` is P[t, f] x for x given on
     the states ``f``.
 
@@ -263,16 +254,17 @@ def _factor(P: Chain, t: np.ndarray, f: np.ndarray, pinned: bool = False
     n, k = len(P.ptr) - 1, len(t)
     counts, entries = _entries(P.ptr, t)
     i, j, p = np.repeat(np.arange(k), counts), P.col[entries], P.data[entries]
+    d = np.ones(k) if P.diag is None else P.diag[t]
     if k * n <= _DENSE_MAX ** 2:
-        D = np.zeros((k, n))
-        D[i, j] = p
-        A = np.eye(k) - D[:, t]
+        block = np.zeros((k, n))
+        block[i, j] = p
+        A = np.diag(d) - block[:, t]
         if pinned:
             A[:, 0] = 1.0
         lu, piv, info = dgetrf(A)
         if info > 0:
             raise np.linalg.LinAlgError("Singular matrix")
-        B = D[:, f]
+        B = block[:, f]
 
         def solve(b: np.ndarray) -> np.ndarray:
             return dgetrs(lu, piv, b)[0]
@@ -291,7 +283,7 @@ def _factor(P: Chain, t: np.ndarray, f: np.ndarray, pinned: bool = False
     diag = np.arange(k)
     rows = np.concatenate((i[into], diag))
     cols = np.concatenate((pos[j[into]], diag))
-    vals = np.concatenate((-p[into], np.ones(k)))
+    vals = np.concatenate((-p[into], d))
     if pinned:
         keep = cols != 0
         rows = np.concatenate((rows[keep], diag))
@@ -312,10 +304,10 @@ def _factor(P: Chain, t: np.ndarray, f: np.ndarray, pinned: bool = False
 def _gain_bias(P: Chain, members: np.ndarray,
                r: np.ndarray) -> Tuple[float, np.ndarray]:
     """(g, h) of the closed irreducible class ``members`` of P, with r and h
-    on its states: g + h = r + P h with sum(h) = 0.  One square solve with
-    h pinned to 0 at the first member, whose column carries g,
-    [1, (I - P) e_2, ..., (I - P) e_k] [g; h_2; ...; h_k] = r, then h
-    shifted to sum 0."""
+    on its states: g + (D - P) h = r with sum(h) = 0, D as in ``Chain``.
+    One square solve with h pinned to 0 at the first member, whose column
+    carries g, [1, (D - P) e_2, ..., (D - P) e_k] [g; h_2; ...; h_k] = r,
+    then h shifted to sum 0."""
     solve, _ = _factor(P, members, members[:0], pinned=True)
     x = solve(r)
     g = float(x[0])
@@ -324,11 +316,11 @@ def _gain_bias(P: Chain, members: np.ndarray,
 
 
 def _absorption(P: Chain, fixed: np.ndarray) -> Callable[..., np.ndarray]:
-    """Factor I - P[t,t] over the states t outside the mask ``fixed`` once,
-    and return ``extend(value, rhs=None)``: it extends a value given on the
-    fixed states to the others by solving (I - P[t,t]) v[t] = rhs[t] +
-    P[t,fixed] v[fixed]; ``rhs`` defaults to 0, which gives the harmonic
-    extension v = P v.  This is the one transient linear solve."""
+    """Factor (D - P)[t,t] over the states t outside the mask ``fixed``
+    once, and return ``extend(value, rhs=None)``: it extends a value given
+    on the fixed states to the others by solving (D - P)[t,t] v[t] = rhs[t]
+    + P[t,fixed] v[fixed]; ``rhs`` defaults to 0, which gives the harmonic
+    extension D v = P v.  This is the one transient linear solve."""
     t, f = np.flatnonzero(~fixed), np.flatnonzero(fixed)
     if len(t):
         solve, couple = _factor(P, t, f)
@@ -421,7 +413,8 @@ def _recurrent_gain_bias(P: Chain, r: np.ndarray
 
 
 def _policy_gain_bias(P: Chain, r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(g, h) with g = P g and g + h = r + P h for a stochastic chain P."""
+    """(g, h) with (D - P) g = 0 and g + (D - P) h = r for a chain P whose
+    system D - P has rows that sum to 0 (D as in ``Chain``)."""
     g, h, recurrent = _recurrent_gain_bias(P, r)
     extend = _absorption(P, recurrent)
     g = extend(g)
@@ -449,8 +442,6 @@ def _average_optimal(m: Ctmdp,
     """
     ch = m.choices
     cap = m.max_exit_rate
-    # the cap-uniformized chain, as ``_uniform_chain`` gathers it
-    scaled, stay = ch.rate / cap, 1.0 - ch.exit / cap
     r_step = _step_rewards(m, spec, cap)
 
     sigma = ch.action[_first_rows(m)]
@@ -465,11 +456,14 @@ def _average_optimal(m: Ctmdp,
         P = _uniform_chain(ch, rows, cap)
         g, h = _policy_gain_bias(P, r_step[rows])
         tol = _TIE_TOL * max(1.0, float(np.abs(g).max()), float(np.abs(h).max()))
-        # gain stage: strictly increase P g where possible
-        qg = _dot(ch, scaled, g) + stay * g[ch.state]
+        # gain stage: strictly increase P g where possible, scored as
+        # (R g - exit g(s)) / cap, which is P g less the g(s) that every
+        # row of s shares
+        qg = (_dot(ch, ch.rate, g) - ch.exit * g[ch.state]) / cap
         gain = _improve(ch, qg, rows, tol)
         # bias stage, in the other states, among their gain-optimal actions
-        qb = r_step - g[ch.state] + (_dot(ch, scaled, h) + stay * h[ch.state])
+        qb = (r_step - g[ch.state]
+              + (_dot(ch, ch.rate, h) - ch.exit * h[ch.state]) / cap)
         qb[qg < qg[rows][ch.state] - tol] = -np.inf
         new = np.where(gain != rows, gain, _improve(ch, qb, rows, tol))
         switched = int(np.count_nonzero(new != rows))

@@ -11,8 +11,8 @@ non-convergence or a singular linear solve.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import os
 import sys
 import time
@@ -180,6 +180,13 @@ def cmd_learn(args) -> int:
     return 0
 
 
+def _output(path: Optional[str]):
+    """A context giving the file at ``path`` opened for writing, or stdout
+    (left open) if there is no path."""
+    return (open(path, "w", encoding="utf-8") if path
+            else contextlib.nullcontext(sys.stdout))
+
+
 def _values_csv(p: ProductCtmdp, result: CheckResult, out) -> None:
     w = csv.writer(out, lineterminator="\n")
     w.writerow(["state", "s", "q", "value"])
@@ -198,13 +205,8 @@ def cmd_check(args) -> int:
         result = (psem_of if sat else esem_of)(p, schedule)
     else:
         result = (psem_optimal if sat else esem_optimal)(p)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _values_csv(p, result, fh)
-    else:
-        buf = io.StringIO()
-        _values_csv(p, result, buf)
-        sys.stdout.write(buf.getvalue())
+    with _output(args.out) as fh:
+        _values_csv(p, result, fh)
     label = "PSem" if sat else "ESem"
     sys.stdout.write(f"# {label}(initial) = {result.value:.9g}\n")
     if args.schedule_out and result.schedule is not None:
@@ -218,8 +220,7 @@ def cmd_simulate(args) -> int:
     schedule = read_schedule(p, args.schedule) if args.schedule else {}
     env = OnTheFlyProductEnv(m, a)
     rng = RngHandle(args.seed, "trajectory")
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["step", "state", "action", "next", "dwell", "reward"])
         s = env.reset()
@@ -232,9 +233,6 @@ def cmd_simulate(args) -> int:
             w.writerow([step, state_name(m, s), action_name(m, action),
                         state_name(m, s2), f"{dwell:.9g}", f"{r:.9g}"])
             s = s2
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -246,12 +244,8 @@ def cmd_product(args) -> int:
     lines.append(f"# states: {p.num_states}")
     lines.append("# accepting: " +
                  " ".join(p.ctmdp.state_names[i] for i in sorted(p.accepting)))
-    body = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+    with _output(args.out) as fh:
+        fh.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -289,9 +283,9 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
-def _add_io_flags(sp, automaton_required=True):
+def _add_io_flags(sp):
     sp.add_argument("--model", required=True, help="path to a .ctmdp file")
-    sp.add_argument("--automaton", required=automaton_required,
+    sp.add_argument("--automaton", required=True,
                     help="path to a .hoa objective")
 
 

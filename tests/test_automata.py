@@ -18,9 +18,7 @@ def test_guard_eval():
     assert not GFalse().eval(L({0}))
 
 
-def test_guard_aps_and_str():
-    g = GOr((GAnd((GAp(0), GNot(GAp(1)))), GAp(2)))
-    assert g.aps() == L({0, 1, 2})
+def test_guard_str():
     # negation of a compound gets parenthesized
     assert str(GNot(GAnd((GAp(0), GAp(1))))) == "!(0 & 1)"
 

@@ -1,6 +1,7 @@
 """Exact checker: discounted values, long-run averages, PSem/ESem and their
 optimizers, cross-checked against closed forms and brute-force enumeration."""
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,56 @@ def test_average_value_splits_across_bsccs():
     assert g[2] == pytest.approx(0.0)
     # 1/4 chance of landing in the earning state
     assert g[0] == pytest.approx(0.25)
+
+
+def _exact_time_fraction(n, trans, accepting):
+    """The long-run fraction of time in ``accepting`` of the irreducible
+    single-action chain with (s, t, rate) edges, in exact arithmetic: the
+    stationary pi solves pi Q = 0 with sum(pi) = 1."""
+    Q = [[Fraction(0)] * n for _ in range(n)]
+    for s, t, rate in trans:
+        Q[s][t] += Fraction(rate)
+        Q[s][s] -= Fraction(rate)
+    # the balance equations of states 1..n-1 and the normalization
+    A = [[Q[s][t] for s in range(n)] + [Fraction(0)] for t in range(1, n)]
+    A.append([Fraction(1)] * (n + 1))
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if A[r][c] != 0)
+        A[c], A[pivot] = A[pivot], A[c]
+        for r in range(n):
+            if r != c and A[r][c] != 0:
+                f = A[r][c] / A[c][c]
+                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
+    return sum(A[s][n] / A[s][s] for s in accepting)
+
+
+def test_average_value_on_stiff_chains_matches_exact_fractions():
+    # rates across eleven decades: a slow state's exit rate is many orders
+    # below the uniformization rate, so its balance equation must not be
+    # recovered from 1 - (1 - exit / cap).  Successors are other states: a
+    # self-loop's rate is part of the exit rate, and a large one hides the
+    # rate of leaving in the same way (CHANGES.md)
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(200):
+        n = int(rng.integers(3, 7))
+        trans = []
+        for s in range(n):
+            others = [t for t in range(n) if t != s]
+            succ = {(s + 1) % n}
+            succ |= set(rng.choice(others, int(rng.integers(1, 3)),
+                                   replace=False).tolist())
+            trans += [(s, t, float(rng.uniform(0.5, 2.0)
+                                   * 10.0 ** int(rng.integers(-8, 4))))
+                      for t in sorted(succ)]
+        m = Ctmdp.from_transitions(tuple(f"s{s}" for s in range(n)), ("a",),
+                                   0, [(s, 0, t, r) for s, t, r in trans])
+        accepting = np.flatnonzero(rng.random(n) < 0.5).tolist()
+        got = average_value(m, accepting_rate_spec(n, frozenset(accepting)),
+                            np.zeros(n, dtype=np.int64))
+        want = float(_exact_time_fraction(n, trans, accepting))
+        worst = max(worst, float(np.abs(got - want).max()))
+    assert worst <= 1e-7
 
 
 def test_average_optimal_matches_brute_force():
@@ -459,9 +510,10 @@ def test_induced_embedded_matches_the_row_loop():
 
 
 def test_uniform_chain_matches_the_dense_formula():
-    # the self-loop mass joins a state's own entry or gets one, with the
-    # floats of adding it to the diagonal of the gathered matrix; no entry
-    # is zero and no column repeats, so the CSR is canonical
+    # the system D - P of the uniformized chain, with exit / cap on its
+    # diagonal and no self-loop entry, is I - (P + diag(1 - exit / cap)) of
+    # the chain that holds the self-loop mass; no entry is zero and no
+    # column repeats, so the CSR is canonical
     rng = np.random.default_rng(35)
     for i in range(100):
         m = random_ctmdp(rng, num_states=int(rng.integers(2, 12)))
@@ -471,10 +523,12 @@ def test_uniform_chain_matches_the_dense_formula():
         if i % 2:
             cap *= 1.5      # no state at the cap: every row has stay > 0
         rows = ch.lookup(sigma)
-        want = _dense(_gather(ch, rows, ch.rate / cap))
-        want[np.diag_indices_from(want)] += 1.0 - ch.exit[rows] / cap
+        loops = _dense(_gather(ch, rows, ch.rate / cap))
+        loops[np.diag_indices_from(loops)] += 1.0 - ch.exit[rows] / cap
+        want = np.eye(m.num_states) - loops
         P = _uniform_chain(ch, rows, cap)
-        assert np.array_equal(_dense(P), want)
+        got = np.diag(P.diag) - _dense(P)
+        assert np.allclose(got, want, rtol=0, atol=1e-15)
         assert np.all(P.data > 0)
         for s in range(m.num_states):
             cols = P.col[P.ptr[s]:P.ptr[s + 1]]

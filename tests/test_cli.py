@@ -24,7 +24,7 @@ def paths(tmp_path):
     return out
 
 
-def test_product_dump(paths, capsys):
+def test_product_dump(paths, tmp_path, capsys):
     code = main(["product", "--model", paths["mars.ctmdp"],
                  "--automaton", paths["fig1.hoa"]])
     assert code == 0
@@ -32,6 +32,13 @@ def test_product_dump(paths, capsys):
     assert "# states: 7" in out
     assert "(z=2,q1)" in out and "(z=0,q1)" in out
     assert out.startswith("ctmdp")
+    # --out writes the very bytes that stdout gets
+    f = tmp_path / "product.ctmdp"
+    code = main(["product", "--model", paths["mars.ctmdp"],
+                 "--automaton", paths["fig1.hoa"], "--out", str(f)])
+    assert code == 0
+    assert capsys.readouterr().out == ""
+    assert f.read_bytes() == out.encode()
 
 
 def test_check_optimal_sat_writes_schedule(paths, tmp_path, capsys):
@@ -61,6 +68,14 @@ def test_check_exp_footer_and_values_csv(paths, tmp_path, capsys):
     lines = values.read_text().strip().split("\n")
     assert lines[0] == "state,s,q,value"
     assert len(lines) == 9  # 8 product states plus the header
+    # without --out the same bytes go to stdout, ahead of the footer
+    code = main(["check", "--model", paths["riskreward.ctmdp"],
+                 "--automaton", paths["riskreward.hoa"],
+                 "--objective", "exp"])
+    assert code == 0
+    body, footer = capsys.readouterr().out.rsplit("# ESem", 1)
+    assert footer.startswith("(initial) = 0.9")
+    assert values.read_bytes() == body.encode()
 
 
 def test_check_suboptimal_schedule_is_dominated(paths, mars, tmp_path, capsys):
