@@ -13,7 +13,7 @@ from ctsched import blackwell_probe, build_product
 from ctsched.check import (RewardSpec, accepting_rate_spec, discounted_value,
                            uniformized_reward_spec)
 from ctsched.data import load_automaton, load_model
-from ctsched.model import exit_rate, uniformize
+from ctsched.model import uniformize
 
 
 def main():
@@ -21,12 +21,12 @@ def main():
     print("exit rates before uniformization:")
     for (s, a) in sorted(m.trans):
         print(f"  ({m.state_names[s]}, {m.action_names[a]}): "
-              f"{exit_rate(m, s, a):g}")
+              f"{m.successors(s, a)[1].sum():g}")
     u = uniformize(m)
     print("after uniformization every pair exits at the cap:")
     for (s, a) in sorted(u.trans):
         print(f"  ({u.state_names[s]}, {u.action_names[a]}): "
-              f"{exit_rate(u, s, a):g}")
+              f"{u.successors(s, a)[1].sum():g}")
 
     alpha = 0.5
     sigma = np.array([m.enabled(s)[0] for s in range(m.num_states)],

@@ -11,8 +11,8 @@ from .formats import (HoaSource, ModelSource, emit_hoa, emit_result_table,
                       parse_hoa, parse_model, serialize_model)
 from .learn import (EXP_GAMMA, SAT_GAMMA, Hyperparams, LearnResult, QTable,
                     learn_exp, learn_sat)
-from .model import (Ctmdp, CtmdpError, Mec, MecSet, embed, exit_rate,
-                    mec_decompose, uniformize, validate)
+from .model import (Ctmdp, CtmdpError, Mec, MecSet, embed, mec_decompose,
+                    uniformize, validate)
 from .product import (AugmentedProduct, OnTheFlyProductEnv, ProductCtmdp,
                       Schedule, augment, build_product, project_schedule,
                       schedule_from_ids, schedule_to_ids)

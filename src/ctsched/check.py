@@ -7,11 +7,12 @@ rows (``Ctmdp.choices``); each policy-iteration round scores every choice
 with one sparse product and switches in ``_improve``.  The chain a schedule
 induces is a CSR (``Chain``) taken straight from the rows it plays, whose
 systems are D - P: D is the identity, except that long-run averages put
-exit / cap on it and so solve the balance equations of the chain uniformized
-at the maximal exit rate cap, with no self-loop entry.  The graph passes
-read its entries, and ``_factor`` is the one place that factors a system:
-dense LAPACK LU while the system's rows fit in ``_DENSE_MAX`` squared
-entries, SuperLU above, so no large chain is held dense:
+the rate of leaving / cap on it and so solve the balance equations of the
+chain uniformized at the maximal exit rate cap, with no self-loop entry.
+The graph passes read its entries, and ``_factor`` is the one place that
+factors a system: dense LAPACK LU while the system's rows fit in
+``_DENSE_MAX`` squared entries, SuperLU above, so no large chain is held
+dense:
 
 * discounted values solve v = rho + Gamma P v, where Gamma(s) =
   lam(s, a) / (lam(s, a) + alpha) is the expected dwell discount;
@@ -185,9 +186,11 @@ def _dot(ch: ChoiceRows, data: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _uniform_chain(ch: ChoiceRows, rows: np.ndarray, cap: float) -> Chain:
     """The chain that ``rows`` induce, uniformized to exit rate ``cap``, with
-    no self-loop entry: its systems are diag(exit / cap) - R / cap, the
-    balance equations of the chain scaled by 1 / cap."""
-    return _gather(ch, rows, ch.rate / cap)._replace(diag=ch.exit[rows] / cap)
+    no self-loop entry: its systems are diag(out / cap) - R / cap, with R
+    the rates to other states and out their sum, the balance equations of
+    the chain scaled by 1 / cap."""
+    lf = ch.loop_free
+    return _gather(lf, rows, lf.rate / cap)._replace(diag=lf.exit[rows] / cap)
 
 
 def _first_rows(m: Ctmdp) -> np.ndarray:
@@ -202,16 +205,18 @@ def _first_rows(m: Ctmdp) -> np.ndarray:
 
 
 def _improve(ch: ChoiceRows, q: np.ndarray, rows: np.ndarray,
-             tol: float) -> np.ndarray:
+             tol: float | np.ndarray) -> np.ndarray:
     """New rows after one step on the scores ``q`` (one per choice row): each
     state scans its rows in action order and leaves its incumbent ``rows[s]``
-    only for a score above the best so far by more than ``tol``."""
+    only for a score above the best so far by more than its ``tol``, one
+    value for all states or one per state."""
     best = q[rows]
     new = rows.copy()
     top = np.maximum.reduceat(q, ch.start[:-1])
     for s in np.flatnonzero(top > best + tol).tolist():
+        margin = tol[s] if isinstance(tol, np.ndarray) else tol
         for i in range(ch.start[s], ch.start[s + 1]):
-            if q[i] > best[s] + tol:
+            if q[i] > best[s] + margin:
                 new[s], best[s] = i, q[i]
     return new
 
@@ -616,7 +621,9 @@ def psem_optimal(p: ProductCtmdp) -> CheckResult:
         v = _reach_probability(_gather(ch, rows, ch.prob), target)
         q = _dot(ch, ch.prob, v)
         q[settled] = -np.inf     # the region keeps its schedule
-        new = _improve(ch, q, rows, _TIE_TOL)
+        # relative to the incumbent's score, so that small values still
+        # switch on a real gain; over a score of 0 any positive score wins
+        new = _improve(ch, q, rows, _TIE_TOL * q[rows])
         switched = int(np.count_nonzero(new != rows))
         if not switched:
             return CheckResult(values=v,

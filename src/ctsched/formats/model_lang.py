@@ -11,9 +11,13 @@ The language is a small PRISM-inspired subset:
     label "p" = z=1;
 
 One module, bounded integer variables, commands guarded by boolean
-expressions, `#` comments.  The state space is the set of valuations
+expressions, `#` and `//` comments.  The state space is the set of valuations
 reachable from the initial one.  Two commands with the same action enabled in
 the same state race: their rates add up.
+
+The text is scanned into tokens by one regular expression, ``_TOKEN``, with
+one alternative per token kind; each token's line and column are counted
+from the start of its line.
 
 The parser compiles each guard, rate, update and label, as it reads it, into
 one closure over an environment: a dict holding the constants and the
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -57,8 +62,18 @@ class ModelSemanticError(ModelError):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_SYMBOLS = ("..", "->", "<=", ">=", "!=", "=", "<", ">", "!", "&", "|",
-            "(", ")", "[", "]", ":", ";", "+", "-", "*", "/", "'", ",")
+# One alternative per token kind, tried in this order at each position.  A
+# number has at most one decimal point, never takes the first '.' of the
+# range operator '..', and takes an exponent only when digits follow it.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<skip>[ \t\r]+ | \#[^\n]* | //[^\n]*)
+  | "(?P<string>[^"]*)"
+  | (?P<number>(?:\d+(?:\.(?!\.)\d*)? | \.\d+) (?:[eE][+-]?\d+)?)
+  | (?P<name>[^\W\d]\w*)
+  | (?P<sym>\.\. | -> | <= | >= | != | [=<>!&|()\[\]:;+\-*/',])
+  | (?P<bad>.)
+""", re.VERBOSE)
 
 
 @dataclass
@@ -71,67 +86,18 @@ class Token:
 
 def _tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#" or text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ModelSyntaxError("unterminated string", line, col)
-            tokens.append(Token("string", text[i + 1:j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            # at most one decimal point; '..' is the range operator
-            if j < n and text[j] == "." and not text.startswith("..", j):
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE" and j + 1 < n and \
-                    (text[j + 1].isdigit() or
-                     (text[j + 1] in "+-" and j + 2 < n and text[j + 2].isdigit())):
-                j += 2
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(Token("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("sym", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ModelSyntaxError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, start = 1, 0  # start: the offset where the current line begins
+    for m in _TOKEN.finditer(text):
+        kind, col = m.lastgroup, m.start() - start + 1
+        if kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind == "bad":
+            c = m.group()
+            raise ModelSyntaxError("unterminated string" if c == '"'
+                                   else f"unexpected character {c!r}", line, col)
+        elif kind != "skip":
+            tokens.append(Token(kind, m.group(kind), line, col))
+    tokens.append(Token("eof", "", line, len(text) - start + 1))
     return tokens
 
 

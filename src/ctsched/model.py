@@ -11,7 +11,7 @@ whose rates are the jump probabilities, so every exit rate is 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -33,6 +33,18 @@ class ActionNotEnabled(CtmdpError):
         super().__init__(f"action {action} not enabled in state {state}")
         self.state = state
         self.action = action
+
+
+def _row_sums(ptr: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """The sum of ``rate`` over each row of a CSR with row pointer ``ptr``.
+    Rows of one length summed along a contiguous axis add up in the order
+    rates.sum() does, so each probability is rates / rates.sum()."""
+    counts = np.diff(ptr)
+    out = np.zeros(len(counts))
+    for k in np.unique(counts):
+        same = np.flatnonzero(counts == k)
+        out[same] = rate[ptr[same, None] + np.arange(k)].sum(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -62,18 +74,24 @@ class ChoiceRows:
         succ = [np.zeros(0, dtype=np.int64)] + [trans[k][0] for k in keys]
         rates = [np.zeros(0)] + [trans[k][1] for k in keys]
         ptr = np.cumsum([len(x) for x in succ])
-        rate, counts = np.concatenate(rates), np.diff(ptr)
-        # rows of one length summed along a contiguous axis add up in the
-        # order rates.sum() does, so each probability is rates / rates.sum()
-        lam = np.zeros(len(keys))
-        for k in np.unique(counts):
-            same = np.flatnonzero(counts == k)
-            lam[same] = rate[ptr[same, None] + np.arange(k)].sum(axis=1)
+        rate = np.concatenate(rates)
         return ChoiceRows(
             start=np.searchsorted(state, np.arange(num_states + 1)),
             state=state, action=np.array([a for _, a in keys], dtype=np.int64),
-            exit=lam, ptr=ptr, succ=np.concatenate(succ), rate=rate,
-            row=dict(zip(keys, range(len(keys)))))
+            exit=_row_sums(ptr, rate), ptr=ptr, succ=np.concatenate(succ),
+            rate=rate, row=dict(zip(keys, range(len(keys)))))
+
+    @cached_property
+    def loop_free(self) -> "ChoiceRows":
+        """These rows without their self-loop entries, so that ``exit`` is
+        each row's rate of leaving its state, summed without the self-loop
+        rate that a subtraction from the full exit rate would cancel; built
+        on first use."""
+        keep = self.succ != np.repeat(self.state, np.diff(self.ptr))
+        ptr = np.concatenate(([0], np.cumsum(keep)))[self.ptr]
+        rate = self.rate[keep]
+        return replace(self, exit=_row_sums(ptr, rate), ptr=ptr,
+                       succ=self.succ[keep], rate=rate)
 
     @cached_property
     def prob(self) -> np.ndarray:
@@ -194,14 +212,9 @@ class MecSet:
     components: Tuple[Mec, ...]
 
 
-def exit_rate(m: Ctmdp, s: int, a: int) -> float:
-    succ, rates = m.successors(s, a)
-    return float(rates.sum())
-
-
 def embed(m: Ctmdp) -> Ctmdp:
     """Embedded jump chain as a Ctmdp of exit rate 1: the rates of (s, a)
-    are the jump probabilities R(s,a,.) / exit_rate(s,a)."""
+    are the jump probabilities R(s,a,.) / E(s,a), E the row's exit rate."""
     probs = {key: (succ, rates / rates.sum())
              for key, (succ, rates) in m.trans.items()}
     return Ctmdp(m.state_names, m.action_names, m.initial, probs, m.ap, m.labels)

@@ -68,8 +68,6 @@ class ProductCtmdp:
 @dataclass(frozen=True)
 class AugmentedProduct:
     product: ProductCtmdp      # the augmented model itself (sink included)
-    base: ProductCtmdp
-    zeta: float
     sink: int                  # product state id of t
 
 
@@ -254,12 +252,11 @@ def build_product(m: Ctmdp, a: BuchiAutomaton) -> ProductCtmdp:
                         model=m, automaton=a)
 
 
-def augment(p: ProductCtmdp, zeta: float, sink_rate: float = 1.0) -> AugmentedProduct:
-    """Sink-state construction: accepting exits split into zeta / (1 - zeta)."""
+def augment(p: ProductCtmdp, zeta: float) -> AugmentedProduct:
+    """Sink-state construction: accepting exits split into zeta / (1 - zeta);
+    the sink loops at rate 1."""
     if not (0.0 < zeta < 1.0):
         raise CtmdpError(f"zeta must lie in (0,1), got {zeta}")
-    if sink_rate <= 0:
-        raise CtmdpError(f"sink rate must be positive, got {sink_rate}")
     m, ch = p.ctmdp, p.ctmdp.choices
     sink = m.num_states
     # accepting rows keep zeta of each rate and send the rest of their exit
@@ -273,7 +270,7 @@ def augment(p: ProductCtmdp, zeta: float, sink_rate: float = 1.0) -> AugmentedPr
     edge_row = np.repeat(np.arange(len(counts)), counts + acc)
     transitions = list(zip(ch.state[edge_row].tolist(),
                            ch.action[edge_row].tolist(), succ, rate))
-    transitions.append((sink, len(p.action_pairs), sink, sink_rate))
+    transitions.append((sink, len(p.action_pairs), sink, 1.0))
 
     ctmdp = Ctmdp.from_transitions(
         m.state_names + ("(sink)",),
@@ -285,7 +282,7 @@ def augment(p: ProductCtmdp, zeta: float, sink_rate: float = 1.0) -> AugmentedPr
                            p.action_pairs + (SINK_ACTION,),
                            frozenset({sink}),
                            model=p.model, automaton=p.automaton)
-    return AugmentedProduct(product=product, base=p, zeta=zeta, sink=sink)
+    return AugmentedProduct(product=product, sink=sink)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from ctsched.formats import (BenchRow, HoaError, HoaSource, ModelError,
                              ModelSemanticError, ModelSource, ModelSyntaxError,
                              emit_hoa, emit_result_table, parse_hoa,
                              parse_model, serialize_model)
-from ctsched.model import exit_rate
+from ctsched.formats.model_lang import _tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +33,7 @@ def test_parse_simple_model():
     """)
     assert m.state_names == ("z=0", "z=1")
     assert m.action_names == ("go", "back")
-    assert exit_rate(m, 0, 0) == 2.5
+    assert m.successors(0, 0)[1].sum() == 2.5
     assert m.ap == ("up",)
     assert m.labels[0] == frozenset()
     assert m.labels[1] == frozenset({0})
@@ -49,7 +49,7 @@ def test_racing_commands_with_same_action_add_rates():
           [go] z=1 -> 1 : (z'=1);
         endmodule
     """)
-    assert exit_rate(m, 0, 0) == 3.0
+    assert m.successors(0, 0)[1].sum() == 3.0
 
 
 def test_only_reachable_valuations_become_states():
@@ -91,8 +91,8 @@ def test_const_arithmetic_and_comments():
           [a] z=1 -> lam / 2 : (z'=0);
         endmodule
     """)
-    assert exit_rate(m, 0, 0) == 6.0
-    assert exit_rate(m, 1, 0) == 3.0
+    assert m.successors(0, 0)[1].sum() == 6.0
+    assert m.successors(1, 0)[1].sum() == 3.0
 
 
 def test_syntax_error_reports_position():
@@ -304,6 +304,62 @@ def test_number_takes_at_most_one_decimal_point():
     with pytest.raises(ModelSyntaxError) as err:
         parse_model(_with_const("const double r = 1.2.3;"))
     assert (err.value.line, err.value.col) == (2, 21)
+
+
+# Token streams as (kind, value, line, col), ending in eof, or the error with
+# its position.  The eof after a trailing comment sits at the true end of the
+# text.  '\u00b2' is a digit to str.isdigit but no decimal digit, so it scans
+# as a name, not as a number that float() cannot read.
+@pytest.mark.parametrize("text, want", [
+    ("1.", [("number", "1.", 1, 1), ("eof", "", 1, 3)]),
+    (".5", [("number", ".5", 1, 1), ("eof", "", 1, 3)]),
+    ("0..K", [("number", "0", 1, 1), ("sym", "..", 1, 2), ("name", "K", 1, 4),
+              ("eof", "", 1, 5)]),
+    ("1..2", [("number", "1", 1, 1), ("sym", "..", 1, 2),
+              ("number", "2", 1, 4), ("eof", "", 1, 5)]),
+    ("1.2.3", [("number", "1.2", 1, 1), ("number", ".3", 1, 4),
+               ("eof", "", 1, 6)]),
+    ("1e5", [("number", "1e5", 1, 1), ("eof", "", 1, 4)]),
+    ("1e", [("number", "1", 1, 1), ("name", "e", 1, 2), ("eof", "", 1, 3)]),
+    ("1e+", [("number", "1", 1, 1), ("name", "e", 1, 2), ("sym", "+", 1, 3),
+             ("eof", "", 1, 4)]),
+    ("1.e5", [("number", "1.e5", 1, 1), ("eof", "", 1, 5)]),
+    ("a # note\nb", [("name", "a", 1, 1), ("name", "b", 2, 1),
+                     ("eof", "", 2, 2)]),
+    ("a // note\nb", [("name", "a", 1, 1), ("name", "b", 2, 1),
+                      ("eof", "", 2, 2)]),
+    ("x;# end", [("name", "x", 1, 1), ("sym", ";", 1, 2), ("eof", "", 1, 8)]),
+    ("x;// end", [("name", "x", 1, 1), ("sym", ";", 1, 2),
+                  ("eof", "", 1, 9)]),
+    ('"up" = ', [("string", "up", 1, 1), ("sym", "=", 1, 6),
+                 ("eof", "", 1, 8)]),
+    ('label "up', "1:7: unterminated string"),
+    ("a\r\nb\r\n", [("name", "a", 1, 1), ("name", "b", 2, 1),
+                    ("eof", "", 3, 1)]),
+    ("a\fb", "1:2: unexpected character '\\x0c'"),
+    ("a\xa0b", "1:2: unexpected character '\\xa0'"),
+    ("r = \u00b2;", [("name", "r", 1, 1), ("sym", "=", 1, 3),
+                     ("name", "\u00b2", 1, 5), ("sym", ";", 1, 6),
+                     ("eof", "", 1, 7)]),
+], ids=["trailing-point", "leading-point", "range", "range-of-numbers",
+        "two-points", "exponent", "bare-e", "e-sign", "point-exponent",
+        "hash-comment", "slash-comment", "hash-comment-at-end",
+        "slash-comment-at-end", "string", "unterminated-string", "crlf",
+        "form-feed", "no-break-space", "superscript-two"])
+def test_token_streams(text, want):
+    if isinstance(want, str):
+        with pytest.raises(ModelSyntaxError) as err:
+            _tokenize(text)
+        assert str(err.value) == want
+    else:
+        assert [(t.kind, t.value, t.line, t.col)
+                for t in _tokenize(text)] == want
+
+
+def test_a_superscript_digit_is_an_unknown_identifier():
+    with pytest.raises(ModelSemanticError) as err:
+        parse_model(_with_const("const double r = \u00b2;"))
+    assert str(err.value) == "2:18: unknown identifier '\u00b2'"
 
 
 @pytest.mark.parametrize("text, error", [

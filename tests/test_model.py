@@ -6,7 +6,7 @@ from ctsched.bruteforce import (_gate, brute_force_mec_pairs, random_buchi,
                                 random_ctmdp)
 from ctsched.data import load_model
 from ctsched.model import (ActionNotEnabled, Ctmdp, CtmdpError, embed,
-                           exit_rate, mec_decompose, uniformize, validate)
+                           mec_decompose, uniformize, validate)
 from ctsched.product import TRAP_PAIR, augment, build_product
 
 
@@ -45,9 +45,9 @@ def test_enabled_and_disabled_actions():
 
 def test_exit_rates():
     m = two_state()
-    assert exit_rate(m, 0, 0) == 3.0
-    assert exit_rate(m, 0, 1) == 6.0
-    assert exit_rate(m, 1, 0) == 2.0
+    assert m.successors(0, 0)[1].sum() == 3.0
+    assert m.successors(0, 1)[1].sum() == 6.0
+    assert m.successors(1, 0)[1].sum() == 2.0
     assert m.max_exit_rate == 6.0
 
 
@@ -68,7 +68,7 @@ def test_uniformize_adds_self_loop_mass():
     m = two_state()
     u = uniformize(m)  # cap defaults to 6
     for (s, a) in u.trans:
-        assert exit_rate(u, s, a) == pytest.approx(6.0, abs=1e-12)
+        assert u.successors(s, a)[1].sum() == pytest.approx(6.0, abs=1e-12)
     # (s0, a) had rate 3 to s1; the missing 3 becomes a self-loop
     succ, rates = u.successors(0, 0)
     assert dict(zip(succ.tolist(), rates.tolist())) == {0: 3.0, 1: 3.0}
@@ -83,7 +83,8 @@ def test_uniformize_adds_self_loop_mass():
 def test_uniformize_explicit_cap_and_bad_cap():
     m = two_state()
     u = uniformize(m, cap=10.0)
-    assert all(exit_rate(u, s, a) == pytest.approx(10.0) for (s, a) in u.trans)
+    assert all(u.successors(s, a)[1].sum() == pytest.approx(10.0)
+               for (s, a) in u.trans)
     with pytest.raises(CtmdpError):
         uniformize(m, cap=5.0)
 
