@@ -31,17 +31,15 @@ dense:
   transient states extends both;
 * acceptance probabilities combine maximal-end-component analysis with
   maximal reachability by policy iteration, one exact absorption solve per
-  round; its graph passes, the attractors that give the starting schedule
-  and the closure of the states that can reach the target, are backward
-  searches that visit each state once.
+  round; the one backward search, ``_attractor``, breadth-first over the
+  predecessor index, gives the starting schedules and the closure of the
+  states that can reach the target, and a value outside [0, 1] raises.
 """
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass, field
-from typing import (Callable, Container, Dict, FrozenSet, List, NamedTuple,
-                    Optional, Sequence, Set, Tuple)
+from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -80,12 +78,17 @@ class RewardSpec:
     action_reward: Dict[Tuple[int, int], float] = field(default_factory=dict)
 
 
+def _mask(n: int, index: Sequence[int]) -> np.ndarray:
+    """The length-n boolean mask that is True at ``index`` (list or array)."""
+    out = np.zeros(n, dtype=bool)
+    out[index] = True
+    return out
+
+
 def accepting_rate_spec(num_states: int, accepting: FrozenSet[int]) -> RewardSpec:
     """Rate 1 while in an accepting state, nothing else."""
-    rate = np.zeros(num_states)
-    for s in accepting:
-        rate[s] = 1.0
-    return RewardSpec(state_rate=rate)
+    return RewardSpec(
+        state_rate=_mask(num_states, list(accepting)).astype(float))
 
 
 def alpha_from_gamma(gamma: float, uniform_rate: float) -> float:
@@ -174,11 +177,6 @@ def _gather(ch: ChoiceRows, rows: np.ndarray, data: np.ndarray) -> Chain:
                  data[entries])
 
 
-def _sources(P: Chain) -> np.ndarray:
-    """The row of every entry of P."""
-    return np.repeat(np.arange(len(P.ptr) - 1), np.diff(P.ptr))
-
-
 def _dot(ch: ChoiceRows, data: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Every choice row's sum of ``data`` times ``v`` over its successors."""
     return np.add.reduceat(data * v[ch.succ], ch.ptr[:-1])
@@ -229,7 +227,7 @@ def _bsccs(P: Chain) -> Tuple[List[List[int]], np.ndarray]:
                       shape=(n, n))
     ncomp, comp = connected_components(graph, directed=True,
                                        connection="strong")
-    tail = comp[_sources(P)]
+    tail = np.repeat(comp, np.diff(P.ptr))
     leaves = np.ones(ncomp, dtype=bool)
     leaves[tail[tail != comp[P.col]]] = False
     members = np.flatnonzero(leaves[comp])
@@ -365,8 +363,7 @@ def _discount_rows(m: Ctmdp, spec: RewardSpec,
 def _discounted(ch: ChoiceRows, rows: np.ndarray, base: np.ndarray,
                 discount: np.ndarray) -> np.ndarray:
     """The v = base + discount (P v) of the chain that ``rows`` induce."""
-    P = _gather(ch, rows, ch.prob)
-    P.data[:] *= discount[rows][_sources(P)]
+    P = _gather(ch, rows, ch.prob * np.repeat(discount, np.diff(ch.ptr)))
     return _absorption(P, np.zeros(len(rows), dtype=bool))(
         np.zeros(len(rows)), base[rows])
 
@@ -453,8 +450,8 @@ def _average_optimal(m: Ctmdp,
     paying = np.flatnonzero(r_step == r_step.max())
     states, first = np.unique(ch.state[paying], return_index=True)
     sigma[states] = ch.action[paying[first]]
-    _attractor(ch, range(m.num_states), range(len(ch.state)),
-               set(states.tolist()), sigma)
+    _attractor(ch, np.ones(len(ch.state), dtype=bool),
+               _mask(m.num_states, states), sigma)
     rows = ch.lookup(sigma)
 
     for rounds in range(1, _MAX_ROUNDS + 1):
@@ -494,93 +491,66 @@ class CheckResult:
         return float(self.values[self.initial])
 
 
-def _reach_probability(P: Chain, target: Set[int]) -> np.ndarray:
-    """Probability of ever hitting ``target`` in the chain P (exact solve)."""
-    n = len(P.ptr) - 1
-    # one backward search over the entries of P from the target: states
-    # that cannot reach it at all have probability 0.  Only states outside
-    # the target can join, so only their rows give predecessor lists.
-    inside = np.zeros(n, dtype=bool)
-    inside[list(target)] = True
-    src = _sources(P)
-    out = ~inside[src]
-    src, dst = src[out], P.col[out]
-    by_dst = np.argsort(dst, kind="stable")
-    ptr = np.searchsorted(dst[by_dst], np.arange(n + 1)).tolist()
-    src = src[by_dst].tolist()
-    can = inside.tolist()
-    stack = np.unique(dst[inside[dst]]).tolist()
-    while stack:
-        t = stack.pop()
-        for s in src[ptr[t]:ptr[t + 1]]:
-            if not can[s]:
-                can[s] = True
-                stack.append(s)
-    extend = _absorption(P, inside | ~np.array(can))
-    return np.clip(extend(inside.astype(float)), 0.0, 1.0)
+def _in_unit_interval(values: np.ndarray) -> np.ndarray:
+    """``values`` unchanged if all lie in [0, 1] up to 1e-9; else, or on a
+    NaN, a solve lost its accuracy, and this raises rather than clip."""
+    if not -1e-9 <= values.min() <= values.max() <= 1.0 + 1e-9:
+        raise np.linalg.LinAlgError(f"values from {values.min()} to "
+                                    f"{values.max()} leave [0, 1]")
+    return values
+
+
+def _attractor(ch: ChoiceRows, allowed: np.ndarray, target: np.ndarray,
+               sigma: Optional[np.ndarray] = None) -> np.ndarray:
+    """The existential attractor (Baier & Katoen 2008, Alg. 45-46): the mask
+    of the states that reach the mask ``target`` over the rows in the mask
+    ``allowed``, by breadth-first search over ``ch.preds``.  A state joins
+    the level after the first that an allowed row of it enters, through its
+    least such row, whose action goes into ``sigma`` if given."""
+    if target.all() or not target.any():
+        return target.copy()
+    pptr, prow, state, ok = (x.tolist()
+                             for x in (*ch.preds, ch.state, allowed))
+    level = np.flatnonzero(target).tolist()
+    done = set(level)
+    picks: Dict[int, int] = {}    # the row of each state that joins
+    while level:
+        first: Dict[int, int] = {}
+        for t in level:
+            for r in prow[pptr[t]:pptr[t + 1]]:
+                s = state[r]
+                if ok[r] and s not in done and r < first.get(s, r + 1):
+                    first[s] = r
+        done.update(first)
+        picks.update(first)
+        level = list(first)
+    if sigma is not None:
+        sigma[list(picks)] = ch.action[list(picks.values())]
+    return _mask(len(target), list(done))
+
+
+def _reach_probability(ch: ChoiceRows, rows: np.ndarray,
+                       target: np.ndarray) -> np.ndarray:
+    """Probability of ever hitting the mask ``target`` in the chain that the
+    choice rows ``rows`` induce: 0 outside their attractor, else solved."""
+    fixed = target | ~_attractor(ch, _mask(len(ch.state), rows), target)
+    if fixed.all():
+        return target.astype(float)
+    extend = _absorption(_gather(ch, rows, ch.prob), fixed)
+    return _in_unit_interval(extend(target.astype(float)))
 
 
 def psem_of(p: ProductCtmdp, schedule: Schedule) -> CheckResult:
     """Probability of visiting accepting states infinitely often under a
     fixed schedule."""
     ch = p.ctmdp.choices
-    P = _gather(ch, ch.lookup(schedule_to_ids(p, schedule)), ch.prob)
-    bsccs, _ = _bsccs(P)
-    good: Set[int] = set()
-    for members in bsccs:
-        if set(members) & p.accepting:
-            good |= set(members)
-    values = _reach_probability(P, good) if good else np.zeros(p.num_states)
-    return CheckResult(values=values, schedule=schedule, initial=p.ctmdp.initial)
-
-
-def _attractor(ch: ChoiceRows, order: Sequence[int], allowed: Container[int],
-               target: Set[int], sigma: np.ndarray) -> None:
-    """Point each state of ``order`` outside ``target`` that can reach it
-    over the choice rows in ``allowed`` at its first allowed row with a
-    successor attracted before it; the others keep their entry of
-    ``sigma``.
-
-    This is the existential attractor (Baier & Katoen 2008, Alg. 45-46) as
-    one search over the predecessor index, settling each state once.  It
-    attracts and picks exactly as sweeping ``order`` until nothing changes,
-    with states attracted earlier in a sweep counting: the targets join at
-    (0, -1), a state joins at (sweep, its position in ``order``), and a
-    state at position ps with an allowed row into a state joined at (k, p)
-    can join at (k, ps) if ps > p, else at (k + 1, ps).  A heap settles each
-    state at its least such time, by when every state attracted before it
-    has settled and shown it the rows into them.
-    """
-    if target.issuperset(order):
-        return
-    n = len(ch.start) - 1
-    pos = [-1] * n
-    for i, s in enumerate(order):
-        pos[s] = i
-    for t in target:
-        pos[t] = -1           # the targets never join through a row
-    pptr, prow = (x.tolist() for x in ch.preds)
-    state = ch.state.tolist()
-    due = [math.inf] * n      # the least sweep each state is queued for
-    first = [math.inf] * n    # its least allowed row into an attracted state
-    heap = [(0, -1, t) for t in target]
-    heapq.heapify(heap)
-    while heap:
-        k, p, t = heapq.heappop(heap)
-        if k > due[t]:
-            continue          # queued again for an earlier sweep
-        if p >= 0:
-            sigma[t] = ch.action[first[t]]
-        for r in prow[pptr[t]:pptr[t + 1]]:
-            s = state[r]
-            ps = pos[s]
-            if ps >= 0 and r in allowed:
-                if r < first[s]:
-                    first[s] = r
-                ks = k if ps > p else k + 1
-                if ks < due[s]:
-                    due[s] = ks
-                    heapq.heappush(heap, (ks, ps, s))
+    rows = ch.lookup(schedule_to_ids(p, schedule))
+    bsccs, _ = _bsccs(_gather(ch, rows, ch.prob))
+    good = _mask(p.num_states, [s for members in bsccs
+                                if not p.accepting.isdisjoint(members)
+                                for s in members])
+    return CheckResult(values=_reach_probability(ch, rows, good),
+                       schedule=schedule, initial=p.ctmdp.initial)
 
 
 def psem_optimal(p: ProductCtmdp) -> CheckResult:
@@ -589,36 +559,34 @@ def psem_optimal(p: ProductCtmdp) -> CheckResult:
     Winning region: states of maximal end-components that contain an
     accepting state.  Inside it, an attractor toward the accepting states
     using only actions that keep the run in its component, one search for
-    all components, each iterated in the order of its ``states``.  Outside
-    it, policy iteration for maximal reachability of the region, started
-    from the attractor toward it over all enabled actions in state order:
-    each round solves the induced chain exactly and switches a state's
-    action only when that strictly raises its value, so values never drop
-    and the final schedule attains them.  ``iterations`` counts the rounds.
-    Raises ``CtmdpError`` if a state has no enabled action.
+    all components.  Outside it, policy iteration for maximal reachability
+    of the region, started from the attractor toward it over all enabled
+    actions: each round solves the induced chain exactly and switches a
+    state's action only when that strictly raises its value, so values
+    never drop and the final schedule attains them.  ``iterations`` counts
+    the rounds.  Raises ``CtmdpError`` if a state has no enabled action.
     """
     m = p.ctmdp
     ch = m.choices
-    n = m.num_states
     sigma = ch.action[_first_rows(m)]
     mecs = [mec for mec in mec_decompose(m, p.accepting).components
             if mec.accepting]
-    target: Set[int] = set().union(*(mec.states for mec in mecs))
-    acc = target & p.accepting
-    for mec in mecs:
-        for s in mec.states & p.accepting:
-            sigma[s] = mec.actions[s][0]
+    target = _mask(p.num_states, [s for mec in mecs for s in mec.states])
+    first = {s: mec.actions[s][0] for mec in mecs
+             for s in mec.states & p.accepting}
+    sigma[list(first)] = list(first.values())
     # a component's retained rows stay inside it, so one search over all
     # of them attracts and picks as one search per component would
-    kept = {ch.row[(s, a)] for mec in mecs
-            for s, acts in mec.actions.items() for a in acts}
-    _attractor(ch, [s for mec in mecs for s in mec.states], kept, acc, sigma)
-    _attractor(ch, range(n), range(len(ch.state)), target, sigma)
+    kept = _mask(len(ch.state), [ch.row[(s, a)] for mec in mecs
+                                 for s, acts in mec.actions.items()
+                                 for a in acts])
+    _attractor(ch, kept, _mask(p.num_states, list(first)), sigma)
+    _attractor(ch, np.ones(len(ch.state), dtype=bool), target, sigma)
 
     rows = ch.lookup(sigma)
-    settled = np.isin(ch.state, list(target))
+    settled = target[ch.state]
     for rounds in range(1, _MAX_ROUNDS + 1):
-        v = _reach_probability(_gather(ch, rows, ch.prob), target)
+        v = _reach_probability(ch, rows, target)
         q = _dot(ch, ch.prob, v)
         q[settled] = -np.inf     # the region keeps its schedule
         # relative to the incumbent's score, so that small values still
@@ -637,7 +605,7 @@ def esem_of(p: ProductCtmdp, schedule: Schedule) -> CheckResult:
     """Long-run fraction of time in accepting states under a fixed schedule."""
     sigma = schedule_to_ids(p, schedule)
     spec = accepting_rate_spec(p.num_states, p.accepting)
-    values = average_value(p.ctmdp, spec, sigma)
+    values = _in_unit_interval(average_value(p.ctmdp, spec, sigma))
     return CheckResult(values=values, schedule=schedule, initial=p.ctmdp.initial)
 
 
@@ -647,7 +615,8 @@ def esem_optimal(p: ProductCtmdp) -> CheckResult:
     rounds."""
     spec = accepting_rate_spec(p.num_states, p.accepting)
     gains, sigma, rounds = _average_optimal(p.ctmdp, spec)
-    return CheckResult(values=gains, schedule=schedule_from_ids(p, sigma),
+    return CheckResult(values=_in_unit_interval(gains),
+                       schedule=schedule_from_ids(p, sigma),
                        initial=p.ctmdp.initial, iterations=rounds)
 
 

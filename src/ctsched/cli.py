@@ -6,7 +6,8 @@ optimal or for a given schedule), ``simulate`` (trajectory dump), ``product``
 result table).
 
 Exit codes: 0 success, 2 parse error, 3 validation error, 4 numeric
-non-convergence or a singular linear solve.
+non-convergence, a singular linear solve, or a value the checker computes
+outside [0, 1].
 """
 from __future__ import annotations
 
@@ -45,14 +46,17 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_model(path: str) -> Ctmdp:
+def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror}", EXIT_VALIDATION)
+
+
+def _load_model(path: str) -> Ctmdp:
     try:
-        return parse_model(ModelSource(text, origin=path))
+        return parse_model(ModelSource(_read(path), origin=path))
     except ModelError as exc:
         raise CliError(f"{path}:{exc}" if exc.line else f"{path}: {exc}",
                        EXIT_PARSE)
@@ -60,12 +64,7 @@ def _load_model(path: str) -> Ctmdp:
 
 def _load_automaton(path: str) -> BuchiAutomaton:
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror}", EXIT_VALIDATION)
-    try:
-        return parse_hoa(HoaSource(text, origin=path))
+        return parse_hoa(HoaSource(_read(path), origin=path))
     except HoaError as exc:
         raise CliError(f"{path}: {exc}", EXIT_PARSE)
 

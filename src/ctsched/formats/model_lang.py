@@ -63,12 +63,13 @@ class ModelSemanticError(ModelError):
 # Tokenizer
 
 # One alternative per token kind, tried in this order at each position.  A
-# number has at most one decimal point, never takes the first '.' of the
-# range operator '..', and takes an exponent only when digits follow it.
+# string ends on its own line.  A number has at most one decimal point,
+# never takes the first '.' of the range operator '..', and takes an
+# exponent only when digits follow it.
 _TOKEN = re.compile(r"""
     (?P<newline>\n)
   | (?P<skip>[ \t\r]+ | \#[^\n]* | //[^\n]*)
-  | "(?P<string>[^"]*)"
+  | "(?P<string>[^"\n]*)"
   | (?P<number>(?:\d+(?:\.(?!\.)\d*)? | \.\d+) (?:[eE][+-]?\d+)?)
   | (?P<name>[^\W\d]\w*)
   | (?P<sym>\.\. | -> | <= | >= | != | [=<>!&|()\[\]:;+\-*/',])

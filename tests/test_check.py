@@ -17,8 +17,9 @@ from ctsched.bruteforce import (_gate, brute_force_average,
                                 random_schedule)
 from ctsched.check import (BlackwellReport, Chain, ConvergenceError,
                            RewardSpec, _absorption, _attractor, _bsccs,
-                           _gain_bias, _gather, _policy_gain_bias,
-                           _reach_probability, _uniform_chain,
+                           _gain_bias, _gather, _in_unit_interval,
+                           _policy_gain_bias, _reach_probability,
+                           _uniform_chain,
                            accepting_rate_spec, alpha_from_gamma,
                            average_optimal, average_value, blackwell_probe,
                            discounted_optimal, discounted_value, esem_of,
@@ -26,7 +27,8 @@ from ctsched.check import (BlackwellReport, Chain, ConvergenceError,
                            step_reward_spec, uniformized_reward_spec)
 from ctsched.model import Ctmdp, CtmdpError, uniformize
 from ctsched.product import (TRAP_PAIR, ProductCtmdp, build_product,
-                              project_schedule, schedule_to_ids)
+                              project_schedule, schedule_from_ids,
+                              schedule_to_ids)
 
 
 def absorbing_pair(lam0=2.0, lam1=3.0):
@@ -170,6 +172,31 @@ def test_average_value_on_stiff_chains_with_self_loops():
     assert _stiff_chain_error(2, loops=True) <= 1e-7
 
 
+def test_a_value_outside_the_unit_interval_raises():
+    # g is the only bottom class, so every answer is 1; {a, b, c} leaks only
+    # through a -> g, and LU on D - P loses that leak below one ulp of b's
+    # pivot, so the ESem solve ends at -0.0194.  That value raises instead
+    # of being returned, clipped or not
+    r = (1.109e-5, 191.8, 7.779e-8, 1678, 1.256e-6)
+    m = Ctmdp.from_transitions(
+        ("g", "a", "b", "c"), ("x",), 1,
+        [(0, 0, 0, 1.0), (1, 0, 0, r[0]), (1, 0, 2, r[1]), (2, 0, 1, r[2]),
+         (2, 0, 3, r[3]), (3, 0, 2, r[4])])
+    p = ProductCtmdp(m, tuple((s, 0) for s in range(4)), ((0, 0),),
+                     frozenset({0}))
+    schedule = schedule_from_ids(p, np.zeros(4, dtype=np.int64))
+    for call in (lambda: esem_of(p, schedule), lambda: esem_optimal(p)):
+        with pytest.raises(np.linalg.LinAlgError, match=r"leave \[0, 1\]"):
+            call()
+    # within 1e-9 of [0, 1] the values come back unchanged, beyond it or
+    # NaN they raise
+    near = np.array([-1e-9, 0.5, 1.0 + 1e-9])
+    assert _in_unit_interval(near) is near
+    for bad in (-2e-9, 1.0 + 2e-9, np.nan):
+        with pytest.raises(np.linalg.LinAlgError):
+            _in_unit_interval(np.array([0.5, bad]))
+
+
 def test_average_optimal_matches_brute_force():
     rng = np.random.default_rng(47)
     for _ in range(10):
@@ -189,7 +216,6 @@ def test_psem_of_mars_never_b(mars):
     sidx = {n: i for i, n in enumerate(p.ctmdp.state_names)}
     sigma[sidx["(z=0,q0)"]] = aidx["a>q0"]
     sigma[sidx["(z=0,q1)"]] = aidx["a>q0"]
-    from ctsched.product import schedule_from_ids
     res = psem_of(p, schedule_from_ids(p, sigma))
     # the a-c cycle visits the g zone forever and never risks zone 1
     assert res.value == pytest.approx(1.0, abs=1e-12)
@@ -343,6 +369,19 @@ def _dense(P):
     return csr_matrix((P.data, P.col, P.ptr), shape=(n, n)).toarray()
 
 
+def _reach(P, target):
+    """``_reach_probability`` of the dense stochastic matrix P, through the
+    one-action model whose rates are the entries of P."""
+    n = len(P)
+    m = Ctmdp.from_transitions(
+        tuple(f"s{i}" for i in range(n)), ("a",), 0,
+        [(int(s), 0, int(t), P[s, t]) for s, t in zip(*np.nonzero(P))])
+    ch = m.choices
+    mask = np.zeros(n, dtype=bool)
+    mask[sorted(target)] = True
+    return _reach_probability(ch, ch.start[:-1], mask)
+
+
 def _random_chain(rng, n):
     """Sparse random stochastic matrix: most entries are zero, so chains
     with several bottom components and dead ends are common."""
@@ -437,31 +476,33 @@ def test_reach_probability_matches_the_fixpoint_reference():
         if len(t):
             A = np.eye(len(t)) - P[np.ix_(t, t)]
             want[t] = np.linalg.solve(A, P[np.ix_(t, sorted(target))].sum(axis=1))
-        got = _reach_probability(_chain(P), target)
+        got = _reach(P, target)
         assert np.array_equal(got == 0, want == 0)
         assert np.allclose(got, np.clip(want, 0.0, 1.0), rtol=0, atol=1e-12)
         deep_zeros += n >= 30 and bool(np.any(got == 0))
     assert deep_zeros >= 5
 
 
-def _sweep_attractor(rows, states, actions, target, sigma):
-    """The attractor as a sweep: pass over ``states`` in their iteration
-    order until nothing changes, a state joining at its first action in
-    ``actions[s]`` with a successor that has joined, earlier in the same
-    pass included."""
+def _sweep_attractor(ch, allowed, target, sigma):
+    """The attractor as sweeps: each sweep is a full pass over the states
+    against the states of earlier sweeps only, a state joining at its least
+    allowed row with a successor among them; it returns those states."""
     done = set(target)
-    grown = True
-    while grown:
-        grown = False
-        for s in states:
+    while True:
+        sweep = {}
+        for s in range(len(ch.start) - 1):
             if s in done:
                 continue
-            for a in actions[s]:
-                if any(int(t) in done for t in rows[(s, a)][0]):
-                    sigma[s] = a
-                    done.add(s)
-                    grown = True
+            for r in range(ch.start[s], ch.start[s + 1]):
+                succ = ch.succ[ch.ptr[r]:ch.ptr[r + 1]].tolist()
+                if r in allowed and any(t in done for t in succ):
+                    sweep[s] = r
                     break
+        if not sweep:
+            return done
+        for s, r in sweep.items():
+            sigma[s] = ch.action[r]
+        done |= set(sweep)
 
 
 def test_attractor_matches_the_sweep_reference():
@@ -473,33 +514,23 @@ def test_attractor_matches_the_sweep_reference():
             m = build_product(m, random_buchi(rng, num_states=2)).ctmdp
             n = m.num_states
         ch = m.choices
-        allowed = set(np.flatnonzero(rng.random(len(ch.state)) < 0.7).tolist())
-        actions = {s: tuple(int(ch.action[r])
-                            for r in range(ch.start[s], ch.start[s + 1])
-                            if r in allowed) for s in range(n)}
-        order = rng.permutation(n)[:int(rng.integers(1, n + 1))].tolist()
-        target = set(rng.choice(n, int(rng.integers(1, n + 1)),
-                                replace=False).tolist())
+        allowed = rng.random(len(ch.state)) < 0.7
+        # only the states of a random subset may join, through their rows
+        joinable = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+        allowed &= np.isin(ch.state, joinable)
+        target = np.zeros(n, dtype=bool)
+        target[rng.choice(n, int(rng.integers(1, n + 1)), replace=False)] = True
         sigma = rng.integers(0, 3, n)
         want, got = sigma.copy(), sigma.copy()
-        _sweep_attractor(m.trans, order, actions, target, want)
-        _attractor(ch, order, allowed, target, got)
+        closure = _sweep_attractor(ch, set(np.flatnonzero(allowed).tolist()),
+                                   set(np.flatnonzero(target).tolist()), want)
+        mask = _attractor(ch, allowed, target, got)
+        assert np.array_equal(np.flatnonzero(mask), sorted(closure))
         assert np.array_equal(got, want)
-    # the order is the iteration order of the caller's collection, which
-    # for a frozenset need not be sorted: 10 is met before 3, so 10 takes
-    # its action into the target and 3 its action into 10
-    states = frozenset({3, 10})
-    assert list(states) == [10, 3]
-    m = Ctmdp.from_transitions(
-        tuple(f"s{i}" for i in range(11)), ("a", "b"), 0,
-        [(0, 0, 0, 1.0), (3, 0, 10, 1.0), (3, 1, 0, 1.0),
-         (10, 0, 3, 1.0), (10, 1, 0, 1.0)])
-    actions = {s: m.enabled(s) for s in range(11)}
-    want, got = np.zeros(11, dtype=np.int64), np.zeros(11, dtype=np.int64)
-    _sweep_attractor(m.trans, states, actions, {0}, want)
-    _attractor(m.choices, list(states), range(len(m.choices.state)), {0}, got)
-    assert want[10] == 1 and want[3] == 0
-    assert np.array_equal(got, want)
+        assert np.array_equal(_attractor(ch, allowed, target), mask)
+        # nothing reaches an empty target, and no entry of sigma changes
+        assert not _attractor(ch, allowed, target & False, got).any()
+        assert np.array_equal(got, want)
 
 
 def test_induced_embedded_matches_the_row_loop():
@@ -733,7 +764,7 @@ def test_factorization_branches_agree(monkeypatch):
         classes += len(bsccs) > 1
         target = set(rng.choice(n, int(rng.integers(1, n)),
                                 replace=False).tolist())
-        vd, vs = both(lambda: _reach_probability(_chain(P), target))
+        vd, vs = both(lambda: _reach(P, target))
         assert np.allclose(vd, vs, rtol=0, atol=1e-12)
     assert classes >= 50
 
@@ -865,3 +896,18 @@ def test_checker_solves_and_builds_chains_in_one_place_each():
              for stmt in branch.body for call in ast.walk(stmt)}
     assert all(id(call) in dense for call in calls["_factor"]
                if _two_d(call))
+
+
+def test_checker_searches_backward_in_one_place():
+    # _attractor is the one backward search: nothing else in the checker
+    # reads the predecessor index, and no heap replays an older sweep
+    tree = ast.parse(Path(ctsched.check.__file__).read_text())
+    reading = {getattr(node, "name", "<module>") for node in tree.body
+               if any(isinstance(x, ast.Attribute) and x.attr == "preds"
+                      for x in ast.walk(node))}
+    assert reading == {"_attractor"}
+    imported = {name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in [getattr(node, "module", None)]
+                + [alias.name for alias in node.names]}
+    assert "heapq" not in imported

@@ -236,9 +236,16 @@ def test_runs_below_one_exits_with_validation_code(paths, command, capsys):
 
 
 def test_missing_file_exits_with_validation_code(paths, capsys):
-    code = main(["check", "--model", "/nonexistent/x.ctmdp",
-                 "--automaton", paths["fig1.hoa"]])
-    assert code == EXIT_VALIDATION
+    # the model and the automaton are read alike
+    for missing, argv in (
+            ("/nonexistent/x.ctmdp", ["--model", "/nonexistent/x.ctmdp",
+                                      "--automaton", paths["fig1.hoa"]]),
+            ("/nonexistent/x.hoa", ["--model", paths["mars.ctmdp"],
+                                    "--automaton", "/nonexistent/x.hoa"])):
+        code = main(["check"] + argv)
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            f"error: {missing}: No such file or directory\n"
 
 
 def test_non_convergence_exits_with_numeric_code(paths, monkeypatch, capsys):

@@ -334,6 +334,8 @@ def test_number_takes_at_most_one_decimal_point():
     ('"up" = ', [("string", "up", 1, 1), ("sym", "=", 1, 6),
                  ("eof", "", 1, 8)]),
     ('label "up', "1:7: unterminated string"),
+    ('label "a\nb', "1:7: unterminated string"),
+    ('label "a\nb" = y;', "1:7: unterminated string"),
     ("a\r\nb\r\n", [("name", "a", 1, 1), ("name", "b", 2, 1),
                     ("eof", "", 3, 1)]),
     ("a\fb", "1:2: unexpected character '\\x0c'"),
@@ -344,7 +346,8 @@ def test_number_takes_at_most_one_decimal_point():
 ], ids=["trailing-point", "leading-point", "range", "range-of-numbers",
         "two-points", "exponent", "bare-e", "e-sign", "point-exponent",
         "hash-comment", "slash-comment", "hash-comment-at-end",
-        "slash-comment-at-end", "string", "unterminated-string", "crlf",
+        "slash-comment-at-end", "string", "unterminated-string",
+        "string-across-lines", "string-closed-on-next-line", "crlf",
         "form-feed", "no-break-space", "superscript-two"])
 def test_token_streams(text, want):
     if isinstance(want, str):
