@@ -24,7 +24,10 @@ dense:
   best-paying row wherever the step reward is maximal and steers every
   other state toward those states along the reachability attractor;
 * grading a schedule runs its optimizer's evaluation step on the rows the
-  schedule plays, so grading an optimum reproduces it bit for bit;
+  schedule plays, so grading an ESem, average or discounted optimum
+  reproduces it bit for bit; grading a PSem optimum agrees to a few ulps
+  only, since ``psem_of`` solves toward the played chain's good bottom
+  classes and ``psem_optimal`` toward the accepting-MEC region;
 * a recurrent class's gain and bias are one square solve of the pinned
   system: h is 0 at one state of the class, whose column of D - P carries
   g instead, and h is then shifted to sum 0; one LU factorization of the

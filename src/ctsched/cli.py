@@ -33,7 +33,7 @@ from .learn import Hyperparams, accepting_dwell, learn_exp, learn_sat
 from .model import Ctmdp, CtmdpError
 from .product import (OnTheFlyProductEnv, ProductCtmdp, Schedule,
                       action_name, build_product, state_name)
-from .simulate import RngHandle
+from .simulate import SEED_LIMIT, RngHandle
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -128,10 +128,19 @@ def read_schedule(p: ProductCtmdp, path: str) -> Schedule:
     return out
 
 
+def _check_seed(seed: int, runs: int = 1) -> None:
+    """Seeds ``seed`` to ``seed + runs - 1`` must fit an ``RngHandle``."""
+    for s, name in ((seed, "--seed"), (seed + runs - 1, "--seed + --runs - 1")):
+        if not 0 <= s < SEED_LIMIT:
+            raise CliError(f"{name} must lie in [0, 2**32), got {s}",
+                           EXIT_VALIDATION)
+
+
 def _hyperparams(args) -> Hyperparams:
     if args.runs < 1:
         raise CliError(f"--runs must be at least 1, got {args.runs}",
                        EXIT_VALIDATION)
+    _check_seed(args.seed, args.runs)
     try:
         return Hyperparams(gamma=args.gamma, beta=args.beta,
                            epsilon=args.epsilon, zeta=args.zeta,
@@ -144,38 +153,41 @@ def _hyperparams(args) -> Hyperparams:
 # ---------------------------------------------------------------------------
 # Subcommands
 
+def _objective(name: str):
+    """The learner, optimizer and grader of objective ``sat`` or ``exp``."""
+    if name == "sat":
+        return learn_sat, psem_optimal, psem_of
+    return learn_exp, esem_optimal, esem_of
+
+
+def _learn_and_grade(m: Ctmdp, a: BuchiAutomaton, p: ProductCtmdp,
+                     objective: str, hp: Hyperparams,
+                     args) -> Tuple[Dict[str, float], Schedule]:
+    """The objective's BenchRow cells (exact optimum, mean graded value and
+    mean time to learn and grade, over the seeds of ``--seed`` and
+    ``--runs``) and the best schedule learned."""
+    learn, optimize, grade = _objective(objective)
+    exact = optimize(p).value
+    values, times, schedules = [], [], []
+    for seed in range(args.seed, args.seed + args.runs):
+        t0 = time.perf_counter()
+        schedules.append(learn(m, a, hp, seed=seed).schedule)
+        values.append(grade(p, schedules[-1]).value)
+        times.append(time.perf_counter() - t0)
+    return {f"{objective}_prob": exact, f"est_{objective}": np.mean(values),
+            f"time_{objective}": np.mean(times)}, schedules[np.argmax(values)]
+
+
 def cmd_learn(args) -> int:
     m, a, p = _build(args)
     hp = _hyperparams(args)
-    sat = args.objective == "sat"
-    exact = psem_optimal(p) if sat else esem_optimal(p)
-    values: List[float] = []
-    times: List[float] = []
-    best_schedule: Optional[Schedule] = None
-    best_value = -1.0
-    for i in range(args.runs):
-        t0 = time.perf_counter()
-        result = (learn_sat if sat else learn_exp)(m, a, hp,
-                                                   seed=args.seed + i)
-        graded = (psem_of if sat else esem_of)(p, result.schedule)
-        times.append(time.perf_counter() - t0)
-        values.append(graded.value)
-        if graded.value > best_value:
-            best_value, best_schedule = graded.value, result.schedule
-    est = float(np.mean(values))
-    elapsed = float(np.mean(times))
+    cells, best = _learn_and_grade(m, a, p, args.objective, hp, args)
     name = args.model.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    row = BenchRow(name=name, states=m.num_states, prod=p.num_states,
-                   sat_prob=exact.value if sat else None,
-                   est_sat=est if sat else None,
-                   time_sat=elapsed if sat else None,
-                   exp_prob=None if sat else exact.value,
-                   est_exp=None if sat else est,
-                   time_exp=None if sat else elapsed)
+    row = BenchRow(name=name, states=m.num_states, prod=p.num_states, **cells)
     sys.stdout.write(emit_result_table([row], fmt=args.format))
-    if args.schedule_out and best_schedule is not None:
+    if args.schedule_out:
         with open(args.schedule_out, "w", encoding="utf-8") as fh:
-            write_schedule(p, best_schedule, fh)
+            write_schedule(p, best, fh)
     return 0
 
 
@@ -198,15 +210,12 @@ def _values_csv(p: ProductCtmdp, result: CheckResult, out) -> None:
 
 def cmd_check(args) -> int:
     m, a, p = _build(args)
-    sat = args.objective == "sat"
-    if args.schedule:
-        schedule = read_schedule(p, args.schedule)
-        result = (psem_of if sat else esem_of)(p, schedule)
-    else:
-        result = (psem_optimal if sat else esem_optimal)(p)
+    _, optimize, grade = _objective(args.objective)
+    result = (grade(p, read_schedule(p, args.schedule)) if args.schedule
+              else optimize(p))
     with _output(args.out) as fh:
         _values_csv(p, result, fh)
-    label = "PSem" if sat else "ESem"
+    label = "PSem" if args.objective == "sat" else "ESem"
     sys.stdout.write(f"# {label}(initial) = {result.value:.9g}\n")
     if args.schedule_out and result.schedule is not None:
         with open(args.schedule_out, "w", encoding="utf-8") as fh:
@@ -215,6 +224,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_seed(args.seed)
     m, a, p = _build(args)
     schedule = read_schedule(p, args.schedule) if args.schedule else {}
     env = OnTheFlyProductEnv(m, a)
@@ -255,26 +265,11 @@ def cmd_bench(args) -> int:
         m = bundled.load_model(model_name)
         a = bundled.load_automaton(aut_name)
         p = build_product(m, a)
-        exact_sat = psem_optimal(p)
-        exact_exp = esem_optimal(p)
-        sat_vals, sat_times, exp_vals, exp_times = [], [], [], []
-        for i in range(args.runs):
-            t0 = time.perf_counter()
-            res = learn_sat(m, a, hp, seed=args.seed + i)
-            sat_vals.append(psem_of(p, res.schedule).value)
-            sat_times.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            res = learn_exp(m, a, hp, seed=args.seed + i)
-            exp_vals.append(esem_of(p, res.schedule).value)
-            exp_times.append(time.perf_counter() - t0)
+        cells: Dict[str, float] = {}
+        for objective in ("sat", "exp"):
+            cells.update(_learn_and_grade(m, a, p, objective, hp, args)[0])
         rows.append(BenchRow(name=model_name, states=m.num_states,
-                             prod=p.num_states,
-                             sat_prob=exact_sat.value,
-                             est_sat=float(np.mean(sat_vals)),
-                             time_sat=float(np.mean(sat_times)),
-                             exp_prob=exact_exp.value,
-                             est_exp=float(np.mean(exp_vals)),
-                             time_exp=float(np.mean(exp_times))))
+                             prod=p.num_states, **cells))
     sys.stdout.write(emit_result_table(rows, fmt=args.format))
     return 0
 
@@ -288,7 +283,10 @@ def _add_io_flags(sp):
                     help="path to a .hoa objective")
 
 
-def _add_hyper_flags(sp):
+def _add_learn_flags(sp, runs: int):
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--runs", type=int, default=runs)
+    sp.add_argument("--format", choices=("csv", "table"), default="csv")
     sp.add_argument("--zeta", type=float, default=0.99)
     sp.add_argument("--episodes", type=int, default=20000)
     sp.add_argument("--ep-len", dest="ep_len", type=int, default=300)
@@ -309,11 +307,8 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("learn", help="train a schedule and grade it exactly")
     _add_io_flags(sp)
     sp.add_argument("--objective", choices=("sat", "exp"), default="sat")
-    _add_hyper_flags(sp)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--runs", type=int, default=1)
+    _add_learn_flags(sp, runs=1)
     sp.add_argument("--schedule-out", dest="schedule_out")
-    sp.add_argument("--format", choices=("csv", "table"), default="csv")
     sp.set_defaults(func=cmd_learn)
 
     sp = sub.add_parser("check", help="exact values, optimal or for a schedule")
@@ -338,10 +333,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_product)
 
     sp = sub.add_parser("bench", help="run the bundled models")
-    _add_hyper_flags(sp)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--runs", type=int, default=3)
-    sp.add_argument("--format", choices=("csv", "table"), default="csv")
+    _add_learn_flags(sp, runs=3)
     sp.set_defaults(func=cmd_bench)
 
     return ap

@@ -5,7 +5,8 @@
 pair's actions (a, q') combine a model action with a resolution of the
 automaton's nondeterminism.  The learner builds the rows its runs reach;
 ``build_product`` builds every reachable row of the same table and
-materializes the product from them.  Two trainers share the Q machinery:
+materializes the product from them.  ``_train`` owns the Q-values and
+visit counts, by the table's ids.  Two trainers share the Q machinery:
 
 * ``learn_sat`` maximizes the probability of visiting accepting states
   forever.  Transitions out of accepting states pay 1 with probability
@@ -135,9 +136,21 @@ def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
     rngs = make_rngs(seed)
     traj, coin, explore = rngs["trajectory"], rngs["coin"], rngs["exploration"]
     alpha = hp.alpha_for(env.m.max_exit_rate, satisfaction=satisfaction)
-    Q, N, succ, cum, acc = env.q, env.visits, env.succ, env.cum, env.accepting
+    acts, succ, cum, acc = env.acts, env.succ, env.cum, env.accepting
+    Q: List[Optional[List[float]]] = [None] * len(acts)  # None: not met yet
+    N: List[Optional[List[int]]] = [None] * len(acts)
+
+    def build(i: int) -> List[float]:  # zero slots; a built row is reused
+        if acts[i] is None:
+            env.row(i)
+            Q.extend([None] * (len(acts) - len(Q)))
+            N.extend([None] * (len(acts) - len(N)))
+        N[i] = [0] * len(acts[i])
+        q = Q[i] = [0.0] * len(acts[i])
+        return q
+
     init = env.intern(env.reset())
-    env.row(init)
+    build(init)
     updated: List[Tuple[int, int]] = []  # (id, slot) in first-update order
     epsilon, beta, decay_beta = hp.epsilon, hp.beta, hp.decay_beta
     fail_pay = 1.0 - hp.zeta
@@ -164,7 +177,7 @@ def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
             else:
                 q2 = Q[i2]
                 if q2 is None:
-                    q2 = env.row(i2)
+                    q2 = build(i2)
                 r = 0.0 if satisfaction else accepting_dwell(acc[i], dwell)
                 target = r + math.exp(-alpha * dwell) * max(q2)
             ni = N[i]
@@ -197,11 +210,11 @@ def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
         estimate *= alpha
     table, schedule = QTable(), {}
     for i, k in updated:
-        pair, acts, qi = env.pairs[i], env.acts[i], Q[i]
-        table.q[(pair, acts[k])] = qi[k]
-        table.visits[(pair, acts[k])] = N[i][k]
+        pair, ai, qi = env.pairs[i], acts[i], Q[i]
+        table.q[(pair, ai[k])] = qi[k]
+        table.visits[(pair, ai[k])] = N[i][k]
         if pair != TRAP_PAIR and pair not in schedule:
-            schedule[pair] = acts[qi.index(max(qi))]
+            schedule[pair] = ai[qi.index(max(qi))]
     return LearnResult(qtable=table, schedule=schedule, estimate=estimate,
                        episodes_run=episodes, steps_run=steps,
                        converged=converged, alpha=alpha, history=history)

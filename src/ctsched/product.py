@@ -6,10 +6,10 @@ Automaton nondeterminism is materialized as distinct product actions: taking
 and the automaton to ``q' in delta(q, L(s))``.  Product states whose automaton
 successor set is empty fall into a rejecting trap state.
 
-``OnTheFlyProductEnv`` is the one product table: its ``row`` applies these
-rules, the trap rule included, and is the one place that steps the
-automaton.  The learner builds rows as its runs reach them; ``build_product``
-builds every reachable row and reads the materialized product off them.
+``OnTheFlyProductEnv`` is the one product table, of structure only: its
+``row`` applies these rules, the trap rule included, and is the one place
+that steps the automaton.  The learner builds rows as its runs reach them;
+``build_product`` builds every reachable row and reads the product off them.
 """
 from __future__ import annotations
 
@@ -110,12 +110,12 @@ class OnTheFlyProductEnv:
     every reachable row and materializes the product from them.
 
     ``intern`` gives each pair met an id; per id the table keeps the pair,
-    its accepting flag and, once ``row`` has built it, its action tuple, per
-    action slot k the successor ids ``succ[i][k]`` and cumulative rates
-    ``cum[i][k]`` that ``simulate.race`` takes, and one list of Q-values and
-    one of visit counts over its slots.  Row columns hold None until then,
-    so only the reachable fragment is ever touched.  Rows come from the
-    model's choice rows; a pair whose automaton run dies loops in the trap.
+    its accepting flag and, once ``row`` has built it, its action tuple and,
+    per action slot k, the successor ids ``succ[i][k]`` and cumulative rates
+    ``cum[i][k]`` that ``simulate.race`` takes; no learning state, so
+    learners may share the table.  Row columns hold None until then, so only
+    the reachable fragment is ever touched.  Rows come from the model's
+    choice rows; a pair whose automaton run dies loops in the trap.
 
     ``reset``, ``is_accepting``, ``actions`` and ``sample`` read the same
     rows keyed by pairs, and check the pairs and actions they are given.
@@ -131,8 +131,6 @@ class OnTheFlyProductEnv:
         self.acts: List[Optional[Tuple[ActionPair, ...]]] = []
         self.succ: List[Optional[List[Tuple[int, ...]]]] = []
         self.cum: List[Optional[List[List[float]]]] = []
-        self.q: List[Optional[List[float]]] = []
-        self.visits: List[Optional[List[int]]] = []
 
     def intern(self, pair: StatePair) -> int:
         i = self.ids.get(pair)
@@ -140,12 +138,12 @@ class OnTheFlyProductEnv:
             i = self.ids[pair] = len(self.pairs)
             self.pairs.append(pair)
             self.accepting.append(self.is_accepting(pair))
-            for col in (self.acts, self.succ, self.cum, self.q, self.visits):
+            for col in (self.acts, self.succ, self.cum):
                 col.append(None)
         return i
 
-    def row(self, i: int) -> List[float]:
-        """Build the row of id i, interning its successors; returns q[i]."""
+    def row(self, i: int) -> None:
+        """Build the row of id i, interning its successors."""
         s, q = self.pairs[i]
         choices = () if s is None else sorted(step(self.a, q, self._letters[s]))
         if not choices:
@@ -166,9 +164,6 @@ class OnTheFlyProductEnv:
                     cums.append(cum)
             acts = tuple(acts)
         self.acts[i], self.succ[i], self.cum[i] = acts, succ, cums
-        self.visits[i] = [0] * len(acts)
-        q = self.q[i] = [0.0] * len(acts)
-        return q
 
     def _built(self, pair: StatePair) -> int:
         """The id of ``pair`` with its row built."""
@@ -182,7 +177,7 @@ class OnTheFlyProductEnv:
                     f"{self.m.num_states} states, the automaton "
                     f"{self.a.num_states}")
             i = self.intern(pair)
-        if self.q[i] is None:
+        if self.acts[i] is None:
             self.row(i)
         return i
 

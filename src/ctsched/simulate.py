@@ -25,6 +25,7 @@ T = TypeVar("T")
 
 _STREAM_KEYS = {"trajectory": 0x74726a, "coin": 0x636f696e, "exploration": 0x657870}
 _BUF = 8192
+SEED_LIMIT = 1 << 32
 
 
 class RngHandle:
@@ -35,6 +36,9 @@ class RngHandle:
         if stream not in _STREAM_KEYS:
             raise ValueError(f"unknown stream '{stream}'; "
                              f"expected one of {sorted(_STREAM_KEYS)}")
+        # the seed fills the upper half of the 64-bit key, so it takes 32 bits
+        if not 0 <= seed < SEED_LIMIT:
+            raise ValueError(f"seed must lie in [0, 2**32), got {seed}")
         self.seed = seed
         self.stream = stream
         self._gen = np.random.Generator(

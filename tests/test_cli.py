@@ -235,6 +235,24 @@ def test_runs_below_one_exits_with_validation_code(paths, command, capsys):
     assert "--runs" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["simulate", "--seed", "-1"], "--seed must lie in [0, 2**32), got -1"),
+    (["learn", "--seed", "-2"], "--seed must lie in [0, 2**32), got -2"),
+    (["learn", "--seed", "4294967295", "--runs", "2"],
+     "--seed + --runs - 1 must lie in [0, 2**32), got 4294967296"),
+    (["bench", "--seed", "4294967294", "--runs", "3"],
+     "--seed + --runs - 1 must lie in [0, 2**32), got 4294967296"),
+])
+def test_seed_outside_32_bits_exits_with_validation_code(paths, argv, bad,
+                                                         capsys):
+    if argv[0] != "bench":
+        argv = argv + ["--model", paths["mars.ctmdp"],
+                       "--automaton", paths["fig1.hoa"]]
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}\n" and captured.out == ""
+
+
 def test_missing_file_exits_with_validation_code(paths, capsys):
     # the model and the automaton are read alike
     for missing, argv in (

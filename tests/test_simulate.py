@@ -28,6 +28,14 @@ def test_rng_unknown_stream():
         RngHandle(0, "weather")
 
 
+def test_rng_rejects_a_seed_outside_32_bits():
+    # the seed fills the upper half of a 64-bit key: 2**32 would wrap to 0
+    for seed in (-1, 2**32, 2**32 + 5):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\), got "):
+            RngHandle(seed, "trajectory")
+    assert RngHandle(2**32 - 1).uniform() != RngHandle(0).uniform()
+
+
 def test_rng_integers_range():
     rng = RngHandle(1, "exploration")
     picks = [rng.integers(3) for _ in range(1000)]
