@@ -1,28 +1,28 @@
 """Exhaustive-enumeration oracles and random instance generators.
 
-The oracles score every pure schedule with the exact evaluators from the
-check module, so they are slow but assumption-free; they are gated to desk
-scale (at most 8 states and 3 actions per state).  Generators produce random
-CTMDPs, Buchi automata, synthetic marked products, and reward structures for
-randomized cross-checks.
+The oracles are assumption-free: they score every pure schedule with the
+check module's own evaluation steps, all in one call on the disjoint union
+of the chains the schedules induce, whose block-diagonal systems decouple
+exactly.  They are gated to desk scale (at most 8 states and 3 actions per
+state).  Generators produce random CTMDPs, Buchi automata, synthetic marked
+products, and reward structures for randomized cross-checks.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
 from .automata import BuchiAutomaton, Edge, GAnd, GAp, GNot, GTrue, Guard
-from .check import (RewardSpec, _bsccs, _gather, average_value,
-                    discounted_value, esem_of, psem_of)
-from .model import Ctmdp, CtmdpError
+from .check import (Chain, RewardSpec, _average, _bsccs, _discount_rows,
+                    _discounted, _first_rows, _gather, _in_unit_interval,
+                    _psem, _step_rewards, accepting_rate_spec)
+from .model import ChoiceRows, Ctmdp, CtmdpError
 from .product import ProductCtmdp, Schedule, schedule_from_ids
 
 MAX_STATES = 8
 MAX_ACTIONS = 3
-MAX_SCHEDULES = 50000
 
 
 def count_schedules(m: Ctmdp) -> int:
@@ -30,67 +30,81 @@ def count_schedules(m: Ctmdp) -> int:
 
 
 def _gate(m: Ctmdp):
+    """Raise above ``MAX_STATES`` states or ``MAX_ACTIONS`` actions in a
+    state, so that there are at most 3^8 = 6561 schedules."""
     if m.num_states > MAX_STATES:
         raise CtmdpError(
             f"brute force limited to {MAX_STATES} states, got {m.num_states}")
     if np.diff(m.choices.start).max(initial=0) > MAX_ACTIONS:
         raise CtmdpError(
             f"brute force limited to {MAX_ACTIONS} actions per state")
-    if count_schedules(m) > MAX_SCHEDULES:
-        raise CtmdpError("schedule space too large for brute force")
 
 
-def schedule_space(m: Ctmdp) -> Iterator[np.ndarray]:
-    """All pure schedules as per-state action-id arrays."""
+def _space(m: Ctmdp) -> Tuple[np.ndarray, ChoiceRows]:
+    """(rows, U): schedule b (in ``itertools.product`` order) plays row
+    rows[b n + s] in state s, and so does state b n + s of U, the union of
+    the chains they induce, with successors shifted by b n; row i of U is
+    the only row of its state i, so ``U.state`` plays all of U."""
     _gate(m)
-    choices = [m.enabled(s) for s in range(m.num_states)]
-    for combo in itertools.product(*choices):
-        yield np.array(combo, dtype=np.int64)
+    first, ch = _first_rows(m), m.choices
+    counts, B = np.diff(ch.start), count_schedules(m)
+    rows = (first + np.arange(B)[:, None] // (B // np.cumprod(counts))
+            % counts).ravel()
+    P = _gather(ch, rows, ch.rate)
+    ids = np.arange(len(rows))
+    shift = np.repeat(ids - ids % m.num_states, np.diff(P.ptr))
+    return rows, ChoiceRows(start=np.append(ids, len(ids)), state=ids,
+                            action=ch.action[rows], exit=ch.exit[rows],
+                            ptr=P.ptr, succ=P.col + shift, rate=P.data)
 
 
-def _best_schedule(p: ProductCtmdp, grade) -> Tuple[float, Schedule]:
-    """Best value at the initial state over all schedules, as ``grade``
-    (``psem_of`` or ``esem_of``) scores them, and a schedule attaining it."""
-    best, best_sigma = -1.0, None
-    for sigma in schedule_space(p.ctmdp):
-        val = grade(p, schedule_from_ids(p, sigma)).value
-        if val > best + 1e-12:
-            best, best_sigma = val, sigma
-    return best, schedule_from_ids(p, best_sigma)
+def _best(m: Ctmdp, U: ChoiceRows,
+          values: np.ndarray) -> Tuple[float, np.ndarray]:
+    """The best initial value of the schedules' copies in U, and the first
+    schedule to beat all those before it by more than 1e-12."""
+    n = m.num_states
+    at, b = values[m.initial::n].tolist(), 0
+    for i, v in enumerate(at):
+        if v > at[b] + 1e-12:
+            b = i
+    return at[b], U.action[b * n:(b + 1) * n]
+
+
+def _union_gains(m: Ctmdp, spec: RewardSpec) -> Tuple[ChoiceRows, np.ndarray]:
+    """(U, g): ``average_value`` of every schedule, on their union U."""
+    rows, U = _space(m)
+    cap = m.max_exit_rate
+    return U, _average(U, U.state, _step_rewards(m, spec, cap)[rows], cap)
 
 
 def brute_force_psem(p: ProductCtmdp) -> Tuple[float, Schedule]:
-    return _best_schedule(p, psem_of)
+    _, U = _space(p.ctmdp)
+    accepting = np.isin(U.state % p.num_states, list(p.accepting))
+    value, sigma = _best(p.ctmdp, U, _psem(U, U.state, accepting))
+    return value, schedule_from_ids(p, sigma)
 
 
 def brute_force_esem(p: ProductCtmdp) -> Tuple[float, Schedule]:
-    return _best_schedule(p, esem_of)
+    spec = accepting_rate_spec(p.num_states, p.accepting)
+    U, g = _union_gains(p.ctmdp, spec)
+    value, sigma = _best(p.ctmdp, U, _in_unit_interval(g))
+    return value, schedule_from_ids(p, sigma)
 
 
 def brute_force_average(m: Ctmdp, spec: RewardSpec) -> Tuple[np.ndarray, np.ndarray]:
     """Per-state maximal gains (elementwise over schedules) and a schedule
     attaining them at the initial state."""
-    best_gains: Optional[np.ndarray] = None
-    best_sigma: Optional[np.ndarray] = None
-    for sigma in schedule_space(m):
-        gains = average_value(m, spec, sigma)
-        if best_gains is None:
-            best_gains, best_sigma = gains, sigma
-        else:
-            if gains[m.initial] > best_gains[m.initial] + 1e-12:
-                best_sigma = sigma
-            best_gains = np.maximum(best_gains, gains)
-    return best_gains, best_sigma
+    U, g = _union_gains(m, spec)
+    return g.reshape(-1, m.num_states).max(axis=0), _best(m, U, g)[1]
 
 
 def brute_force_discounted(m: Ctmdp, spec: RewardSpec,
                            alpha: float) -> np.ndarray:
     """Elementwise maximal discounted values over all pure schedules."""
-    best: Optional[np.ndarray] = None
-    for sigma in schedule_space(m):
-        v = discounted_value(m, spec, sigma, alpha)
-        best = v if best is None else np.maximum(best, v)
-    return best
+    rows, U = _space(m)
+    base, discount = _discount_rows(m, spec, alpha)
+    v = _discounted(U, U.state, base[rows], discount[rows])
+    return v.reshape(-1, m.num_states).max(axis=0)
 
 
 def brute_force_mec_pairs(m: Ctmdp) -> FrozenSet[Tuple[int, int]]:
@@ -100,14 +114,10 @@ def brute_force_mec_pairs(m: Ctmdp) -> FrozenSet[Tuple[int, int]]:
     makes s recurrent with sigma(s) = a; collecting recurrent pairs over the
     whole schedule space enumerates them.
     """
-    ch = m.choices
-    pairs = set()
-    for sigma in schedule_space(m):
-        bsccs, _ = _bsccs(_gather(ch, ch.lookup(sigma), ch.prob))
-        for members in bsccs:
-            for s in members:
-                pairs.add((s, int(sigma[s])))
-    return frozenset(pairs)
+    _, U = _space(m)
+    members, _ = _bsccs(Chain(U.ptr, U.succ, U.rate))
+    return frozenset(zip((members % m.num_states).tolist(),
+                         U.action[members].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,14 @@ dense:
   schedule plays, so grading an ESem, average or discounted optimum
   reproduces it bit for bit; grading a PSem optimum agrees to a few ulps
   only, since ``psem_of`` solves toward the played chain's good bottom
-  classes and ``psem_optimal`` toward the accepting-MEC region;
-* a recurrent class's gain and bias are one square solve of the pinned
-  system: h is 0 at one state of the class, whose column of D - P carries
-  g instead, and h is then shifted to sum 0; one LU factorization of the
-  transient states extends both;
+  classes and ``psem_optimal`` toward the accepting-MEC region; the
+  brute-force oracles run the same row-level steps (``_psem``,
+  ``_average``, ``_discounted``) once on the union of every schedule's chain;
+* the gains and biases of all recurrent classes are one square solve of
+  the pinned system: the classes are closed, so their blocks of D - P
+  decouple; in each, h is 0 at one state, whose column carries the
+  indicator of the class and so its g, and h is then shifted to sum 0 over
+  the class; one LU factorization of the transient states extends both;
 * acceptance probabilities combine maximal-end-component analysis with
   maximal reachability by policy iteration, one exact absorption solve per
   round; the one backward search, ``_attractor``, breadth-first over the
@@ -41,8 +44,8 @@ dense:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, FrozenSet, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -222,9 +225,10 @@ def _improve(ch: ChoiceRows, q: np.ndarray, rows: np.ndarray,
     return new
 
 
-def _bsccs(P: Chain) -> Tuple[List[List[int]], np.ndarray]:
-    """Bottom SCCs of a chain, each sorted, in order of their SCC id, plus
-    the SCC id per state."""
+def _bsccs(P: Chain) -> Tuple[np.ndarray, np.ndarray]:
+    """(members, sizes): the states of the bottom SCCs of a chain, class
+    after class in order of their SCC id, each class sorted, and the number
+    of states of each class."""
     n = len(P.ptr) - 1
     graph = csr_array((P.data, P.col.astype(np.int32), P.ptr.astype(np.int32)),
                       shape=(n, n))
@@ -235,17 +239,19 @@ def _bsccs(P: Chain) -> Tuple[List[List[int]], np.ndarray]:
     leaves[tail[tail != comp[P.col]]] = False
     members = np.flatnonzero(leaves[comp])
     members = members[np.argsort(comp[members], kind="stable")]
-    cut = np.flatnonzero(np.diff(comp[members])) + 1
-    bottom = np.split(members, cut) if len(members) else []
-    return [x.tolist() for x in bottom], comp
+    sizes = np.bincount(comp[members])
+    return members, sizes[sizes > 0]
 
 
-def _factor(P: Chain, t: np.ndarray, f: np.ndarray, pinned: bool = False
+def _factor(P: Chain, t: np.ndarray, f: np.ndarray,
+            classes: Optional[np.ndarray] = None
             ) -> Tuple[Callable[[np.ndarray], np.ndarray],
                        Callable[[np.ndarray], np.ndarray]]:
     """Factor A = D[t, t] - P[t, t] over the states ``t`` once (D as in
-    ``Chain``), with its first column all ones if ``pinned``, and return
-    ``(solve, couple)``:
+    ``Chain``) and return ``(solve, couple)``.  If given, ``classes`` holds
+    the sizes of consecutive classes that make up ``t``, and the column of
+    each class's first state is pinned: it is replaced by the indicator of
+    that class, so with one class the first column is all ones.
     ``solve(b)`` is A^-1 b and ``couple(x)`` is P[t, f] x for x given on
     the states ``f``.
 
@@ -261,12 +267,17 @@ def _factor(P: Chain, t: np.ndarray, f: np.ndarray, pinned: bool = False
     counts, entries = _entries(P.ptr, t)
     i, j, p = np.repeat(np.arange(k), counts), P.col[entries], P.data[entries]
     d = np.ones(k) if P.diag is None else P.diag[t]
+    diag = np.arange(k)
+    if classes is not None:
+        first = np.cumsum(classes) - classes
+        pin = np.repeat(first, classes)     # each state's pinned column
     if k * n <= _DENSE_MAX ** 2:
         block = np.zeros((k, n))
         block[i, j] = p
         A = np.diag(d) - block[:, t]
-        if pinned:
-            A[:, 0] = 1.0
+        if classes is not None:
+            A[:, first] = 0.0
+            A[diag, pin] = 1.0
         lu, piv, info = dgetrf(A)
         if info > 0:
             raise np.linalg.LinAlgError("Singular matrix")
@@ -286,14 +297,13 @@ def _factor(P: Chain, t: np.ndarray, f: np.ndarray, pinned: bool = False
     into[t] = True
     into = into[j]
     # A as (row, column, value) triplets; csc_matrix adds repeats up
-    diag = np.arange(k)
     rows = np.concatenate((i[into], diag))
     cols = np.concatenate((pos[j[into]], diag))
     vals = np.concatenate((-p[into], d))
-    if pinned:
-        keep = cols != 0
+    if classes is not None:
+        keep = ~_mask(k, first)[cols]
         rows = np.concatenate((rows[keep], diag))
-        cols = np.concatenate((cols[keep], np.zeros(k, dtype=np.int64)))
+        cols = np.concatenate((cols[keep], pin))
         vals = np.concatenate((vals[keep], np.ones(k)))
     try:
         lu = splu(csc_matrix((vals, (rows, cols)), shape=(k, k)))
@@ -305,20 +315,6 @@ def _factor(P: Chain, t: np.ndarray, f: np.ndarray, pinned: bool = False
     def couple(x: np.ndarray) -> np.ndarray:
         return np.bincount(fi, weights=fp * x[fj], minlength=k)
     return lu.solve, couple
-
-
-def _gain_bias(P: Chain, members: np.ndarray,
-               r: np.ndarray) -> Tuple[float, np.ndarray]:
-    """(g, h) of the closed irreducible class ``members`` of P, with r and h
-    on its states: g + (D - P) h = r with sum(h) = 0, D as in ``Chain``.
-    One square solve with h pinned to 0 at the first member, whose column
-    carries g, [1, (D - P) e_2, ..., (D - P) e_k] [g; h_2; ...; h_k] = r,
-    then h shifted to sum 0."""
-    solve, _ = _factor(P, members, members[:0], pinned=True)
-    x = solve(r)
-    g = float(x[0])
-    x[0] = 0.0
-    return g, x - x.mean()
 
 
 def _absorption(P: Chain, fixed: np.ndarray) -> Callable[..., np.ndarray]:
@@ -397,24 +393,39 @@ def average_value(m: Ctmdp, spec: RewardSpec, sigma: np.ndarray) -> np.ndarray:
     ch = m.choices
     cap = m.max_exit_rate
     rows = ch.lookup(sigma)
+    return _average(ch, rows, _step_rewards(m, spec, cap)[rows], cap)
+
+
+def _average(ch: ChoiceRows, rows: np.ndarray, r: np.ndarray,
+             cap: float) -> np.ndarray:
+    """Per-state long-run reward per unit time of the chain that the choice
+    rows ``rows`` induce, uniformized at ``cap``, with step reward ``r`` per
+    state (``_step_rewards`` of the rows)."""
     P = _uniform_chain(ch, rows, cap)
-    g, _, recurrent = _recurrent_gain_bias(P, _step_rewards(m, spec, cap)[rows])
+    g, _, recurrent = _recurrent_gain_bias(P, r)
     return _absorption(P, recurrent)(g) * cap
 
 
 def _recurrent_gain_bias(P: Chain, r: np.ndarray
                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g, h, recurrent): ``_gain_bias`` of each bottom SCC of P on its
-    states and 0 on the others, which the mask ``recurrent`` leaves out."""
+    """(g, h, recurrent): on each bottom SCC of P, its gain g and bias h,
+    g + (D - P) h = r with h summing to 0 over the class (D as in
+    ``Chain``); 0 on the other states, which the mask ``recurrent`` leaves
+    out.  The classes are closed, so one square solve gives all of them:
+    h is pinned to 0 at each class's first member, whose column carries
+    the class's g, [1, (D - P) e_2, ..., (D - P) e_k] [g; h_2; ...; h_k] = r
+    per class, and h is then shifted to sum 0 per class."""
     n = len(P.ptr) - 1
+    members, sizes = _bsccs(P)
+    first = np.cumsum(sizes) - sizes
+    solve, _ = _factor(P, members, members[:0], sizes)
+    x = solve(r[members])
     g = np.zeros(n)
+    g[members] = np.repeat(x[first], sizes)
+    x[first] = 0.0
     h = np.zeros(n)
-    recurrent = np.zeros(n, dtype=bool)
-    for members in _bsccs(P)[0]:
-        idx = np.array(members)
-        g[idx], h[idx] = _gain_bias(P, idx, r[idx])
-        recurrent[idx] = True
-    return g, h, recurrent
+    h[members] = x - np.repeat(np.add.reduceat(x, first) / sizes, sizes)
+    return g, h, _mask(n, members)
 
 
 def _policy_gain_bias(P: Chain, r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -512,8 +523,8 @@ def _attractor(ch: ChoiceRows, allowed: np.ndarray, target: np.ndarray,
     least such row, whose action goes into ``sigma`` if given."""
     if target.all() or not target.any():
         return target.copy()
-    pptr, prow, state, ok = (x.tolist()
-                             for x in (*ch.preds, ch.state, allowed))
+    pptr, prow, state = ch.preds
+    ok = allowed.tolist()
     level = np.flatnonzero(target).tolist()
     done = set(level)
     picks: Dict[int, int] = {}    # the row of each state that joins
@@ -532,15 +543,18 @@ def _attractor(ch: ChoiceRows, allowed: np.ndarray, target: np.ndarray,
     return _mask(len(target), list(done))
 
 
-def _reach_probability(ch: ChoiceRows, rows: np.ndarray,
-                       target: np.ndarray) -> np.ndarray:
+def _reach_probability(ch: ChoiceRows, rows: np.ndarray, target: np.ndarray,
+                       P: Optional[Chain] = None) -> np.ndarray:
     """Probability of ever hitting the mask ``target`` in the chain that the
-    choice rows ``rows`` induce: 0 outside their attractor, else solved."""
+    choice rows ``rows`` induce: 0 outside their attractor, else solved on
+    that chain, P if the caller has gathered it (``_gather`` of the rows'
+    jump probabilities)."""
     fixed = target | ~_attractor(ch, _mask(len(ch.state), rows), target)
     if fixed.all():
         return target.astype(float)
-    extend = _absorption(_gather(ch, rows, ch.prob), fixed)
-    return _in_unit_interval(extend(target.astype(float)))
+    if P is None:
+        P = _gather(ch, rows, ch.prob)
+    return _in_unit_interval(_absorption(P, fixed)(target.astype(float)))
 
 
 def psem_of(p: ProductCtmdp, schedule: Schedule) -> CheckResult:
@@ -548,12 +562,21 @@ def psem_of(p: ProductCtmdp, schedule: Schedule) -> CheckResult:
     fixed schedule."""
     ch = p.ctmdp.choices
     rows = ch.lookup(schedule_to_ids(p, schedule))
-    bsccs, _ = _bsccs(_gather(ch, rows, ch.prob))
-    good = _mask(p.num_states, [s for members in bsccs
-                                if not p.accepting.isdisjoint(members)
-                                for s in members])
-    return CheckResult(values=_reach_probability(ch, rows, good),
-                       schedule=schedule, initial=p.ctmdp.initial)
+    values = _psem(ch, rows, _mask(p.num_states, list(p.accepting)))
+    return CheckResult(values=values, schedule=schedule,
+                       initial=p.ctmdp.initial)
+
+
+def _psem(ch: ChoiceRows, rows: np.ndarray,
+          accepting: np.ndarray) -> np.ndarray:
+    """Per-state probability of visiting the mask ``accepting`` infinitely
+    often in the chain that the choice rows ``rows`` induce: the chance of
+    reaching one of its bottom classes that meets the mask."""
+    P = _gather(ch, rows, ch.prob)
+    members, sizes = _bsccs(P)
+    hit = np.logical_or.reduceat(accepting[members], np.cumsum(sizes) - sizes)
+    good = _mask(len(rows), members[np.repeat(hit, sizes)])
+    return _reach_probability(ch, rows, good, P)
 
 
 def psem_optimal(p: ProductCtmdp) -> CheckResult:

@@ -65,7 +65,6 @@ class ChoiceRows:
     ptr: np.ndarray
     succ: np.ndarray
     rate: np.ndarray
-    row: Dict[Tuple[int, int], int]
 
     @staticmethod
     def of(trans: TransitionTable, num_states: int) -> "ChoiceRows":
@@ -79,7 +78,13 @@ class ChoiceRows:
             start=np.searchsorted(state, np.arange(num_states + 1)),
             state=state, action=np.array([a for _, a in keys], dtype=np.int64),
             exit=_row_sums(ptr, rate), ptr=ptr, succ=np.concatenate(succ),
-            rate=rate, row=dict(zip(keys, range(len(keys)))))
+            rate=rate)
+
+    @cached_property
+    def row(self) -> Dict[Tuple[int, int], int]:
+        """The row of each (state, action) pair; built on first use."""
+        keys = zip(self.state.tolist(), self.action.tolist())
+        return dict(zip(keys, range(len(self.state))))
 
     @cached_property
     def loop_free(self) -> "ChoiceRows":
@@ -100,14 +105,15 @@ class ChoiceRows:
         return self.rate / np.repeat(self.exit, np.diff(self.ptr))
 
     @cached_property
-    def preds(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(pptr, prow): the rows with state t among their successors are
-        ``prow[pptr[t]:pptr[t + 1]]``, in increasing row order; built on
+    def preds(self) -> Tuple[List[int], List[int], List[int]]:
+        """(pptr, prow, state), lists for a search in Python: the rows with
+        state t among their successors are ``prow[pptr[t]:pptr[t + 1]]``,
+        in increasing row order, and row r plays in ``state[r]``; built on
         first use."""
         by_succ = np.argsort(self.succ, kind="stable")
         edge_row = np.repeat(np.arange(len(self.state)), np.diff(self.ptr))
         pptr = np.searchsorted(self.succ[by_succ], np.arange(len(self.start)))
-        return pptr, edge_row[by_succ]
+        return pptr.tolist(), edge_row[by_succ].tolist(), self.state.tolist()
 
     def lookup(self, sigma: np.ndarray) -> np.ndarray:
         """The row that the schedule ``sigma`` (an action id per state)

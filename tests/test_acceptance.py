@@ -161,7 +161,7 @@ def test_criterion_5_expectation_identity_and_monte_carlo():
             ch = p.ctmdp.choices
             rows = ch.lookup(sigma)
             P, lam = _gather(ch, rows, ch.prob), ch.exit[rows]
-            if len(_bsccs(P)[0]) == 1:
+            if len(_bsccs(P)[1]) == 1:
                 break
         P = _dense(P)
         sched = schedule_from_ids(p, sigma)
@@ -190,8 +190,8 @@ def _renewal_gains(P, lam, rate):
     n = len(lam)
     g = np.zeros(n)
     recurrent = np.zeros(n, dtype=bool)
-    for members in _bsccs(_chain(P))[0]:
-        idx = np.array(members)
+    members, sizes = _bsccs(_chain(P))
+    for idx in np.split(members, np.cumsum(sizes)[:-1]):
         A = P[np.ix_(idx, idx)].T - np.eye(len(idx))
         A[-1] = 1.0
         pi = np.linalg.solve(A, np.eye(len(idx))[-1])

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 import ctsched.check
 
@@ -17,8 +18,8 @@ from ctsched.bruteforce import (_gate, brute_force_average,
                                 random_schedule)
 from ctsched.check import (BlackwellReport, Chain, ConvergenceError,
                            RewardSpec, _absorption, _attractor, _bsccs,
-                           _gain_bias, _gather, _in_unit_interval,
-                           _policy_gain_bias, _reach_probability,
+                           _gather, _in_unit_interval, _policy_gain_bias,
+                           _reach_probability, _recurrent_gain_bias,
                            _uniform_chain,
                            accepting_rate_spec, alpha_from_gamma,
                            average_optimal, average_value, blackwell_probe,
@@ -222,6 +223,26 @@ def test_psem_of_mars_never_b(mars):
     assert res.values[sidx["(z=1,q2)"]] == 0.0
 
 
+def test_psem_of_gathers_its_chain_once(monkeypatch):
+    # the strong-component search and the absorption solve share one gather
+    calls = []
+    gather = ctsched.check._gather
+
+    def counted(*args):
+        calls.append(1)
+        return gather(*args)
+    monkeypatch.setattr(ctsched.check, "_gather", counted)
+    rng = np.random.default_rng(37)
+    solved = 0
+    for _ in range(20):
+        p = random_marked_product(rng, num_states=6)
+        calls.clear()
+        values = psem_of(p, random_schedule(rng, p)).values
+        solved += bool(np.any((values > 0) & (values < 1)))
+        assert len(calls) == 1
+    assert solved >= 5
+
+
 def _psem_optimal_attained(p):
     """psem_optimal, checked to attain its values at every state."""
     opt = psem_optimal(p)
@@ -390,11 +411,18 @@ def _random_chain(rng, n):
     return P / P.sum(axis=1, keepdims=True)
 
 
+def _classes(P):
+    """The bottom classes of the checker's chain P, as lists."""
+    members, sizes = _bsccs(P)
+    return [x.tolist() for x in np.split(members, np.cumsum(sizes)[:-1])]
+
+
 def test_bsccs_match_the_edge_loop():
     rng = np.random.default_rng(31)
     for _ in range(200):
         P = _random_chain(rng, int(rng.integers(2, 12)))
-        got, comp = _bsccs(_chain(P))
+        got = _classes(_chain(P))
+        _, comp = connected_components(csr_matrix(P), connection="strong")
         leaves = np.ones(comp.max() + 1, dtype=bool)
         for i, j in zip(*np.nonzero(P > 0)):
             if comp[i] != comp[j]:
@@ -677,13 +705,20 @@ def _irreducible_chains(rng):
             yield P
 
 
+def _gain_bias(P, r):
+    """(g, h) of the irreducible chain P, from ``_recurrent_gain_bias``."""
+    g, h, recurrent = _recurrent_gain_bias(_chain(P), r)
+    assert recurrent.all()
+    return float(g[0]), h
+
+
 def test_square_solves_match_the_least_squares_reference():
     rng = np.random.default_rng(34)
     count = 0
     for P in _irreducible_chains(rng):
         count += 1
         r = rng.uniform(-1.0, 2.0, len(P))
-        g, h = _gain_bias(_chain(P), np.arange(len(P)), r)
+        g, h = _gain_bias(P, r)
         want_g, want_h = _lstsq_gain_bias(P, r)
         scale = max(1.0, float(np.abs(want_h).max()))
         assert abs(g - want_g) <= 1e-10
@@ -732,8 +767,7 @@ def test_factorization_branches_agree(monkeypatch):
         r = rng.uniform(-1.0, 2.0, len(P))
         want_g, want_h = _lstsq_gain_bias(P, r)
         scale = max(1.0, float(np.abs(want_h).max()))
-        (gd, hd), (gs, hs) = both(
-            lambda: _gain_bias(_chain(P), np.arange(len(P)), r))
+        (gd, hd), (gs, hs) = both(lambda: _gain_bias(P, r))
         for g, h in ((gd, hd), (gs, hs)):
             assert abs(g - want_g) <= 1e-10
             assert np.allclose(h, want_h, rtol=0, atol=1e-10 * scale)
@@ -754,7 +788,7 @@ def test_factorization_branches_agree(monkeypatch):
             assert np.allclose(g + h, r + P @ h, rtol=0, atol=1e-10 * scale)
         assert np.allclose(gd, gs, rtol=0, atol=1e-10)
         assert np.allclose(hd, hs, rtol=0, atol=1e-10 * scale)
-        bsccs = _bsccs(_chain(P))[0]
+        bsccs = _classes(_chain(P))
         for members in bsccs:
             idx = np.array(members)
             want_g, want_h = _lstsq_gain_bias(P[np.ix_(idx, idx)], r[idx])
