@@ -102,8 +102,8 @@ def brute_force_discounted(m: Ctmdp, spec: RewardSpec,
                            alpha: float) -> np.ndarray:
     """Elementwise maximal discounted values over all pure schedules."""
     rows, U = _space(m)
-    base, discount = _discount_rows(m, spec, alpha)
-    v = _discounted(U, U.state, base[rows], discount[rows])
+    base, _ = _discount_rows(m, spec, alpha)
+    v = _discounted(U, U.state, base[rows], alpha)
     return v.reshape(-1, m.num_states).max(axis=0)
 
 

@@ -5,12 +5,11 @@ time in accepting states).
 Everything reduces to linear algebra on chains read from the model's choice
 rows (``Ctmdp.choices``); each policy-iteration round scores every choice
 with one sparse product and switches in ``_improve``.  The chain a schedule
-induces is a CSR (``Chain``) taken straight from the rows it plays, whose
-systems are D - P: D is the identity, except that long-run averages put
-the rate of leaving / cap on it and so solve the balance equations of the
-chain uniformized at the maximal exit rate cap, with no self-loop entry.
-The graph passes read its entries, and ``_factor`` is the one place that
-factors a system: dense LAPACK LU while the system's rows fit in
+induces is a CSR (``Chain``) that one builder, ``_induced``, gathers from
+the rows it plays with no self-loop entry; its systems are D - P, with the
+rate of leaving on D, so no diagonal is formed as 1 - p_ss.  The graph
+passes read its entries, and ``_factor`` is the one place that assembles
+and factors a system: dense LAPACK LU while the system's rows fit in
 ``_DENSE_MAX`` squared entries, SuperLU above, so no large chain is held
 dense:
 
@@ -147,11 +146,12 @@ def _row_rewards(m: Ctmdp, spec: RewardSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Induced-chain plumbing
 
-# A system is factored dense by LAPACK while the rows of its states fit in a
-# dense block of this value squared entries, so every system of a chain of
-# at most this many states is, and by SuperLU otherwise: below the measured
-# crossover (CHANGES.md) the sparse path's fixed cost dominates, above it
-# the dense LU's cubic work.
+# A system over k of a chain's n states is factored dense by LAPACK while
+# k n is at most this value squared, and by SuperLU otherwise: below the
+# measured crossover (CHANGES.md) the sparse path's fixed cost dominates,
+# above it the dense LU's cubic work.  The rule counts k n, as when the
+# crossover was measured, not the k x k of the dense matrix, so that no
+# system changes branch without a new measurement.
 _DENSE_MAX = 256
 
 
@@ -159,7 +159,8 @@ class Chain(NamedTuple):
     """A finite Markov chain in CSR layout: row s has the entries
     ``data[ptr[s]:ptr[s + 1]]`` in the columns ``col[ptr[s]:ptr[s + 1]]``,
     every entry positive and no column twice in a row.  Its systems are
-    D - P, with D the diagonal ``diag``, or the identity if that is None."""
+    D - P, with D the diagonal ``diag`` (from ``_induced``: no self-loop
+    entry, the rate of leaving on D), or the identity if that is None."""
 
     ptr: np.ndarray
     col: np.ndarray
@@ -172,7 +173,7 @@ def _entries(ptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     CSR with row pointer ``ptr``, and their indices, row after row."""
     lo = ptr[rows]
     k = ptr[rows + 1] - lo
-    return k, np.arange(k.sum()) + np.repeat(lo - (np.cumsum(k) - k), k)
+    return k, np.arange(k.sum()) + (lo - k.cumsum() + k).repeat(k)
 
 
 def _gather(ch: ChoiceRows, rows: np.ndarray, data: np.ndarray) -> Chain:
@@ -188,13 +189,18 @@ def _dot(ch: ChoiceRows, data: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.add.reduceat(data * v[ch.succ], ch.ptr[:-1])
 
 
-def _uniform_chain(ch: ChoiceRows, rows: np.ndarray, cap: float) -> Chain:
-    """The chain that ``rows`` induce, uniformized to exit rate ``cap``, with
-    no self-loop entry: its systems are diag(out / cap) - R / cap, with R
-    the rates to other states and out their sum, the balance equations of
-    the chain scaled by 1 / cap."""
+def _induced(ch: ChoiceRows, rows: np.ndarray, scale: float | np.ndarray,
+             extra: float = 0.0) -> Chain:
+    """The chain that ``rows`` induce, with no self-loop entry: row s holds
+    rate / scale[s] on the other states and (extra + out) / scale[s] on D,
+    out its rate of leaving.  scale = cap gives the balance equations of
+    the chain uniformized at cap, scale = exit the jump chain, and scale =
+    alpha + exit with extra = alpha the discounted system."""
     lf = ch.loop_free
-    return _gather(lf, rows, lf.rate / cap)._replace(diag=lf.exit[rows] / cap)
+    P = _gather(lf, rows, lf.rate)
+    scale = np.full(len(rows), scale)
+    return P._replace(data=P.data / scale.repeat(P.ptr[1:] - P.ptr[:-1]),
+                      diag=(extra + lf.exit[rows]) / scale)
 
 
 def _first_rows(m: Ctmdp) -> np.ndarray:
@@ -255,65 +261,49 @@ def _factor(P: Chain, t: np.ndarray, f: np.ndarray,
     ``solve(b)`` is A^-1 b and ``couple(x)`` is P[t, f] x for x given on
     the states ``f``.
 
-    This is the one place that factors a matrix.  While the rows of ``t``
-    fit in a dense block of ``_DENSE_MAX`` squared entries, that block
-    gives A and P[t, f], and A goes to LAPACK's getrf and getrs, called
-    directly to skip the wrapper cost that dominates on small chains;
-    otherwise A is assembled sparse and goes to SuperLU (``splu``) with its
-    default COLAMD ordering.  A singular A raises ``np.linalg.LinAlgError``
-    on both.
+    This is the one place that factors a matrix.  A is assembled once, as
+    (row, column, value) triplets whose repeats add up.  While the rows of
+    ``t`` fit in ``_DENSE_MAX`` squared entries, they are summed into a
+    dense k x k matrix for LAPACK's getrf and getrs, called directly to
+    skip the wrapper cost that dominates on small chains; otherwise A goes
+    to SuperLU (``splu``) with its default COLAMD ordering.  A singular A
+    raises ``np.linalg.LinAlgError`` on both.
     """
     n, k = len(P.ptr) - 1, len(t)
     counts, entries = _entries(P.ptr, t)
-    i, j, p = np.repeat(np.arange(k), counts), P.col[entries], P.data[entries]
-    d = np.ones(k) if P.diag is None else P.diag[t]
     diag = np.arange(k)
-    if classes is not None:
-        first = np.cumsum(classes) - classes
-        pin = np.repeat(first, classes)     # each state's pinned column
-    if k * n <= _DENSE_MAX ** 2:
-        block = np.zeros((k, n))
-        block[i, j] = p
-        A = np.diag(d) - block[:, t]
-        if classes is not None:
-            A[:, first] = 0.0
-            A[diag, pin] = 1.0
-        lu, piv, info = dgetrf(A)
-        if info > 0:
-            raise np.linalg.LinAlgError("Singular matrix")
-        B = block[:, f]
-
-        def solve(b: np.ndarray) -> np.ndarray:
-            return dgetrs(lu, piv, b)[0]
-
-        def couple(x: np.ndarray) -> np.ndarray:
-            return B @ x
-        return solve, couple
-
+    i, j, p = diag.repeat(counts), P.col[entries], P.data[entries]
+    d = np.ones(k) if P.diag is None else P.diag[t]
     pos = np.zeros(n, dtype=np.int64)
-    pos[t] = np.arange(k)
+    pos[t] = diag
     pos[f] = np.arange(len(f))
-    into = np.zeros(n, dtype=bool)
-    into[t] = True
-    into = into[j]
-    # A as (row, column, value) triplets; csc_matrix adds repeats up
+    into = _mask(n, t)[j]
     rows = np.concatenate((i[into], diag))
     cols = np.concatenate((pos[j[into]], diag))
     vals = np.concatenate((-p[into], d))
     if classes is not None:
+        first = classes.cumsum() - classes
         keep = ~_mask(k, first)[cols]
         rows = np.concatenate((rows[keep], diag))
-        cols = np.concatenate((cols[keep], pin))
+        cols = np.concatenate((cols[keep], first.repeat(classes)))
         vals = np.concatenate((vals[keep], np.ones(k)))
-    try:
-        lu = splu(csc_matrix((vals, (rows, cols)), shape=(k, k)))
-    except RuntimeError as exc:     # "Factor is exactly singular"
-        raise np.linalg.LinAlgError(str(exc)) from None
     out = ~into
     fi, fj, fp = i[out], pos[j[out]], p[out]
 
     def couple(x: np.ndarray) -> np.ndarray:
         return np.bincount(fi, weights=fp * x[fj], minlength=k)
+
+    if k * n <= _DENSE_MAX ** 2:
+        A = np.zeros((k, k))
+        np.add.at(A, (rows, cols), vals)
+        lu, piv, info = dgetrf(A)
+        if info > 0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return (lambda b: dgetrs(lu, piv, b)[0]), couple
+    try:
+        lu = splu(csc_matrix((vals, (rows, cols)), shape=(k, k)))
+    except RuntimeError as exc:     # "Factor is exactly singular"
+        raise np.linalg.LinAlgError(str(exc)) from None
     return lu.solve, couple
 
 
@@ -344,15 +334,15 @@ def _absorption(P: Chain, fixed: np.ndarray) -> Callable[..., np.ndarray]:
 def discounted_value(m: Ctmdp, spec: RewardSpec, sigma: np.ndarray,
                      alpha: float) -> np.ndarray:
     """v(s) = E[sum over transitions of e^{-alpha t} rewards] under sigma."""
-    base, discount = _discount_rows(m, spec, alpha)
-    return _discounted(m.choices, m.choices.lookup(sigma), base, discount)
+    base, _ = _discount_rows(m, spec, alpha)
+    return _discounted(m.choices, m.choices.lookup(sigma), base, alpha)
 
 
 def _discount_rows(m: Ctmdp, spec: RewardSpec,
                    alpha: float) -> Tuple[np.ndarray, np.ndarray]:
     """(base, discount): choice row i scores base[i] + discount[i] (P v)."""
-    if alpha <= 0:
-        raise CtmdpError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < np.inf:
+        raise CtmdpError(f"alpha must be positive and finite, got {alpha}")
     ch = m.choices
     # base = act + rho / (alpha + lam), discount = lam / (lam + alpha)
     base = _row_rewards(m, spec) + spec.state_rate[ch.state] / (alpha + ch.exit)
@@ -360,9 +350,9 @@ def _discount_rows(m: Ctmdp, spec: RewardSpec,
 
 
 def _discounted(ch: ChoiceRows, rows: np.ndarray, base: np.ndarray,
-                discount: np.ndarray) -> np.ndarray:
-    """The v = base + discount (P v) of the chain that ``rows`` induce."""
-    P = _gather(ch, rows, ch.prob * np.repeat(discount, np.diff(ch.ptr)))
+                alpha: float) -> np.ndarray:
+    """The v = base + R v / (alpha + exit) of the chain ``rows`` induce."""
+    P = _induced(ch, rows, alpha + ch.exit[rows], alpha)
     return _absorption(P, np.zeros(len(rows), dtype=bool))(
         np.zeros(len(rows)), base[rows])
 
@@ -375,7 +365,7 @@ def discounted_optimal(m: Ctmdp, spec: RewardSpec,
     rows = _first_rows(m)
     for rounds in range(1, _MAX_ROUNDS + 1):
         sigma = ch.action[rows]
-        v = _discounted(ch, rows, base, discount)
+        v = _discounted(ch, rows, base, alpha)
         new = _improve(ch, base + discount * _dot(ch, ch.prob, v), rows,
                        _TIE_TOL * max(1.0, float(np.abs(v).max())))
         switched = int(np.count_nonzero(new != rows))
@@ -401,7 +391,7 @@ def _average(ch: ChoiceRows, rows: np.ndarray, r: np.ndarray,
     """Per-state long-run reward per unit time of the chain that the choice
     rows ``rows`` induce, uniformized at ``cap``, with step reward ``r`` per
     state (``_step_rewards`` of the rows)."""
-    P = _uniform_chain(ch, rows, cap)
+    P = _induced(ch, rows, cap)
     g, _, recurrent = _recurrent_gain_bias(P, r)
     return _absorption(P, recurrent)(g) * cap
 
@@ -469,7 +459,7 @@ def _average_optimal(m: Ctmdp,
     rows = ch.lookup(sigma)
 
     for rounds in range(1, _MAX_ROUNDS + 1):
-        P = _uniform_chain(ch, rows, cap)
+        P = _induced(ch, rows, cap)
         g, h = _policy_gain_bias(P, r_step[rows])
         tol = _TIE_TOL * max(1.0, float(np.abs(g).max()), float(np.abs(h).max()))
         # gain stage: strictly increase P g where possible, scored as
@@ -547,13 +537,13 @@ def _reach_probability(ch: ChoiceRows, rows: np.ndarray, target: np.ndarray,
                        P: Optional[Chain] = None) -> np.ndarray:
     """Probability of ever hitting the mask ``target`` in the chain that the
     choice rows ``rows`` induce: 0 outside their attractor, else solved on
-    that chain, P if the caller has gathered it (``_gather`` of the rows'
-    jump probabilities)."""
+    that chain, P if the caller has built it (``_induced`` of the rows at
+    scale ``exit``)."""
     fixed = target | ~_attractor(ch, _mask(len(ch.state), rows), target)
     if fixed.all():
         return target.astype(float)
     if P is None:
-        P = _gather(ch, rows, ch.prob)
+        P = _induced(ch, rows, ch.exit[rows])
     return _in_unit_interval(_absorption(P, fixed)(target.astype(float)))
 
 
@@ -572,7 +562,7 @@ def _psem(ch: ChoiceRows, rows: np.ndarray,
     """Per-state probability of visiting the mask ``accepting`` infinitely
     often in the chain that the choice rows ``rows`` induce: the chance of
     reaching one of its bottom classes that meets the mask."""
-    P = _gather(ch, rows, ch.prob)
+    P = _induced(ch, rows, ch.exit[rows])
     members, sizes = _bsccs(P)
     hit = np.logical_or.reduceat(accepting[members], np.cumsum(sizes) - sizes)
     good = _mask(len(rows), members[np.repeat(hit, sizes)])

@@ -90,6 +90,15 @@ class _GuardParser:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
 
+def _natural(line: str, ln: int) -> int:
+    """The value of a ``States:`` or ``Start:`` header line, which must be
+    one natural number: a conjunction of start states is not supported."""
+    header, value = (x.strip() for x in line.split(":", 1))
+    if not re.fullmatch(r"[0-9]+", value):
+        raise HoaError(f"{header}: expects a natural number, got '{value}'", ln)
+    return int(value)
+
+
 def parse_hoa(src) -> BuchiAutomaton:
     text = src.text if isinstance(src, HoaSource) else src
     lines = text.splitlines()
@@ -109,9 +118,9 @@ def parse_hoa(src) -> BuchiAutomaton:
             if line.split(":", 1)[1].strip() != "v1":
                 raise HoaError("unsupported HOA version", ln)
         elif line.startswith("States:"):
-            num_states = int(line.split(":", 1)[1])
+            num_states = _natural(line, ln)
         elif line.startswith("Start:"):
-            start = int(line.split(":", 1)[1])
+            start = _natural(line, ln)
         elif line.startswith("AP:"):
             rest = line.split(":", 1)[1].strip()
             m = re.match(r"(\d+)((?:\s+\"[^\"]*\")*)\s*$", rest)

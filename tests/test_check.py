@@ -18,9 +18,9 @@ from ctsched.bruteforce import (_gate, brute_force_average,
                                 random_schedule)
 from ctsched.check import (BlackwellReport, Chain, ConvergenceError,
                            RewardSpec, _absorption, _attractor, _bsccs,
-                           _gather, _in_unit_interval, _policy_gain_bias,
-                           _reach_probability, _recurrent_gain_bias,
-                           _uniform_chain,
+                           _gather, _in_unit_interval, _induced,
+                           _policy_gain_bias, _reach_probability,
+                           _recurrent_gain_bias,
                            accepting_rate_spec, alpha_from_gamma,
                            average_optimal, average_value, blackwell_probe,
                            discounted_optimal, discounted_value, esem_of,
@@ -65,6 +65,9 @@ def test_discounted_value_rejects_bad_inputs():
     spec = RewardSpec(state_rate=np.zeros(2))
     with pytest.raises(CtmdpError):
         discounted_value(m, spec, np.zeros(2, dtype=np.int64), 0.0)
+    for alpha in (np.nan, np.inf):     # NaN values, or zeros
+        with pytest.raises(CtmdpError, match="positive and finite"):
+            discounted_value(m, spec, np.zeros(2, dtype=np.int64), alpha)
     with pytest.raises(CtmdpError):
         discounted_value(m, spec, np.array([1, 0]), 1.0)  # disabled action
 
@@ -173,6 +176,27 @@ def test_average_value_on_stiff_chains_with_self_loops():
     assert _stiff_chain_error(2, loops=True) <= 1e-7
 
 
+@pytest.mark.parametrize("loop", [1e6, 1e10, 1e13])
+def test_psem_and_discounted_values_on_stiff_self_loops(loop):
+    # a leaves at rate 3 behind a self-loop at rate ``loop``: to g, which is
+    # accepting and pays 1 per unit time, with probability 1/3, and its dwell
+    # discounts by 3 / (3 + alpha).  The rate of leaving is summed without
+    # the self-loop, not recovered as 1 - p_aa, which would lose its digits
+    m = Ctmdp.from_transitions(
+        ("a", "g", "b"), ("x",), 0,
+        [(0, 0, 0, loop), (0, 0, 1, 1.0), (0, 0, 2, 2.0), (1, 0, 1, 1.0),
+         (2, 0, 2, 1.0)])
+    p = ProductCtmdp(m, tuple((s, 0) for s in range(3)), ((0, 0),),
+                     frozenset({1}))
+    sigma = np.zeros(3, dtype=np.int64)
+    psem = psem_of(p, schedule_from_ids(p, sigma)).value
+    assert psem == pytest.approx(1 / 3, rel=1e-12)
+    alpha = 0.5
+    v = discounted_value(m, RewardSpec(state_rate=np.array([0.0, 1.0, 0.0])),
+                         sigma, alpha)
+    assert v[0] == pytest.approx(1 / ((3 + alpha) * alpha), rel=1e-12)
+
+
 def test_a_value_outside_the_unit_interval_raises():
     # g is the only bottom class, so every answer is 1; {a, b, c} leaks only
     # through a -> g, and LU on D - P loses that leak below one ulp of b's
@@ -223,8 +247,25 @@ def test_psem_of_mars_never_b(mars):
     assert res.values[sidx["(z=1,q2)"]] == 0.0
 
 
+def _two_sinks(rng, n):
+    """A random marked product of n states whose last two are absorbing,
+    the first of them accepting, so that many states can reach both a good
+    and a bad bottom class."""
+    trans = [(s, a, int(t), float(rng.uniform(0.5, 5.0)))
+             for s in range(n - 2) for a in range(int(rng.integers(1, 3)))
+             for t in rng.choice(n, int(rng.integers(1, 4)), replace=False)]
+    trans += [(n - 2, 0, n - 2, 1.0), (n - 1, 0, n - 1, 1.0)]
+    m = Ctmdp.from_transitions(tuple(f"s{i}" for i in range(n)), ("a", "b"),
+                               0, trans)
+    return ProductCtmdp(m, tuple((s, 0) for s in range(n)),
+                        ((0, 0), (1, 0)), frozenset({n - 2}))
+
+
 def test_psem_of_gathers_its_chain_once(monkeypatch):
-    # the strong-component search and the absorption solve share one gather
+    # the strong-component search and the absorption solve share one
+    # gather; the precondition counts products where some state can reach
+    # both a good and a bad bottom class, so its value is a real solve and
+    # not a rounding residue of 0 or 1
     calls = []
     gather = ctsched.check._gather
 
@@ -235,10 +276,10 @@ def test_psem_of_gathers_its_chain_once(monkeypatch):
     rng = np.random.default_rng(37)
     solved = 0
     for _ in range(20):
-        p = random_marked_product(rng, num_states=6)
+        p = _two_sinks(rng, 6)
         calls.clear()
         values = psem_of(p, random_schedule(rng, p)).values
-        solved += bool(np.any((values > 0) & (values < 1)))
+        solved += bool(np.any((values > 1e-9) & (values < 1 - 1e-9)))
         assert len(calls) == 1
     assert solved >= 5
 
@@ -582,10 +623,12 @@ def test_induced_embedded_matches_the_row_loop():
 
 
 def test_uniform_chain_matches_the_dense_formula():
-    # the system D - P of the uniformized chain, with exit / cap on its
-    # diagonal and no self-loop entry, is I - (P + diag(1 - exit / cap)) of
-    # the chain that holds the self-loop mass; no entry is zero and no
-    # column repeats, so the CSR is canonical
+    # each system D - P from the builder, with no self-loop entry, is its
+    # dense formula: at scale cap I - (P + diag(1 - exit / cap)) of the
+    # uniformized chain that holds the self-loop mass, at scale exit I - P
+    # of the jump chain, and at scale alpha + exit, extra alpha, the
+    # discounted (diag(alpha + exit) - Q) / (alpha + exit), Q the rates.
+    # No entry is zero and no column repeats, so the CSR is canonical
     rng = np.random.default_rng(35)
     for i in range(100):
         m = random_ctmdp(rng, num_states=int(rng.integers(2, 12)))
@@ -597,14 +640,22 @@ def test_uniform_chain_matches_the_dense_formula():
         rows = ch.lookup(sigma)
         loops = _dense(_gather(ch, rows, ch.rate / cap))
         loops[np.diag_indices_from(loops)] += 1.0 - ch.exit[rows] / cap
-        want = np.eye(m.num_states) - loops
-        P = _uniform_chain(ch, rows, cap)
-        got = np.diag(P.diag) - _dense(P)
-        assert np.allclose(got, want, rtol=0, atol=1e-15)
-        assert np.all(P.data > 0)
-        for s in range(m.num_states):
-            cols = P.col[P.ptr[s]:P.ptr[s + 1]]
-            assert len(set(cols.tolist())) == len(cols)
+        lam, alpha = ch.exit[rows], float(rng.uniform(0.1, 2.0))
+        rates = _dense(_gather(ch, rows, ch.rate))
+        for scale, extra, want in (
+                (cap, 0.0, np.eye(m.num_states) - loops),
+                (lam, 0.0, np.eye(m.num_states) - _dense(_gather(
+                    ch, rows, ch.prob))),
+                (alpha + lam, alpha,
+                 (np.diag(alpha + lam) - rates) / (alpha + lam)[:, None])):
+            P = _induced(ch, rows, scale, extra)
+            got = np.diag(P.diag) - _dense(P)
+            assert np.allclose(got, want, rtol=0, atol=1e-15)
+            assert np.all(P.data > 0)
+            for s in range(m.num_states):
+                cols = P.col[P.ptr[s]:P.ptr[s + 1]]
+                assert len(set(cols.tolist())) == len(cols)
+                assert s not in cols
 
 
 def test_optimizers_name_a_state_without_actions():
@@ -930,6 +981,15 @@ def test_checker_solves_and_builds_chains_in_one_place_each():
              for stmt in branch.body for call in ast.walk(stmt)}
     assert all(id(call) in dense for call in calls["_factor"]
                if _two_d(call))
+    # one builder gathers every induced system, and _factor assembles each
+    # system once: its dense matrix is the square k x k system itself, with
+    # no k x n block beside it and no matrix product
+    gathering = {name for name, found in calls.items()
+                 if any(ast.unparse(call.func) == "_gather" for call in found)}
+    assert gathering == {"_induced"}
+    assert {ast.unparse(call.args[0]) for call in calls["_factor"]
+            if _two_d(call)} == {"(k, k)"}
+    assert not any(isinstance(node, ast.MatMult) for node in ast.walk(factor))
 
 
 def test_checker_searches_backward_in_one_place():

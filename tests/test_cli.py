@@ -160,6 +160,21 @@ def test_malformed_model_exits_with_parse_code(tmp_path, paths, capsys):
 
 
 
+@pytest.mark.parametrize("start", ["-1", "x", "0 & 1"])
+def test_bad_hoa_start_exits_with_parse_code(tmp_path, paths, capsys, start):
+    # a start state that is not a natural number is one error line, not a
+    # traceback from the product construction
+    f = tmp_path / "bad.hoa"
+    f.write_text(f"HOA: v1\nStates: 1\nStart: {start}\nAP: 0\n"
+                 "Acceptance: 1 Inf(0)\n--BODY--\nState: 0\n[t] 0\n--END--\n")
+    code = main(["check", "--model", paths["mars.ctmdp"],
+                 "--automaton", str(f)])
+    assert code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == (f"error: {f}: line 3: Start: expects a natural number, "
+                   f"got '{start}'\n")
+
+
 def _write_model(tmp_path, text):
     f = tmp_path / "bad.ctmdp"
     f.write_text(text)

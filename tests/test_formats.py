@@ -453,6 +453,20 @@ def test_hoa_rejects_dangling_state_and_missing_end():
                   "Acceptance: 1 Inf(0)\n--BODY--\nState: 0\n[t] 0\n")
 
 
+@pytest.mark.parametrize("states, start", [
+    ("x", "0"), ("-1", "0"), ("1.0", "0"), ("1", "x"), ("1", "-1"),
+    ("1", "0 & 1"), ("1", ""),
+])
+def test_hoa_header_counts_are_natural_numbers(states, start):
+    # a bad count is a HoaError naming its line, not a bare ValueError, and
+    # a negative start state is not returned as an index
+    text = (f"HOA: v1\nStates: {states}\nStart: {start}\nAP: 0\n"
+            "Acceptance: 1 Inf(0)\n--BODY--\nState: 0\n[t] 0\n--END--\n")
+    line = 2 if states != "1" else 3
+    with pytest.raises(HoaError, match=f"^line {line}: .*natural number"):
+        parse_hoa(text)
+
+
 def test_hoa_guard_parser_errors():
     base = ("HOA: v1\nStates: 1\nStart: 0\nAP: 1 \"g\"\n"
             "Acceptance: 1 Inf(0)\n--BODY--\nState: 0\n[{}] 0\n--END--\n")
