@@ -34,11 +34,12 @@ dense:
   decouple; in each, h is 0 at one state, whose column carries the
   indicator of the class and so its g, and h is then shifted to sum 0 over
   the class; one LU factorization of the transient states extends both;
-* acceptance probabilities combine maximal-end-component analysis with
-  maximal reachability by policy iteration, one exact absorption solve per
-  round; the one backward search, ``_attractor``, breadth-first over the
-  predecessor index, gives the starting schedules and the closure of the
-  states that can reach the target, and a value outside [0, 1] raises.
+* acceptance probabilities combine the model's cached end-component masks
+  (``ChoiceRows.mec``) with maximal reachability by policy iteration, one
+  exact absorption solve per round; the one backward search,
+  ``_attractor``, breadth-first over the predecessor index, gives the
+  starting schedules and the closure of the states that can reach the
+  target, and a value outside [0, 1] raises.
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ from scipy.sparse import csc_matrix, csr_array
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .model import ChoiceRows, Ctmdp, CtmdpError, mec_decompose
+from .model import ChoiceRows, Ctmdp, CtmdpError
 from .product import ProductCtmdp, Schedule, schedule_from_ids, schedule_to_ids
 
 _TIE_TOL = 1e-9
@@ -585,22 +586,23 @@ def psem_optimal(p: ProductCtmdp) -> CheckResult:
     m = p.ctmdp
     ch = m.choices
     sigma = ch.action[_first_rows(m)]
-    mecs = [mec for mec in mec_decompose(m, p.accepting).components
-            if mec.accepting]
-    target = _mask(p.num_states, [s for mec in mecs for s in mec.states])
-    first = {s: mec.actions[s][0] for mec in mecs
-             for s in mec.states & p.accepting}
-    sigma[list(first)] = list(first.values())
-    # a component's retained rows stay inside it, so one search over all
-    # of them attracts and picks as one search per component would
-    kept = _mask(len(ch.state), [ch.row[(s, a)] for mec in mecs
-                                 for s, acts in mec.actions.items()
-                                 for a in acts])
-    _attractor(ch, kept, _mask(p.num_states, list(first)), sigma)
+    kept, comp = ch.mec
+    accepting = _mask(p.num_states, list(p.accepting))
+    # the states of components that meet ``accepting``; component ids lie
+    # below n, so the -1 of a state outside every one hits a spare entry
+    target = (comp >= 0) & _mask(p.num_states + 1, comp[accepting])[comp]
+    settled = target[ch.state]
+    # each accepting region state starts on its first kept row
+    start = target & accepting
+    first = np.minimum.reduceat(
+        np.where(kept, np.arange(len(kept)), len(kept)), ch.start[:-1])
+    sigma[start] = ch.action[first[start]]
+    # a component's kept rows stay inside it, so one search over all of
+    # them attracts and picks as one search per component would
+    _attractor(ch, kept & settled, start, sigma)
     _attractor(ch, np.ones(len(ch.state), dtype=bool), target, sigma)
 
     rows = ch.lookup(sigma)
-    settled = target[ch.state]
     for rounds in range(1, _MAX_ROUNDS + 1):
         v = _reach_probability(ch, rows, target)
         q = _dot(ch, ch.prob, v)
@@ -663,11 +665,8 @@ def blackwell_probe(m: Ctmdp, spec: RewardSpec,
         alpha = alpha_from_gamma(gamma, cap)
         _, sigma = discounted_optimal(m, spec, alpha)
         schedules.append(tuple(int(x) for x in sigma))
-    stable_from: Optional[int] = None
-    for i in range(len(schedules)):
-        if all(schedules[j] == schedules[i] for j in range(i, len(schedules))):
-            stable_from = i
-            break
+    stable_from = next((i for i in range(len(schedules))
+                        if len(set(schedules[i:])) == 1), None)
     return BlackwellReport(gammas=tuple(gammas),
                            schedules=tuple(schedules),
                            average_schedule=tuple(int(x) for x in sigma_avg),

@@ -11,7 +11,8 @@ The language is a small PRISM-inspired subset:
     label "p" = z=1;
 
 One module, bounded integer variables, commands guarded by boolean
-expressions, `#` and `//` comments.  The state space is the set of valuations
+expressions, `#` and `//` comments.  A command's action is an identifier or
+a quoted string.  The state space is the set of valuations
 reachable from the initial one.  Two commands with the same action enabled in
 the same state race: their rates add up.
 
@@ -378,7 +379,7 @@ class _Parser:
 
     def parse_command(self) -> _Command:
         start = self.expect("sym", "[")
-        action = self.expect("name").value
+        action = (self.accept("string") or self.expect("name")).value
         self.expect("sym", "]")
         guard = self.bool_expr()
         self.expect("sym", "->")
@@ -508,12 +509,19 @@ def _fmt_rate(x: float) -> str:
     return repr(x) if x != int(x) else str(int(x))
 
 
+def _action(name: str) -> str:
+    """An action name as `parse_model` reads it: bare if the tokenizer reads
+    it as one identifier, else quoted."""
+    tok = _TOKEN.fullmatch(name)
+    return name if tok and tok.lastgroup == "name" else f'"{name}"'
+
+
 def serialize_model(m: Ctmdp, name: str = "model") -> str:
     """Emit a `.ctmdp` document with one variable ``s`` over the state ids.
 
-    `parse_model` reads it back only if every action name is an identifier;
-    a product's action names, such as ``a>q0``, are not, so a product dump
-    does not re-parse."""
+    An action name that is not an identifier, such as a product's ``a>q0``
+    or ``(stuck)``, is written as a quoted string, so that `parse_model`
+    reads a product dump back."""
     lines = ["ctmdp", f"module {name}"]
     n = m.num_states
     lines.append(f"  s : [0..{n - 1}] init {m.initial};")
@@ -522,7 +530,7 @@ def serialize_model(m: Ctmdp, name: str = "model") -> str:
             succ, rates = m.successors(s, a)
             alts = " + ".join(f"{_fmt_rate(float(r))} : (s'={int(t)})"
                               for t, r in zip(succ, rates))
-            lines.append(f"  [{m.action_names[a]}] s={s} -> {alts};")
+            lines.append(f"  [{_action(m.action_names[a])}] s={s} -> {alts};")
     lines.append("endmodule")
     for i, ap in enumerate(m.ap):
         holds = [s for s in range(n) if i in m.labels[s]]

@@ -3,8 +3,8 @@
 States and actions are dense integer ids; names live in side tables.  A model
 is given by (successor ids, rates) arrays per (state, action) pair, and
 derives from them one state-major index of choice rows, ``ChoiceRows``, that
-the checker and the end-component pruning read, with a reverse (predecessor)
-index for the checker's backward searches.
+caches a reverse (predecessor) index for the checker's backward searches and
+the maximal end-components as masks on the rows, decomposed once per model.
 
 The embedded jump chain has no type of its own: ``embed`` returns a Ctmdp
 whose rates are the jump probabilities, so every exit rate is 1.
@@ -115,6 +115,34 @@ class ChoiceRows:
         pptr = np.searchsorted(self.succ[by_succ], np.arange(len(self.start)))
         return pptr.tolist(), edge_row[by_succ].tolist(), self.state.tolist()
 
+    @cached_property
+    def mec(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(kept, comp): the mask of the rows that stay inside a maximal
+        end-component, and each state's component id, -1 outside every one;
+        built on first use, and read-only, as every later solve shares them.
+        SCC pruning: each pass finds the SCCs of the kept rows' edges and
+        keeps a row iff all its successors lie in the SCC of its state."""
+        n = len(self.start) - 1
+        edge_row = np.repeat(np.arange(len(self.state)), np.diff(self.ptr))
+        src = self.state[edge_row]
+        kept = np.ones(len(self.state), dtype=bool)
+        while True:
+            live = kept[edge_row]
+            # COO, so that two rows of one state entering one successor sum
+            graph = csr_matrix((np.ones(int(live.sum())),
+                                (src[live], self.succ[live])), shape=(n, n))
+            _, comp = connected_components(graph, directed=True,
+                                           connection="strong")
+            # a state without kept rows has no out-edges, so it is an SCC
+            # of its own and the rows into it go too
+            pruned = kept.copy()
+            pruned[edge_row[comp[self.succ] != comp[src]]] = False
+            if np.array_equal(pruned, kept):
+                comp[np.bincount(self.state[kept], minlength=n) == 0] = -1
+                kept.flags.writeable = comp.flags.writeable = False
+                return kept, comp
+            kept = pruned
+
     def lookup(self, sigma: np.ndarray) -> np.ndarray:
         """The row that the schedule ``sigma`` (an action id per state)
         plays in each state; raises if it picks a disabled action."""
@@ -206,10 +234,9 @@ class Ctmdp:
 
 @dataclass(frozen=True)
 class Mec:
-    """One maximal end-component: states plus the retained action subsets."""
+    """One maximal end-component: its states, and whether it is accepting."""
 
     states: FrozenSet[int]
-    actions: Dict[int, Tuple[int, ...]]
     accepting: bool
 
 
@@ -298,39 +325,13 @@ def validate(m: Ctmdp) -> List[str]:
 
 
 def mec_decompose(m: Ctmdp, accepting: Set[int] = frozenset()) -> MecSet:
-    """Maximal end-components by SCC pruning over the choice rows: each pass
-    finds the SCCs of the kept rows' edges and keeps a row iff all its
-    successors lie in its state's SCC.  Only the support of the transitions
-    matters, so ``m`` may be a model or its ``embed``.  A component is
-    accepting iff it meets ``accepting``."""
-    n = m.num_states
-    ch = m.choices
-    succ = ch.succ
-    edge_row = np.repeat(np.arange(len(ch.state)), np.diff(ch.ptr))
-    src = ch.state[edge_row]
-    keep = np.ones(len(ch.state), dtype=bool)
-    while True:
-        live = keep[edge_row]
-        graph = csr_matrix((np.ones(int(live.sum())), (src[live], succ[live])),
-                           shape=(n, n))
-        _, comp = connected_components(graph, directed=True, connection="strong")
-        # a state without kept rows has no out-edges, so it is an SCC of its
-        # own and the rows into it go too
-        pruned = keep.copy()
-        pruned[edge_row[comp[succ] != comp[src]]] = False
-        if np.array_equal(pruned, keep):
-            break
-        keep = pruned
-
+    """The maximal end-components of ``m`` (``ChoiceRows.mec``) as state
+    sets, in order of least state; one is accepting iff it meets
+    ``accepting``."""
     members: Dict[int, List[int]] = {}
-    for s in np.unique(ch.state[keep]).tolist():
-        members.setdefault(int(comp[s]), []).append(s)
-    kept: Dict[int, List[int]] = {}
-    for s, a in zip(ch.state[keep].tolist(), ch.action[keep].tolist()):
-        kept.setdefault(s, []).append(a)
-    mecs = [Mec(states=frozenset(states),
-                actions={s: tuple(kept[s]) for s in states},
-                accepting=bool(set(accepting).intersection(states)))
-            for states in members.values()]
-    mecs.sort(key=lambda c: min(c.states))
-    return MecSet(tuple(mecs))
+    for s, c in enumerate(m.choices.mec[1].tolist()):
+        if c >= 0:
+            members.setdefault(c, []).append(s)
+    mecs = (frozenset(states) for states in members.values())
+    return MecSet(tuple(Mec(states, not states.isdisjoint(accepting))
+                        for states in mecs))

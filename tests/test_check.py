@@ -10,6 +10,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 import ctsched.check
+import ctsched.model
 
 from ctsched.bruteforce import (_gate, brute_force_average,
                                 brute_force_discounted, brute_force_esem,
@@ -318,6 +319,44 @@ def test_psem_optimal_matches_brute_force():
         assert opt.value == pytest.approx(best, abs=1e-9)
         compared += 1
     assert traps >= 10 and compared >= 20
+    # a good and a bad sink: the precondition counts products whose initial
+    # value is a real solve strictly between 0 and 1, which the draws above
+    # almost never give
+    rng = np.random.default_rng(71)
+    solved = 0
+    for _ in range(20):
+        p = _two_sinks(rng, 6)
+        opt = _psem_optimal_attained(p)
+        best, _ = brute_force_psem(p)
+        assert opt.value == pytest.approx(best, abs=1e-9)
+        solved += 1e-9 < opt.value < 1 - 1e-9
+    assert solved >= 5
+
+
+def test_psem_optimal_decomposes_once_per_model(monkeypatch):
+    # the end-components are cached on the model's choice rows, so a second
+    # solve of one product runs no strong-component search for them
+    calls = []
+    search = ctsched.model.connected_components
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+    monkeypatch.setattr(ctsched.model, "connected_components", counted)
+    p = _two_sinks(np.random.default_rng(71), 6)
+    first = psem_optimal(p)
+    assert calls
+    calls.clear()
+    second = psem_optimal(p)
+    assert not calls
+    assert np.array_equal(first.values, second.values)
+    assert first.schedule == second.schedule
+    # and the masks that every solve shares cannot be written
+    kept, comp = p.ctmdp.choices.mec
+    with pytest.raises(ValueError):
+        kept[0] = not kept[0]
+    with pytest.raises(ValueError):
+        comp[0] = -1
 
 
 def test_esem_optimal_matches_brute_force():
@@ -1005,3 +1044,31 @@ def test_checker_searches_backward_in_one_place():
                 for name in [getattr(node, "module", None)]
                 + [alias.name for alias in node.names]}
     assert "heapq" not in imported
+
+
+def _defs(body, prefix=""):
+    """(qualified name, node) of every function and method in ``body``."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _defs(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.FunctionDef):
+            yield prefix + node.name, node
+
+
+def test_end_components_are_decomposed_in_one_place():
+    # the cached masks of ChoiceRows.mec are the one decomposition: the
+    # checker reads them without the Mec view or (state, action) lookups,
+    # and nothing else in the model searches for strong components
+    tree = ast.parse(Path(ctsched.check.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"mec_decompose", "Mec", "MecSet"}
+    psem = dict(_defs(tree.body))["psem_optimal"]
+    assert not any(isinstance(x, ast.Attribute) and x.attr == "row"
+                   for x in ast.walk(psem))
+    tree = ast.parse(Path(ctsched.model.__file__).read_text())
+    searching = {name for name, node in _defs(tree.body)
+                 if any(isinstance(x, ast.Call)
+                        and ast.unparse(x.func) == "connected_components"
+                        for x in ast.walk(node))}
+    assert searching == {"ChoiceRows.mec"}

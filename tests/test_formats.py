@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctsched.bruteforce import random_buchi, random_ctmdp
-from ctsched.data import MODELS
+from ctsched.data import BENCH_PAIRS, MODELS, load_automaton, load_model
 from ctsched.formats import (BenchRow, HoaError, HoaSource, ModelError,
                              ModelSemanticError, ModelSource, ModelSyntaxError,
                              emit_hoa, emit_result_table, parse_hoa,
                              parse_model, serialize_model)
 from ctsched.formats.model_lang import _tokenize
+from ctsched.product import build_product
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +151,26 @@ def test_serialize_round_trip():
                 assert set(got) == set(want)
                 for k in want:
                     assert got[k] == pytest.approx(want[k], rel=1e-12)
+
+
+def _edges(m, ids):
+    """Every (state, action name, successor, rate) of ``m``, with state s
+    renamed ``ids[s]``."""
+    return {(ids[s], m.action_names[a], ids[int(t)], float(r))
+            for (s, a), (succ, rates) in m.trans.items()
+            for t, r in zip(succ, rates)}
+
+
+@pytest.mark.parametrize("pair", BENCH_PAIRS)
+def test_product_dump_parses_back(pair):
+    # product action names such as a>q0 are not identifiers; they are
+    # written quoted, so the dump parses back into the same transitions
+    m = build_product(load_model(pair[0]), load_automaton(pair[1])).ctmdp
+    m2 = parse_model(serialize_model(m))
+    back = [int(name[len("s="):]) for name in m2.state_names]
+    assert sorted(back) == list(range(m.num_states))
+    assert back[m2.initial] == m.initial
+    assert _edges(m2, back) == _edges(m, range(m.num_states))
 
 
 # ---------------------------------------------------------------------------

@@ -149,20 +149,32 @@ def test_validate_reports_labels_short_of_the_state_count():
     assert validate(m) == ["labels given for 1 states, not 2"]
 
 
+def _kept_pairs(m):
+    """The (state, action) pairs of the rows that ``m.choices.mec`` keeps."""
+    ch = m.choices
+    kept, _ = ch.mec
+    return set(zip(ch.state[kept].tolist(), ch.action[kept].tolist()))
+
+
 def test_mec_decompose_on_bundled_model():
-    m = load_model("mec_demo")
+    m = embed(load_model("mec_demo"))
     idx = {name: i for i, name in enumerate(m.state_names)}
-    mecs = mec_decompose(embed(m))
+    mecs = mec_decompose(m)
     found = {frozenset(m.state_names[s] for s in mec.states)
              for mec in mecs.components}
     assert found == {frozenset({"z=2"}), frozenset({"z=3", "z=4"}),
                      frozenset({"z=5", "z=6"})}
+    # the view lists the components of the masks in order of least state
+    _, comp = m.choices.mec
+    assert [mec.states for mec in mecs.components] == [
+        frozenset(np.flatnonzero(comp == c).tolist())
+        for c in dict.fromkeys(comp[comp >= 0].tolist())]
     # z=1 is transient under every schedule
+    assert comp[idx["z=1"]] == -1
     assert all(idx["z=1"] not in mec.states for mec in mecs.components)
-    # in {z=3, z=4} every action stays inside, so all are retained
-    mec34 = next(mec for mec in mecs.components
-                 if idx["z=3"] in mec.states)
-    assert set(mec34.actions[idx["z=3"]]) == set(m.enabled(idx["z=3"]))
+    # in {z=3, z=4} every action stays inside, so all are kept
+    z3 = idx["z=3"]
+    assert {a for s, a in _kept_pairs(m) if s == z3} == set(m.enabled(z3))
 
 
 def test_mec_decompose_accepting_flag():
@@ -180,13 +192,10 @@ def test_mec_decompose_matches_recurrence_oracle():
     for _ in range(15):
         m = random_ctmdp(rng, num_states=6, max_schedules=2000)
         oracle = brute_force_mec_pairs(m)
-        mecs = mec_decompose(embed(m))
-        ours = set()
-        for mec in mecs.components:
-            for s, acts in mec.actions.items():
-                for a in acts:
-                    ours.add((s, a))
-        assert ours == set(oracle)
+        assert _kept_pairs(embed(m)) == set(oracle)
+        # the view's states are those of the kept rows
+        assert {s for s, _ in oracle} == {
+            s for mec in mec_decompose(m).components for s in mec.states}
     # products with a trap state, plain and augmented with a sink
     rng = np.random.default_rng(29)
     traps = compared = 0
@@ -200,9 +209,7 @@ def test_mec_decompose_matches_recurrence_oracle():
                 _gate(prod.ctmdp)
             except CtmdpError:
                 continue  # too many schedules to enumerate
-            mecs = mec_decompose(embed(prod.ctmdp))
-            ours = {(s, a) for mec in mecs.components
-                    for s, acts in mec.actions.items() for a in acts}
-            assert ours == set(brute_force_mec_pairs(prod.ctmdp))
+            assert (_kept_pairs(embed(prod.ctmdp))
+                    == set(brute_force_mec_pairs(prod.ctmdp)))
             compared += 1
     assert traps >= 10 and compared >= 40
