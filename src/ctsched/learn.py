@@ -17,15 +17,17 @@ visit counts, by the table's ids.  Two trainers share the Q machinery:
 
 * ``learn_exp`` maximizes the long-run fraction of time spent in accepting
   states.  The reward of a transition is its dwell time if the state being
-  left is accepting (``accepting_dwell``, which ``ctsched simulate`` also
-  reports); episodes have a fixed length.
+  left is accepting (``accepting_dwell`` defines it, ``ctsched simulate``
+  reports it, the trainer computes it inline); episodes have a fixed length.
 
 Both discount by exp(-alpha * dwell): discounting in continuous time at rate
 alpha, with alpha = C (1 - gamma) / gamma (``check.alpha_from_gamma``)
 mapping a per-step discount gamma at uniformization rate C onto the
 continuous clock.
 
-The trainers step on the table's ids and action slots.  The update is
+The trainers step on the table's ids and action slots, drawing dwells and
+successors only through ``simulate.race``, the one sampler; a draw from any
+stream, exploration and zeta coin too, is one C call.  The update is
 
     Q(s,a) <- (1-beta) Q(s,a) + beta (r + e^{-alpha dwell} max_a' Q(s',a'))
 
@@ -88,6 +90,8 @@ class Hyperparams:
             raise ValueError(f"zeta must lie in (0,1), got {self.zeta}")
         if self.ep_len <= 0 or self.ep_n <= 0:
             raise ValueError("ep_len and ep_n must be positive")
+        if self.alpha is not None and not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must lie in (0,inf), got {self.alpha}")
 
     def alpha_for(self, uniform_rate: float, satisfaction: bool = True) -> float:
         if self.alpha is not None:
@@ -134,7 +138,8 @@ _STABLE_CHECKS = 4
 def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
            satisfaction: bool) -> LearnResult:
     rngs = make_rngs(seed)
-    traj, coin, explore = rngs["trajectory"], rngs["coin"], rngs["exploration"]
+    traj, explore = rngs["trajectory"], rngs["exploration"]
+    explore_u, coin_u, exp = explore.uniform, rngs["coin"].uniform, math.exp
     alpha = hp.alpha_for(env.m.max_exit_rate, satisfaction=satisfaction)
     acts, succ, cum, acc = env.acts, env.succ, env.cum, env.accepting
     Q: List[Optional[List[float]]] = [None] * len(acts)  # None: not met yet
@@ -163,14 +168,14 @@ def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
         i = init
         for _ in range(hp.ep_len):
             qi = Q[i]
-            if epsilon > 0.0 and explore.uniform() < epsilon:
+            if epsilon > 0.0 and explore_u() < epsilon:
                 k = explore.integers(len(qi))
             else:
                 # the earliest slot of the maximum, as a scan with > finds
                 k = qi.index(max(qi))
             i2, dwell = race(succ[i][k], cum[i][k], traj)
             steps += 1
-            payout = satisfaction and acc[i] and coin.uniform() < fail_pay
+            payout = satisfaction and acc[i] and coin_u() < fail_pay
             if payout:
                 # payout absorbs the run; nothing left to bootstrap
                 target = 1.0
@@ -178,8 +183,8 @@ def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
                 q2 = Q[i2]
                 if q2 is None:
                     q2 = build(i2)
-                r = 0.0 if satisfaction else accepting_dwell(acc[i], dwell)
-                target = r + math.exp(-alpha * dwell) * max(q2)
+                r = dwell if not satisfaction and acc[i] else 0.0
+                target = r + exp(-alpha * dwell) * max(q2)
             ni = N[i]
             n = ni[k]
             if not n:

@@ -2,20 +2,22 @@
 
 Randomness goes through ``RngHandle``: a counter-based Philox generator keyed
 by (seed, stream name), so the trajectory, exploration and reward-coin streams
-are independent and each is reproducible from the seed alone.
+are independent and each is reproducible from the seed alone.  A handle's
+``uniform`` is the ``__next__`` of an iterator over the generator's doubles,
+so one draw is one call into C.
 
-``race`` is the one sampler: it draws the dwell time by inverting the
-exponential CDF, then the successor by bisecting a list of cumulative rates.
-``sample_transition`` feeds it one (state, action) row of a Ctmdp; the
-learner and ``OnTheFlyProductEnv.sample`` feed it one action slot of the
-product table.
+``race`` is the one sampler and holds the one dwell formula: it draws the
+dwell time by inverting the exponential CDF, then the successor by bisecting
+a list of cumulative rates.  ``sample_transition`` feeds it one (state,
+action) row of a Ctmdp; the learner and ``OnTheFlyProductEnv.sample`` feed it
+one action slot of the product table.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import accumulate
-from typing import Dict, List, Sequence, Tuple, TypeVar
+from itertools import accumulate, chain
+from typing import Dict, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -29,8 +31,9 @@ SEED_LIMIT = 1 << 32
 
 
 class RngHandle:
-    """One named Philox stream.  ``uniform()`` draws from a buffer of Python
-    floats, refilled from the generator ``_BUF`` doubles at a time."""
+    """One named Philox stream.  ``uniform()`` returns its next double in
+    [0, 1); the stream is read from the generator ``_BUF`` doubles at a
+    time, as Python floats chained into one iterator."""
 
     def __init__(self, seed: int, stream: str = "trajectory"):
         if stream not in _STREAM_KEYS:
@@ -41,22 +44,15 @@ class RngHandle:
             raise ValueError(f"seed must lie in [0, 2**32), got {seed}")
         self.seed = seed
         self.stream = stream
-        self._gen = np.random.Generator(
+        gen = np.random.Generator(
             np.random.Philox(key=(np.uint64(seed) << np.uint64(32))
                              + np.uint64(_STREAM_KEYS[stream])))
-        self._buf: List[float] = []
-        self._pos = 0
-
-    def uniform(self) -> float:
-        if self._pos >= len(self._buf):
-            self._buf = self._gen.random(_BUF).tolist()
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
+        # a refill never returns None, so the chain of refills never ends
+        self.uniform = chain.from_iterable(
+            iter(lambda: gen.random(_BUF).tolist(), None)).__next__
 
     def integers(self, n: int) -> int:
-        # uses the buffered uniforms so a single stream stays one sequence
+        # reads the same uniforms, so a single stream stays one sequence
         return min(int(self.uniform() * n), n - 1)
 
 
@@ -64,22 +60,19 @@ def make_rngs(seed: int) -> Dict[str, RngHandle]:
     return {name: RngHandle(seed, name) for name in _STREAM_KEYS}
 
 
-def sample_dwell(lam: float, rng: RngHandle) -> float:
-    """Exponential dwell via inverse CDF; ``lam`` is the exit rate."""
-    u = rng.uniform()
-    # u == 0 would give dwell inf; the buffer never returns exactly 1.0
-    return -math.log1p(-u) / lam
-
-
 def race(successors: Sequence[T], cum: Sequence[float],
          rng: RngHandle) -> Tuple[T, float]:
     """Race rates given cumulatively: returns (successor, dwell time).
 
-    The dwell is drawn first, then the successor whose cumulative-rate slot
-    holds ``u * cum[-1]``; rounding past the last slot picks the last one.
+    The dwell is drawn first, by inverting the exponential CDF at the exit
+    rate ``lam = cum[-1]``, then the successor whose cumulative-rate slot
+    holds ``u * lam``; rounding past the last slot, which only a subnormal
+    ``lam`` can do, picks the last one.
     """
     lam = cum[-1]
-    dwell = sample_dwell(lam, rng)
+    # u lies in [0, 1): u = 0 gives a dwell of 0, and only u -> 1 would
+    # give an infinite one
+    dwell = -math.log1p(-rng.uniform()) / lam
     idx = bisect_right(cum, rng.uniform() * lam)
     return successors[min(idx, len(successors) - 1)], dwell
 

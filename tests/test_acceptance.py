@@ -26,7 +26,7 @@ from ctsched.learn import learn_exp, learn_sat
 from ctsched.model import uniformize
 from ctsched.product import (augment, project_schedule, schedule_from_ids,
                              schedule_to_ids)
-from ctsched.simulate import RngHandle, sample_dwell, sample_transition
+from ctsched.simulate import RngHandle, race, sample_transition
 
 RUN_BUDGET_S = 60.0
 
@@ -253,7 +253,7 @@ def test_criterion_7_distributional_checks(riskreward):
     lam = 2.0
     n = 10**4
     rng = RngHandle(101, "trajectory")
-    dwells = np.array([sample_dwell(lam, rng) for _ in range(n)])
+    dwells = np.array([race((0,), [lam], rng)[1] for _ in range(n)])
     ks = stats.kstest(dwells, "expon", args=(0, 1 / lam))
 
     # successor frequencies of the riskreward race (rates 9 : 1)

@@ -42,6 +42,11 @@ def test_hyperparams_validation():
         Hyperparams(zeta=1.0)
     with pytest.raises(ValueError):
         Hyperparams(ep_n=0)
+    # e^{-alpha dwell} must shrink: a negative alpha grows the bootstrap,
+    # zero leaves it undiscounted and nan poisons every value
+    for alpha in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0,inf\)"):
+            Hyperparams(alpha=alpha)
 
 
 def test_alpha_for_objective_defaults():

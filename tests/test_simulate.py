@@ -1,10 +1,13 @@
 """Trajectory sampling: rng streams, dwell times, the successor race."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ctsched
 from ctsched.model import ActionNotEnabled, Ctmdp
-from ctsched.simulate import (RngHandle, make_rngs, sample_dwell,
-                              sample_transition)
+from ctsched.simulate import RngHandle, make_rngs, race, sample_transition
 
 
 def chain():
@@ -50,7 +53,7 @@ def test_make_rngs_covers_all_streams():
 def test_sample_dwell_matches_exponential_mean():
     rng = RngHandle(3, "trajectory")
     lam = 2.5
-    xs = np.array([sample_dwell(lam, rng) for _ in range(50000)])
+    xs = np.array([race((0,), [lam], rng)[1] for _ in range(50000)])
     assert xs.mean() == pytest.approx(1 / lam, rel=0.02)
     assert np.all(xs >= 0)
 
@@ -107,3 +110,64 @@ def test_integers_scale_the_uniform_stream():
     us = np.random.Generator(
         np.random.Philox(key=(5 << 32) + 0x657870)).random(16)
     assert picks == [min(int(u * 6), 5) for u in us.tolist()]
+
+
+def test_mixed_draws_read_one_philox_sequence():
+    # uniform() and integers() interleaved across two refills of the
+    # 8192-double buffer read the stream in order, one double per draw
+    rng = RngHandle(9, "coin")
+    want = np.random.Generator(
+        np.random.Philox(key=(9 << 32) + 0x636f696e)).random(20000).tolist()
+    got = []
+    for j in range(20000):
+        if j % 3 == 1:
+            k = rng.integers(7)
+            assert k == min(int(want[j] * 7), 6)
+            got.append(want[j])
+        else:
+            got.append(rng.uniform())
+    assert got == want
+
+
+class _Stub:
+    """A stream that returns the given draws in order."""
+
+    def __init__(self, *draws):
+        self.uniform = iter(draws).__next__
+
+
+def test_race_clamps_a_subnormal_exit_rate():
+    # u * lam < lam for every u < 1 and normal lam; a subnormal total rate
+    # rounds u * lam up to lam, past the last slot, which picks the last
+    u = 1.0 - 2.0**-53
+    cum = [1e-310, 2e-310]
+    assert u * cum[-1] == cum[-1]
+    t, dwell = race((0, 1), cum, _Stub(0.5, u))
+    assert t == 1 and dwell > 0
+
+
+def test_race_is_the_one_sampler():
+    # only race inverts the exponential CDF and bisects cumulative rates,
+    # and the trainer draws dwells and successors only through it
+    src = Path(ctsched.__file__).parent
+    calling = {f"{path.stem}.{node.name}"
+               for path in sorted(src.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)
+               and any(isinstance(x, ast.Call) and ast.unparse(x.func)
+                       .split(".")[-1] in ("log1p", "bisect_right")
+                       for x in ast.walk(node))}
+    assert calling == {"simulate.race"}
+    tree = ast.parse((src / "learn.py").read_text())
+    train = next(n for n in tree.body
+                 if isinstance(n, ast.FunctionDef) and n.name == "_train")
+    calls = [x for x in ast.walk(train) if isinstance(x, ast.Call)]
+    called = {ast.unparse(x.func) for x in calls}
+    assert "race" in called
+    assert not called & {"sample_transition", "env.sample", "accepting_dwell"}
+    # the trajectory stream is read only by race
+    race_args = [a for x in calls if ast.unparse(x.func) == "race"
+                 for a in x.args]
+    reads = [x for x in ast.walk(train) if isinstance(x, ast.Name)
+             and x.id == "traj" and isinstance(x.ctx, ast.Load)]
+    assert reads and all(any(x is a for a in race_args) for x in reads)
