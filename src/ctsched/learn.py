@@ -35,10 +35,19 @@ with beta fixed or 1 / (1 + visits).  ``LearnResult.qtable`` gives the table
 keyed by (state pair, action pair), in the order of first update, and the
 learned schedule plays in each updated pair its earliest slot of maximal
 value.
+
+No step scans a row: the trainer keeps, per built row i, its maximum V[i]
+and the earliest slot A[i] holding it.  The greedy pick reads A[i] and the
+bootstrap V[i'].  A write x to slot k makes k the greedy slot if x > V[i],
+or if x == V[i] and k < A[i]; only when the greedy slot itself falls below
+V[i] is the row rescanned.  Q-values start at 0 and every target is finite
+and non-negative, so no value is NaN or -0.0, and V[i] is max(Q[i]) bit for
+bit, with ties going to the earliest slot as a scan with > finds them.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -88,8 +97,13 @@ class Hyperparams:
             raise ValueError(f"epsilon must lie in [0,1], got {self.epsilon}")
         if not (0.0 < self.zeta < 1.0):
             raise ValueError(f"zeta must lie in (0,1), got {self.zeta}")
-        if self.ep_len <= 0 or self.ep_n <= 0:
-            raise ValueError("ep_len and ep_n must be positive")
+        for name in ("ep_len", "ep_n"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value <= 0:
+                raise ValueError(
+                    f"{name} must be a positive integer, got {value!r}")
+        if not self.tol >= 0.0:  # NaN fails too: it would never stop early
+            raise ValueError(f"tol must be non-negative, got {self.tol}")
         if self.alpha is not None and not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must lie in (0,inf), got {self.alpha}")
 
@@ -144,15 +158,21 @@ def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
     acts, succ, cum, acc = env.acts, env.succ, env.cum, env.accepting
     Q: List[Optional[List[float]]] = [None] * len(acts)  # None: not met yet
     N: List[Optional[List[int]]] = [None] * len(acts)
+    # per built row: V[i] == max(Q[i]) and A[i] its earliest slot
+    V: List[Optional[float]] = [None] * len(acts)
+    A: List[int] = [0] * len(acts)
 
-    def build(i: int) -> List[float]:  # zero slots; a built row is reused
+    def build(i: int) -> None:  # zero slots; a built row is reused
         if acts[i] is None:
             env.row(i)
-            Q.extend([None] * (len(acts) - len(Q)))
-            N.extend([None] * (len(acts) - len(N)))
+            grow = len(acts) - len(Q)
+            Q.extend([None] * grow)
+            N.extend([None] * grow)
+            V.extend([None] * grow)
+            A.extend([0] * grow)
         N[i] = [0] * len(acts[i])
-        q = Q[i] = [0.0] * len(acts[i])
-        return q
+        Q[i] = [0.0] * len(acts[i])
+        V[i] = 0.0
 
     init = env.intern(env.reset())
     build(init)
@@ -166,38 +186,47 @@ def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
     episodes = 0
     for episodes in range(1, hp.ep_n + 1):
         i = init
-        for _ in range(hp.ep_len):
+        for t in range(hp.ep_len):
             qi = Q[i]
             if epsilon > 0.0 and explore_u() < epsilon:
                 k = explore.integers(len(qi))
             else:
-                # the earliest slot of the maximum, as a scan with > finds
-                k = qi.index(max(qi))
+                k = A[i]  # the earliest slot of the row's maximum
             i2, dwell = race(succ[i][k], cum[i][k], traj)
-            steps += 1
             payout = satisfaction and acc[i] and coin_u() < fail_pay
             if payout:
                 # payout absorbs the run; nothing left to bootstrap
                 target = 1.0
             else:
-                q2 = Q[i2]
-                if q2 is None:
-                    q2 = build(i2)
+                v2 = V[i2]
+                if v2 is None:
+                    build(i2)
+                    v2 = 0.0
                 r = dwell if not satisfaction and acc[i] else 0.0
-                target = r + exp(-alpha * dwell) * max(q2)
+                target = r + exp(-alpha * dwell) * v2
             ni = N[i]
             n = ni[k]
             if not n:
                 updated.append((i, k))
             if decay_beta:
                 beta = 1.0 / (1 + n)
-            qi[k] = (1.0 - beta) * qi[k] + beta * target
+            x = qi[k] = (1.0 - beta) * qi[k] + beta * target
             ni[k] = n + 1
+            v = V[i]
+            if x > v:
+                V[i], A[i] = x, k
+            elif x < v:
+                if k == A[i]:  # the greedy slot fell: rescan its row
+                    v = max(qi)
+                    V[i], A[i] = v, qi.index(v)
+            elif k < A[i]:
+                A[i] = k
             if payout:
                 break
             i = i2
+        steps += t + 1
         if episodes % _CHECK_EVERY == 0:
-            est = max(Q[init])
+            est = V[init]
             if history and abs(est - history[-1]) < hp.tol:
                 stable += 1
                 if stable >= _STABLE_CHECKS:
@@ -208,7 +237,7 @@ def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
                 stable = 0
             history.append(est)
 
-    estimate = max(Q[init])
+    estimate = V[init]
     if not satisfaction:
         # undo the discounting: for small alpha, alpha * v approximates the
         # long-run time average of the reward rate
@@ -219,7 +248,7 @@ def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
         table.q[(pair, ai[k])] = qi[k]
         table.visits[(pair, ai[k])] = N[i][k]
         if pair != TRAP_PAIR and pair not in schedule:
-            schedule[pair] = ai[qi.index(max(qi))]
+            schedule[pair] = ai[A[i]]
     return LearnResult(qtable=table, schedule=schedule, estimate=estimate,
                        episodes_run=episodes, steps_run=steps,
                        converged=converged, alpha=alpha, history=history)

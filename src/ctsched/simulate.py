@@ -52,8 +52,10 @@ class RngHandle:
             iter(lambda: gen.random(_BUF).tolist(), None)).__next__
 
     def integers(self, n: int) -> int:
-        # reads the same uniforms, so a single stream stays one sequence
-        return min(int(self.uniform() * n), n - 1)
+        # reads the same uniforms, so a single stream stays one sequence;
+        # u < 1 keeps u * n below any integer n <= 2**53 after rounding, so
+        # the pick lies in [0, n)
+        return int(self.uniform() * n)
 
 
 def make_rngs(seed: int) -> Dict[str, RngHandle]:
@@ -66,15 +68,16 @@ def race(successors: Sequence[T], cum: Sequence[float],
 
     The dwell is drawn first, by inverting the exponential CDF at the exit
     rate ``lam = cum[-1]``, then the successor whose cumulative-rate slot
-    holds ``u * lam``; rounding past the last slot, which only a subnormal
-    ``lam`` can do, picks the last one.
+    holds ``u * lam``.  The bisection never looks at the last slot, so
+    rounding past it, which only a subnormal ``lam`` can do, picks the last
+    successor: bisect's bound is the clamp.
     """
     lam = cum[-1]
     # u lies in [0, 1): u = 0 gives a dwell of 0, and only u -> 1 would
     # give an infinite one
     dwell = -math.log1p(-rng.uniform()) / lam
-    idx = bisect_right(cum, rng.uniform() * lam)
-    return successors[min(idx, len(successors) - 1)], dwell
+    idx = bisect_right(cum, rng.uniform() * lam, 0, len(cum) - 1)
+    return successors[idx], dwell
 
 
 def sample_transition(m: Ctmdp, s: int, a: int,

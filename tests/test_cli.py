@@ -250,6 +250,17 @@ def test_runs_below_one_exits_with_validation_code(paths, command, capsys):
     assert "--runs" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_bad_tol_exits_with_validation_code(paths, tol, capsys):
+    # a NaN or negative tol would silently spend the whole episode budget
+    code = main(["learn", "--model", paths["mars.ctmdp"],
+                 "--automaton", paths["fig1.hoa"], "--tol", tol])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == f"error: tol must be non-negative, got {float(tol)}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv, bad", [
     (["simulate", "--seed", "-1"], "--seed must lie in [0, 2**32), got -1"),
     (["learn", "--seed", "-2"], "--seed must lie in [0, 2**32), got -2"),

@@ -1,5 +1,6 @@
 """Q-learning machinery: tables, updates, the on-the-fly product, trainers."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ def test_hyperparams_validation():
     for alpha in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match=r"alpha must lie in \(0,inf\)"):
             Hyperparams(alpha=alpha)
+    # a NaN or negative tol could never stop a run early
+    for tol in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="tol must be non-negative"):
+            Hyperparams(tol=tol)
+    assert Hyperparams(tol=0.0).tol == 0.0
+    # a fractional budget would fail later inside range()
+    for name in ("ep_n", "ep_len"):
+        for value in (2.5, 3.0, 0, -1):
+            with pytest.raises(ValueError,
+                               match=f"{name} must be a positive integer"):
+                Hyperparams(**{name: value})
+    assert Hyperparams(ep_n=np.int64(3)).ep_n == 3
 
 
 def test_alpha_for_objective_defaults():
@@ -304,6 +317,9 @@ def ref_train(m, a, hp, seed, satisfaction):
     traj, coin, explore = rngs["trajectory"], rngs["coin"], rngs["exploration"]
     alpha = hp.alpha_for(m.max_exit_rate, satisfaction=satisfaction)
     q, visits = {}, {}
+    # updates that drop the row's greedy slot below another slot, and
+    # updates that tie its maximum in an earlier slot
+    moves = Counter()
 
     def best(s, actions):
         best_a, best_v = actions[0], q.get((s, actions[0]), 0.0)
@@ -318,8 +334,12 @@ def ref_train(m, a, hp, seed, satisfaction):
         if s_next is not None:
             cont = math.exp(-alpha * tau) * best(s_next, env.actions(s_next))[1]
         beta = 1.0 / (1 + visits.get((s, act), 0)) if hp.decay_beta else hp.beta
-        q[(s, act)] = (1.0 - beta) * q.get((s, act), 0.0) + beta * (r + cont)
+        actions = env.actions(s)
+        greedy, top = best(s, actions)
+        x = q[(s, act)] = (1.0 - beta) * q.get((s, act), 0.0) + beta * (r + cont)
         visits[(s, act)] = visits.get((s, act), 0) + 1
+        moves["fell"] += act == greedy and x < best(s, actions)[1]
+        moves["tied"] += x == top and actions.index(act) < actions.index(greedy)
 
     init = env.reset()
     steps, history, stable, converged = 0, [], 0, False
@@ -358,7 +378,8 @@ def ref_train(m, a, hp, seed, satisfaction):
     schedule = {s: best(s, env.actions(s))[0] for s in visited if s != TRAP_PAIR}
     return LearnResult(qtable=None, schedule=schedule, estimate=estimate,
                        episodes_run=episodes, steps_run=steps,
-                       converged=converged, alpha=alpha, history=history), q, visits
+                       converged=converged, alpha=alpha, history=history), \
+        q, visits, moves
 
 
 def equivalence_cases():
@@ -374,18 +395,24 @@ def equivalence_cases():
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.1])
-@pytest.mark.parametrize("decay_beta", [False, True])
+# beta = 1 replaces each value by its target, so greedy slots often fall,
+# and zeta = 0.5 pays out often, so slots tie at exactly 1
+@pytest.mark.parametrize("decay_beta, beta, zeta", [(False, 0.05, 0.99),
+                                                    (True, 0.05, 0.99),
+                                                    (False, 1.0, 0.5)],
+                         ids=["False", "True", "beta=1.0"])
 @pytest.mark.parametrize("satisfaction", [True, False])
 def test_trainer_matches_the_dict_keyed_reference(satisfaction, decay_beta,
-                                                  epsilon):
+                                                  beta, zeta, epsilon):
     train = learn_sat if satisfaction else learn_exp
     # 3000 episodes give six convergence checks, enough to stop early
-    hp = Hyperparams(ep_n=3000, ep_len=5, beta=0.05, epsilon=epsilon,
-                     decay_beta=decay_beta, tol=0.05)
-    trapped, converged = 0, set()
+    hp = Hyperparams(ep_n=3000, ep_len=5, beta=beta, epsilon=epsilon,
+                     zeta=zeta, decay_beta=decay_beta, tol=0.05)
+    trapped, converged, moves = 0, set(), Counter()
     for seed, (m, a) in enumerate(equivalence_cases()):
         res = train(m, a, hp, seed=seed)
-        ref, q, visits = ref_train(m, a, hp, seed, satisfaction)
+        ref, q, visits, moved = ref_train(m, a, hp, seed, satisfaction)
+        moves += moved
         assert ([(k, v.hex()) for k, v in res.qtable.q.items()]
                 == [(k, v.hex()) for k, v in q.items()])
         assert list(res.qtable.visits.items()) == list(visits.items())
@@ -398,3 +425,10 @@ def test_trainer_matches_the_dict_keyed_reference(satisfaction, decay_beta,
         converged.add(res.converged)
     assert trapped >= 2
     assert True in converged
+    # the trainer rescans a row whose greedy slot fell and moves its greedy
+    # slot to an earlier tie; without exploration only greedy slots are
+    # updated, the rest stay 0, and neither can happen
+    if epsilon > 0.0:
+        assert moves["fell"] >= 1
+        if satisfaction and beta == 1.0:
+            assert moves["tied"] >= 1

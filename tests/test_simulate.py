@@ -1,9 +1,14 @@
 """Trajectory sampling: rng streams, dwell times, the successor race."""
 import ast
+import math
+from bisect import bisect_right
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import ctsched
 from ctsched.model import ActionNotEnabled, Ctmdp
@@ -144,6 +149,40 @@ def test_race_clamps_a_subnormal_exit_rate():
     assert u * cum[-1] == cum[-1]
     t, dwell = race((0, 1), cum, _Stub(0.5, u))
     assert t == 1 and dwell > 0
+
+
+def _landing(cum, j):
+    """A draw u < 1 with u * cum[-1] == cum[j] exactly, or None."""
+    lam = cum[-1]
+    u = cum[j] / lam
+    for v in (u, math.nextafter(u, 0.0), math.nextafter(u, 1.0)):
+        if v < 1.0 and v * lam == cum[j]:
+            return v
+    return None
+
+
+# scales that keep the total rate normal, make it subnormal, or put it at the
+# smallest subnormals, where u * lam rounds onto the last slot
+_SCALES = st.sampled_from([1.0, 0.1, 3e5, 1e-300, 1e-310, 5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+       scale=_SCALES,
+       draw=st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                      st.just(1.0 - 2.0**-53), st.integers(0, 5)))
+@example(weights=[4], scale=1.0, draw=0.75)  # one successor
+@example(weights=[1, 2, 1], scale=1.0, draw=1)  # u * lam == cum[1]
+@example(weights=[1, 2], scale=1e-310, draw=1.0 - 2.0**-53)  # past the end
+def test_race_picks_the_clamped_bisection(weights, scale, draw):
+    # an integer draw is a slot j: u is then a double with u * lam == cum[j]
+    cum = list(accumulate(w * scale for w in weights))
+    if isinstance(draw, int):
+        draw = _landing(cum, draw % len(cum))
+        assume(draw is not None)
+    want = min(bisect_right(cum, draw * cum[-1]), len(cum) - 1)
+    t, dwell = race(tuple(range(len(cum))), cum, _Stub(0.5, draw))
+    assert t == want and dwell > 0
 
 
 def test_race_is_the_one_sampler():
