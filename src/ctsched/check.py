@@ -451,13 +451,12 @@ def _average_optimal(m: Ctmdp,
     cap = m.max_exit_rate
     r_step = _step_rewards(m, spec, cap)
 
-    sigma = ch.action[_first_rows(m)]
+    rows = _first_rows(m).copy()
     paying = np.flatnonzero(r_step == r_step.max())
     states, first = np.unique(ch.state[paying], return_index=True)
-    sigma[states] = ch.action[paying[first]]
+    rows[states] = paying[first]
     _attractor(ch, np.ones(len(ch.state), dtype=bool),
-               _mask(m.num_states, states), sigma)
-    rows = ch.lookup(sigma)
+               _mask(m.num_states, states), rows)
 
     for rounds in range(1, _MAX_ROUNDS + 1):
         P = _induced(ch, rows, cap)
@@ -506,12 +505,13 @@ def _in_unit_interval(values: np.ndarray) -> np.ndarray:
 
 
 def _attractor(ch: ChoiceRows, allowed: np.ndarray, target: np.ndarray,
-               sigma: Optional[np.ndarray] = None) -> np.ndarray:
+               rows: Optional[np.ndarray] = None) -> np.ndarray:
     """The existential attractor (Baier & Katoen 2008, Alg. 45-46): the mask
     of the states that reach the mask ``target`` over the rows in the mask
     ``allowed``, by breadth-first search over ``ch.preds``.  A state joins
     the level after the first that an allowed row of it enters, through its
-    least such row, whose action goes into ``sigma`` if given."""
+    least such row, which goes into ``rows`` (a choice row per state) if
+    given."""
     if target.all() or not target.any():
         return target.copy()
     pptr, prow, state = ch.preds
@@ -529,8 +529,8 @@ def _attractor(ch: ChoiceRows, allowed: np.ndarray, target: np.ndarray,
         done.update(first)
         picks.update(first)
         level = list(first)
-    if sigma is not None:
-        sigma[list(picks)] = ch.action[list(picks.values())]
+    if rows is not None:
+        rows[list(picks)] = list(picks.values())
     return _mask(len(target), list(done))
 
 
@@ -585,7 +585,7 @@ def psem_optimal(p: ProductCtmdp) -> CheckResult:
     """
     m = p.ctmdp
     ch = m.choices
-    sigma = ch.action[_first_rows(m)]
+    rows = _first_rows(m).copy()
     kept, comp = ch.mec
     accepting = _mask(p.num_states, list(p.accepting))
     # the states of components that meet ``accepting``; component ids lie
@@ -596,13 +596,12 @@ def psem_optimal(p: ProductCtmdp) -> CheckResult:
     start = target & accepting
     first = np.minimum.reduceat(
         np.where(kept, np.arange(len(kept)), len(kept)), ch.start[:-1])
-    sigma[start] = ch.action[first[start]]
+    rows[start] = first[start]
     # a component's kept rows stay inside it, so one search over all of
     # them attracts and picks as one search per component would
-    _attractor(ch, kept & settled, start, sigma)
-    _attractor(ch, np.ones(len(ch.state), dtype=bool), target, sigma)
+    _attractor(ch, kept & settled, start, rows)
+    _attractor(ch, np.ones(len(ch.state), dtype=bool), target, rows)
 
-    rows = ch.lookup(sigma)
     for rounds in range(1, _MAX_ROUNDS + 1):
         v = _reach_probability(ch, rows, target)
         q = _dot(ch, ch.prob, v)

@@ -31,8 +31,8 @@ from .formats import (BenchRow, HoaError, HoaSource, ModelError, ModelSource,
                       serialize_model)
 from .learn import Hyperparams, accepting_dwell, learn_exp, learn_sat
 from .model import Ctmdp, CtmdpError
-from .product import (OnTheFlyProductEnv, ProductCtmdp, Schedule,
-                      action_name, build_product, state_name)
+from .product import (ProductCtmdp, Schedule, action_name, build_product,
+                      product_table, state_name)
 from .simulate import SEED_LIMIT, RngHandle
 
 EXIT_PARSE = 2
@@ -227,7 +227,7 @@ def cmd_simulate(args) -> int:
     _check_seed(args.seed)
     m, a, p = _build(args)
     schedule = read_schedule(p, args.schedule) if args.schedule else {}
-    env = OnTheFlyProductEnv(m, a)
+    env = product_table(m, a)
     rng = RngHandle(args.seed, "trajectory")
     with _output(args.out) as out:
         w = csv.writer(out, lineterminator="\n")

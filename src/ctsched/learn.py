@@ -1,12 +1,14 @@
 """Model-free Q-learning of schedules on the model x automaton product.
 
-``product.OnTheFlyProductEnv`` is the one table of the product: pairs
-(model state, automaton state) get integer ids as they are met, and a
-pair's actions (a, q') combine a model action with a resolution of the
-automaton's nondeterminism.  The learner builds the rows its runs reach;
-``build_product`` builds every reachable row of the same table and
-materializes the product from them.  ``_train`` owns the Q-values and
-visit counts, by the table's ids.  Two trainers share the Q machinery:
+``product.OnTheFlyProductEnv`` is the table of the product: pairs (model
+state, automaton state) get integer ids as they are met, and a pair's
+actions (a, q') combine a model action with a resolution of the automaton's
+nondeterminism.  Both trainers take the model's one table for their
+automaton from ``product.product_table``, which ``build_product`` and
+``ctsched simulate`` share, so a run builds only the rows its runs reach
+that no earlier call built; after ``build_product``, none.  ``_train`` owns
+the Q-values and visit counts, by the table's ids, and leaves the table as
+it found it but for new rows.  Two trainers share the Q machinery:
 
 * ``learn_sat`` maximizes the probability of visiting accepting states
   forever.  Transitions out of accepting states pay 1 with probability
@@ -55,7 +57,7 @@ from .automata import BuchiAutomaton
 from .check import alpha_from_gamma
 from .model import Ctmdp
 from .product import (ActionPair, OnTheFlyProductEnv, Schedule, StatePair,
-                      TRAP_PAIR)
+                      TRAP_PAIR, product_table)
 from .simulate import make_rngs, race
 
 
@@ -154,7 +156,7 @@ def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
     rngs = make_rngs(seed)
     traj, explore = rngs["trajectory"], rngs["exploration"]
     explore_u, coin_u, exp = explore.uniform, rngs["coin"].uniform, math.exp
-    alpha = hp.alpha_for(env.m.max_exit_rate, satisfaction=satisfaction)
+    alpha = hp.alpha_for(env.cap, satisfaction=satisfaction)
     acts, succ, cum, acc = env.acts, env.succ, env.cum, env.accepting
     Q: List[Optional[List[float]]] = [None] * len(acts)  # None: not met yet
     N: List[Optional[List[int]]] = [None] * len(acts)
@@ -258,11 +260,11 @@ def learn_sat(m: Ctmdp, a: BuchiAutomaton, hp: Optional[Hyperparams] = None,
               seed: int = 0) -> LearnResult:
     """Learn a schedule maximizing the probability of Buchi acceptance."""
     hp = hp or Hyperparams()
-    return _train(OnTheFlyProductEnv(m, a), hp, seed, satisfaction=True)
+    return _train(product_table(m, a), hp, seed, satisfaction=True)
 
 
 def learn_exp(m: Ctmdp, a: BuchiAutomaton, hp: Optional[Hyperparams] = None,
               seed: int = 0) -> LearnResult:
     """Learn a schedule maximizing the long-run fraction of accepting time."""
     hp = hp or Hyperparams()
-    return _train(OnTheFlyProductEnv(m, a), hp, seed, satisfaction=False)
+    return _train(product_table(m, a), hp, seed, satisfaction=False)

@@ -5,6 +5,8 @@ is given by (successor ids, rates) arrays per (state, action) pair, and
 derives from them one state-major index of choice rows, ``ChoiceRows``, that
 caches a reverse (predecessor) index for the checker's backward searches and
 the maximal end-components as masks on the rows, decomposed once per model.
+A model also keeps its product tables, one per automaton
+(``product.product_table``).
 
 The embedded jump chain has no type of its own: ``embed`` returns a Ctmdp
 whose rates are the jump probabilities, so every exit rate is 1.
@@ -183,6 +185,12 @@ class Ctmdp:
     def choices(self) -> ChoiceRows:
         """The row index of ``trans``, built on first use."""
         return ChoiceRows.of(self.trans, self.num_states)
+
+    @cached_property
+    def product_tables(self) -> Dict[int, object]:
+        """This model's product tables by automaton id, which
+        ``product.product_table`` makes and fills; empty on first use."""
+        return {}
 
     @property
     def num_states(self) -> int:

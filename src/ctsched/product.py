@@ -6,14 +6,22 @@ Automaton nondeterminism is materialized as distinct product actions: taking
 and the automaton to ``q' in delta(q, L(s))``.  Product states whose automaton
 successor set is empty fall into a rejecting trap state.
 
-``OnTheFlyProductEnv`` is the one product table, of structure only: its
-``row`` applies these rules, the trap rule included, and is the one place
-that steps the automaton.  The learner builds rows as its runs reach them;
-``build_product`` builds every reachable row and reads the product off them.
+``OnTheFlyProductEnv`` is the product table, of structure only: its ``row``
+applies these rules, the trap rule included, and is the one place that
+steps the automaton.  ``product_table(m, a)`` keeps one table per model and
+automaton on the model, as the model keeps its ``ChoiceRows``;
+``build_product``, the learners and ``ctsched simulate`` all take it from
+there, so each reachable row is built once per pair.  A learner builds the
+rows its runs reach that no earlier call built, and ``build_product``
+builds the rest and reads the product off them, numbering product states by
+its own walk, so that the calls made before it change no id.  The table
+keeps the model's choice rows, not the model, so that a model and its
+tables are freed by reference counting alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -105,7 +113,7 @@ def action_name(m: Ctmdp, pair: ActionPair) -> str:
 
 
 class OnTheFlyProductEnv:
-    """The model x automaton product as one table, built pair by pair: the
+    """The model x automaton product as one table, built pair by pair: a
     learner builds the rows its runs reach, and ``build_product`` builds
     every reachable row and materializes the product from them.
 
@@ -117,20 +125,32 @@ class OnTheFlyProductEnv:
     the reachable fragment is ever touched.  Rows come from the model's
     choice rows; a pair whose automaton run dies loops in the trap.
 
+    Of the model the table keeps the choice rows, the initial state and the
+    state count, and ``cap`` reads the maximal exit rate off the rows; it
+    keeps no reference to the model, which holds its tables
+    (``product_table``), so that the two make no cycle.
+
     ``reset``, ``is_accepting``, ``actions`` and ``sample`` read the same
     rows keyed by pairs, and check the pairs and actions they are given.
     """
 
     def __init__(self, m: Ctmdp, a: BuchiAutomaton):
-        self.m = m
         self.a = a
         self._letters = _letters(m, a)
+        self.choices = m.choices
+        self.initial: StatePair = (m.initial, a.initial)
+        self.model_states = m.num_states
         self.ids: Dict[StatePair, int] = {}
         self.pairs: List[StatePair] = []
         self.accepting: List[bool] = []
         self.acts: List[Optional[Tuple[ActionPair, ...]]] = []
         self.succ: List[Optional[List[Tuple[int, ...]]]] = []
         self.cum: List[Optional[List[List[float]]]] = []
+
+    @cached_property
+    def cap(self) -> float:
+        """The model's maximal exit rate, as ``Ctmdp.max_exit_rate``."""
+        return float(self.choices.exit.max())
 
     def intern(self, pair: StatePair) -> int:
         i = self.ids.get(pair)
@@ -151,7 +171,7 @@ class OnTheFlyProductEnv:
             acts, cums = (TRAP_ACTION,), [[1.0]]
             succ = [(self.intern(TRAP_PAIR),)]
         else:
-            ch = self.m.choices
+            ch = self.choices
             lo, hi = ch.start[s:s + 2].tolist()
             ptr = ch.ptr[lo:hi + 1].tolist()
             acts, succ, cums = [], [], []
@@ -170,11 +190,11 @@ class OnTheFlyProductEnv:
         i = self.ids.get(pair)
         if i is None:
             s, q = pair
-            if pair != TRAP_PAIR and not (s in range(self.m.num_states)
+            if pair != TRAP_PAIR and not (s in range(self.model_states)
                                           and q in range(self.a.num_states)):
                 raise CtmdpError(
                     f"product pair {pair} out of range: the model has "
-                    f"{self.m.num_states} states, the automaton "
+                    f"{self.model_states} states, the automaton "
                     f"{self.a.num_states}")
             i = self.intern(pair)
         if self.acts[i] is None:
@@ -182,7 +202,7 @@ class OnTheFlyProductEnv:
         return i
 
     def reset(self) -> StatePair:
-        return (self.m.initial, self.a.initial)
+        return self.initial
 
     def is_accepting(self, pair: StatePair) -> bool:
         return pair[1] in self.a.accepting
@@ -201,30 +221,54 @@ class OnTheFlyProductEnv:
         return self.pairs[t], dwell
 
 
+def product_table(m: Ctmdp, a: BuchiAutomaton) -> OnTheFlyProductEnv:
+    """The one product table of ``m`` and ``a``: made on first use and kept
+    in ``m.product_tables``, so that every later call shares its rows.
+
+    Tables are keyed by the automaton's ``id``, which costs no hash of its
+    guards; the table holds the automaton, so the id names no other object
+    while the entry lives."""
+    tables = m.product_tables
+    env = tables.get(id(a))
+    if env is None:
+        env = tables[id(a)] = OnTheFlyProductEnv(m, a)
+    return env
+
+
 def build_product(m: Ctmdp, a: BuchiAutomaton) -> ProductCtmdp:
     """Reachable synchronous product of model and automaton.
 
-    The rows of ``OnTheFlyProductEnv`` are built depth first from its initial
-    pair, and product action ids number the action pairs in the order first
-    met over the rows in build order.
+    A depth-first walk from the initial pair over ``product_table(m, a)``
+    builds the rows that no earlier call built.  Product states are numbered
+    in the order the walk meets them, a row's successors in slot order, and
+    product actions in the order their pairs are first met over the rows in
+    walk order; the table's own ids, which a learner that ran first gave out
+    in the order of its runs, do not show.
     """
-    env = OnTheFlyProductEnv(m, a)
-    built: List[int] = []
-    stack = [env.intern(env.reset())]
+    env = product_table(m, a)
+    init = env.intern(env.reset())
+    num = {init: 0}     # table id -> product state id, in the order met
+    walked: Dict[int, None] = {}    # table ids, in walk order
+    stack = [init]
     while stack:
         i = stack.pop()
+        if i in walked:
+            continue
+        walked[i] = None
         if env.acts[i] is None:
             env.row(i)
-            built.append(i)
-            for targets in env.succ[i]:
-                stack.extend(targets)
+        for targets in env.succ[i]:
+            for t in targets:
+                if t not in num:
+                    num[t] = len(num)
+            stack.extend(targets)
 
     ch = m.choices
     ptr, rate = ch.ptr.tolist(), ch.rate.tolist()
     action_ids: Dict[ActionPair, int] = {}
     transitions: List[Tuple[int, int, int, float]] = []
-    for i in built:
-        s = env.pairs[i][0]
+    for i in walked:
+        k, s = num[i], env.pairs[i][0]
         for act, targets, cum in zip(env.acts[i], env.succ[i], env.cum[i]):
             j = action_ids.setdefault(act, len(action_ids))
             if act == TRAP_ACTION:
@@ -232,9 +276,10 @@ def build_product(m: Ctmdp, a: BuchiAutomaton) -> ProductCtmdp:
             else:
                 row = ch.row[(s, act[0])]
                 rates = rate[ptr[row]:ptr[row + 1]]
-            transitions.extend((i, j, t, r) for t, r in zip(targets, rates))
+            transitions.extend((k, j, num[t], r) for t, r in zip(targets, rates))
 
-    pairs, action_pairs = tuple(env.pairs), tuple(action_ids)
+    pairs = tuple(env.pairs[i] for i in num)
+    action_pairs = tuple(action_ids)
     ctmdp = Ctmdp.from_transitions(
         tuple(state_name(m, p) for p in pairs),
         tuple(action_name(m, p) for p in action_pairs),
@@ -242,7 +287,7 @@ def build_product(m: Ctmdp, a: BuchiAutomaton) -> ProductCtmdp:
         ap=m.ap,
         labels=[m.labels[s] if s is not None else frozenset()
                 for s, _ in pairs])
-    accepting = frozenset(i for i, acc in enumerate(env.accepting) if acc)
+    accepting = frozenset(k for k, i in enumerate(num) if env.accepting[i])
     return ProductCtmdp(ctmdp, pairs, action_pairs, accepting,
                         model=m, automaton=a)
 
@@ -293,20 +338,27 @@ def schedule_to_ids(p: ProductCtmdp, schedule: Schedule) -> np.ndarray:
     entry whose action is not enabled at its state raises CtmdpError.
     """
     action_index = p.action_index()
-    out = np.zeros(p.num_states, dtype=np.int64)
+    ch = p.ctmdp.choices
+    start, action, enabled = ch.start.tolist(), ch.action.tolist(), ch.row
+    out = []
     for i, pair in enumerate(p.pairs):
         choice = schedule.get(pair)
-        out[i] = (p.ctmdp.enabled(i)[0] if choice is None
-                  else action_index.get(choice, -1))
-        if (i, out[i]) not in p.ctmdp.choices.row:
+        if choice is not None:
+            j = action_index.get(choice, -1)
+        else:   # the action of the state's first row, if it has one
+            j = action[start[i]] if start[i] < start[i + 1] else -1
+        if (i, j) not in enabled:
             raise CtmdpError(f"schedule action {choice} is not enabled at "
                              f"product state {pair}")
-    return out
+        out.append(j)
+    return np.array(out, dtype=np.int64)
 
 
 def schedule_from_ids(p: ProductCtmdp, sigma: np.ndarray) -> Schedule:
-    return {pair: p.action_pairs[int(sigma[i])]
-            for i, pair in enumerate(p.pairs) if pair != TRAP_PAIR}
+    acts = p.action_pairs
+    return {pair: acts[j]
+            for pair, j in zip(p.pairs, sigma.tolist(), strict=True)
+            if pair != TRAP_PAIR}
 
 
 def project_schedule(p: ProductCtmdp, schedule: Schedule) -> Dict[Tuple[int, int], int]:

@@ -591,10 +591,11 @@ def test_reach_probability_matches_the_fixpoint_reference():
     assert deep_zeros >= 5
 
 
-def _sweep_attractor(ch, allowed, target, sigma):
+def _sweep_attractor(ch, allowed, target, rows):
     """The attractor as sweeps: each sweep is a full pass over the states
     against the states of earlier sweeps only, a state joining at its least
-    allowed row with a successor among them; it returns those states."""
+    allowed row with a successor among them, which goes into ``rows``; it
+    returns those states."""
     done = set(target)
     while True:
         sweep = {}
@@ -609,7 +610,7 @@ def _sweep_attractor(ch, allowed, target, sigma):
         if not sweep:
             return done
         for s, r in sweep.items():
-            sigma[s] = ch.action[r]
+            rows[s] = r
         done |= set(sweep)
 
 
@@ -628,15 +629,15 @@ def test_attractor_matches_the_sweep_reference():
         allowed &= np.isin(ch.state, joinable)
         target = np.zeros(n, dtype=bool)
         target[rng.choice(n, int(rng.integers(1, n + 1)), replace=False)] = True
-        sigma = rng.integers(0, 3, n)
-        want, got = sigma.copy(), sigma.copy()
+        rows = rng.integers(0, 3, n)
+        want, got = rows.copy(), rows.copy()
         closure = _sweep_attractor(ch, set(np.flatnonzero(allowed).tolist()),
                                    set(np.flatnonzero(target).tolist()), want)
         mask = _attractor(ch, allowed, target, got)
         assert np.array_equal(np.flatnonzero(mask), sorted(closure))
         assert np.array_equal(got, want)
         assert np.array_equal(_attractor(ch, allowed, target), mask)
-        # nothing reaches an empty target, and no entry of sigma changes
+        # nothing reaches an empty target, and no entry of rows changes
         assert not _attractor(ch, allowed, target & False, got).any()
         assert np.array_equal(got, want)
 

@@ -9,10 +9,10 @@ from ctsched.automata import BuchiAutomaton, Edge, GAp, GNot
 from ctsched.bruteforce import random_buchi, random_ctmdp
 from ctsched.data import BENCH_PAIRS, load_automaton, load_model
 from ctsched.learn import (EXP_GAMMA, SAT_GAMMA, Hyperparams, LearnResult,
-                           OnTheFlyProductEnv, _train, accepting_dwell,
+                           OnTheFlyProductEnv, accepting_dwell,
                            learn_exp, learn_sat)
 from ctsched.model import ActionNotEnabled, Ctmdp, CtmdpError
-from ctsched.product import TRAP_PAIR, build_product
+from ctsched.product import TRAP_PAIR, build_product, product_table
 from ctsched.simulate import RngHandle, make_rngs, sample_transition
 from test_pinned import PINNED_Q, PINNED_SCHEDULE, PINNED_STEPS
 
@@ -284,27 +284,24 @@ def test_schedule_covers_visited_states():
         assert action in env.actions(pair)
 
 
-def test_learners_share_a_table_whose_rows_are_built(riskreward):
-    m, a, _ = riskreward
-    env = OnTheFlyProductEnv(m, a)
-    # every reachable row first, as build_product builds them
-    stack = [env.intern(env.reset())]
-    while stack:
-        i = stack.pop()
-        if env.acts[i] is None:
-            env.row(i)
-            stack.extend(t for targets in env.succ[i] for t in targets)
-    rows = list(env.succ)
-    # the rows carry no learning state: two learners in turn on one table
+def test_learners_share_a_table_whose_rows_are_built():
+    m, a = load_model("riskreward"), load_automaton("riskreward")
+    # build_product builds every reachable row of the model's one table
+    build_product(m, a)
+    env = product_table(m, a)
+    rows = (list(env.acts), list(env.succ), list(env.cum))
+    # the rows carry no learning state: two learners in turn on the table
     # each give the pinned run of a fresh one, and no row is built again
     for _ in range(2):
-        res = _train(env, Hyperparams(ep_n=50, ep_len=60, beta=0.05), 0,
-                     satisfaction=True)
+        res = learn_sat(m, a, Hyperparams(ep_n=50, ep_len=60, beta=0.05),
+                        seed=0)
         assert res.steps_run == PINNED_STEPS
         assert res.schedule == PINNED_SCHEDULE
         assert res.qtable.q == {k: float.fromhex(v)
                                 for k, v in PINNED_Q.items()}
-        assert all(r is s for r, s in zip(rows, env.succ, strict=True))
+        assert product_table(m, a) is env
+        for before, now in zip(rows, (env.acts, env.succ, env.cum)):
+            assert all(r is s for r, s in zip(before, now, strict=True))
 
 
 # A reference trainer: Q-learning over dicts keyed (state pair, action pair),

@@ -1,18 +1,28 @@
 """Model x automaton products, the sink augmentation and schedule plumbing."""
+import ast
+import gc
 import hashlib
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctsched
 from ctsched.automata import BuchiAutomaton, Edge, GFalse, GTrue
 from ctsched.bruteforce import random_buchi, random_ctmdp
 from ctsched.check import esem_of, psem_of
 from ctsched.data import BENCH_PAIRS, load_automaton, load_model
 from ctsched.formats import ModelSource, parse_model
+from ctsched.learn import Hyperparams, learn_exp, learn_sat
 from ctsched.model import Ctmdp, CtmdpError
 from ctsched.product import (ApMismatch, TRAP_PAIR, OnTheFlyProductEnv,
-                             augment, build_product, project_schedule,
+                             ProductCtmdp, augment, build_product,
+                             product_table, project_schedule,
                              schedule_from_ids, schedule_to_ids)
+from test_pinned import (PINNED_DECAY_ESTIMATE, PINNED_DECAY_Q,
+                         PINNED_DECAY_SCHEDULE, PINNED_DECAY_STEPS, PINNED_Q,
+                         PINNED_SCHEDULE, PINNED_STEPS)
 
 
 def test_mars_product_shape(mars):
@@ -174,6 +184,16 @@ def test_schedule_to_ids_rejects_disabled_choices(mars):
             grade(p, sched)
 
 
+def test_schedule_to_ids_rejects_a_state_without_rows():
+    # the last state enables nothing, so no schedule plays in it
+    m = Ctmdp.from_transitions(("s0", "s1"), ("a",), 0, [(0, 0, 1, 1.0)])
+    p = ProductCtmdp(m, ((0, 0), (1, 0)), ((0, 0),), frozenset())
+    with pytest.raises(CtmdpError, match=r"None is not enabled.*\(1, 0\)"):
+        schedule_to_ids(p, {})
+    with pytest.raises(CtmdpError, match=r"\(0, 0\) is not enabled.*\(1, 0\)"):
+        schedule_to_ids(p, {(1, 0): (0, 0)})
+
+
 def test_project_schedule(mars):
     m, a, p = mars
     sigma = np.array([p.ctmdp.enabled(s)[0] for s in range(p.num_states)])
@@ -225,3 +245,102 @@ def test_built_products_are_pinned(perfbench):
                                        load_automaton(hoa[:-len(".hoa")]))
     got = {name: _product_digest(p) for name, p in products.items()}
     assert got == PINNED_PRODUCTS
+
+
+# ---------------------------------------------------------------------------
+# one table per model and automaton
+
+
+def _sat_pins(m, a):
+    res = learn_sat(m, a, Hyperparams(ep_n=50, ep_len=60, beta=0.05), seed=0)
+    assert res.steps_run == PINNED_STEPS
+    assert res.schedule == PINNED_SCHEDULE
+    assert res.qtable.q == {k: float.fromhex(v) for k, v in PINNED_Q.items()}
+
+
+def _exp_pins(m, a):
+    res = learn_exp(m, a, Hyperparams(ep_n=50, ep_len=60, decay_beta=True),
+                    seed=0)
+    assert res.steps_run == PINNED_DECAY_STEPS
+    assert res.estimate.hex() == PINNED_DECAY_ESTIMATE
+    assert list(res.schedule.items()) == list(PINNED_DECAY_SCHEDULE.items())
+    assert [(k, v.hex(), res.qtable.visits[k])
+            for k, v in res.qtable.q.items()] == PINNED_DECAY_Q
+
+
+@pytest.mark.parametrize("model, automaton, learn_pinned",
+                         [("riskreward", "riskreward", _sat_pins),
+                          ("mars", "fig1", _exp_pins)])
+def test_sharing_the_table_changes_no_output(model, automaton, learn_pinned):
+    pinned = PINNED_PRODUCTS[f"{model}x{automaton}"]
+    # a learner first: the table's ids follow its runs, and the product
+    # still numbers its states by its own walk
+    m, a = load_model(model), load_automaton(automaton)
+    learn_pinned(m, a)
+    p = build_product(m, a)
+    assert product_table(m, a).pairs != list(p.pairs)
+    assert _product_digest(p) == pinned
+    learn_pinned(m, a)
+    # the product first, then a learner, then the product again
+    m, a = load_model(model), load_automaton(automaton)
+    assert _product_digest(build_product(m, a)) == pinned
+    learn_pinned(m, a)
+    assert _product_digest(build_product(m, a)) == pinned
+
+
+def test_product_after_learners_is_pinned(perfbench):
+    families = perfbench("families")
+    text = families.polling_text(
+        8, **families.polling_params(np.random.default_rng(1)))
+    m = parse_model(ModelSource(text, origin="polling8"))
+    a = load_automaton(families.POLLING_HOA[:-len(".hoa")])
+    hp = Hyperparams(ep_n=20, ep_len=60)
+    learn_sat(m, a, hp, seed=0)
+    learn_exp(m, a, hp, seed=1)
+    env = product_table(m, a)
+    # the runs left rows unbuilt, so the walk builds some
+    assert None in env.acts
+    p = build_product(m, a)
+    assert None not in env.acts
+    assert _product_digest(p) == PINNED_PRODUCTS["polling8"]
+
+
+def test_a_model_and_its_tables_are_freed_without_the_cyclic_gc():
+    # the table keeps the model's choice rows, not the model, so that the
+    # model's own reference to its tables makes no cycle
+    gc.disable()
+    try:
+        m, a = load_model("mars"), load_automaton("fig1")
+        p = build_product(m, a)
+        learn_sat(m, a, Hyperparams(ep_n=20, ep_len=20), seed=0)
+        assert m.product_tables
+        model, table = weakref.ref(m), weakref.ref(product_table(m, a))
+        del m, p
+        assert model() is None
+        assert table() is None
+    finally:
+        gc.enable()
+
+
+def test_product_table_is_the_one_way_to_a_table():
+    # in the package only the accessor makes a table, and every caller
+    # that walks the product takes it from the accessor
+    src = Path(ctsched.__file__).parent
+    calls = {}
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                calls[f"{path.stem}.{node.name}"] = {
+                    ast.unparse(x.func).split(".")[-1]
+                    for x in ast.walk(node) if isinstance(x, ast.Call)}
+    making = {name for name, called in calls.items()
+              if "OnTheFlyProductEnv" in called}
+    assert making == {"product.product_table"}
+    made = sum(isinstance(x, ast.Call)
+               and ast.unparse(x.func).endswith("OnTheFlyProductEnv")
+               for path in src.rglob("*.py")
+               for x in ast.walk(ast.parse(path.read_text())))
+    assert made == 1
+    for name in ("learn.learn_sat", "learn.learn_exp",
+                 "product.build_product", "cli.cmd_simulate"):
+        assert "product_table" in calls[name], name
