@@ -1,9 +1,10 @@
 """Model-free learning on the risk/reward model, graded by the exact checker.
 
 The learner never sees the transition matrix: it samples trajectories of the
-model x automaton product on the fly and runs tabular Q-learning with
-dwell-time discounting.  The resulting greedy schedule is then evaluated
-exactly, which is the honest way to score a learned policy.
+model x automaton product from the product's rows (the table that
+``build_product`` reads too) and runs tabular Q-learning with dwell-time
+discounting.  The resulting greedy schedule is then evaluated exactly, which
+is the honest way to score a learned policy.
 
 Run:  python3 demos/02_learning_schedules.py
       (about 9 s of wall clock on a 2-core Xeon: median of three runs)

@@ -110,12 +110,16 @@ def read_schedule(p: ProductCtmdp, path: str) -> Schedule:
         if not row:
             continue
         try:
-            s, q, act_name, q2 = int(row[0]), int(row[1]), row[2], int(row[3])
-        except (ValueError, IndexError):
+            s, q, act_name, q2 = row    # other than four fields: ValueError
+            s, q, q2 = int(s), int(q), int(q2)
+        except ValueError:
             raise CliError(f"{path}:{ln}: malformed schedule row", EXIT_PARSE)
         if (s, q) not in known:
             raise CliError(f"{path}:{ln}: unknown product state ({s},{q})",
                            EXIT_VALIDATION)
+        if (s, q) in out:
+            raise CliError(f"{path}:{ln}: product state ({s},{q}) is "
+                           f"scheduled twice", EXIT_VALIDATION)
         if act_name not in action_ids:
             raise CliError(f"{path}:{ln}: unknown action '{act_name}'",
                            EXIT_VALIDATION)
@@ -225,6 +229,9 @@ def cmd_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     _check_seed(args.seed)
+    if args.steps < 0:
+        raise CliError(f"--steps must be non-negative, got {args.steps}",
+                       EXIT_VALIDATION)
     m, a, p = _build(args)
     schedule = read_schedule(p, args.schedule) if args.schedule else {}
     env = product_table(m, a)

@@ -1,14 +1,14 @@
 """Model-free Q-learning of schedules on the model x automaton product.
 
 ``product.OnTheFlyProductEnv`` is the table of the product: pairs (model
-state, automaton state) get integer ids as they are met, and a pair's
-actions (a, q') combine a model action with a resolution of the automaton's
-nondeterminism.  Both trainers take the model's one table for their
-automaton from ``product.product_table``, which ``build_product`` and
-``ctsched simulate`` share, so a run builds only the rows its runs reach
-that no earlier call built; after ``build_product``, none.  ``_train`` owns
-the Q-values and visit counts, by the table's ids, and leaves the table as
-it found it but for new rows.  Two trainers share the Q machinery:
+state, automaton state) get the integer ids of ``build_product``'s product
+states, and a pair's actions (a, q') combine a model action with a
+resolution of the automaton's nondeterminism.  Both trainers take the
+model's one table for their automaton from ``product.product_table``, which
+``build_product`` and ``ctsched simulate`` share; the table holds every
+reachable row from the start, so a run builds none.  ``_train`` owns the
+Q-values and visit counts, by the table's ids, zeroed over all rows, and
+leaves the table as it found it.  Two trainers share the Q machinery:
 
 * ``learn_sat`` maximizes the probability of visiting accepting states
   forever.  Transitions out of accepting states pay 1 with probability
@@ -38,7 +38,7 @@ keyed by (state pair, action pair), in the order of first update, and the
 learned schedule plays in each updated pair its earliest slot of maximal
 value.
 
-No step scans a row: the trainer keeps, per built row i, its maximum V[i]
+No step scans a row: the trainer keeps, per row i, its maximum V[i]
 and the earliest slot A[i] holding it.  The greedy pick reads A[i] and the
 bootstrap V[i'].  A write x to slot k makes k the greedy slot if x > V[i],
 or if x == V[i] and k < A[i]; only when the greedy slot itself falls below
@@ -158,26 +158,12 @@ def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
     explore_u, coin_u, exp = explore.uniform, rngs["coin"].uniform, math.exp
     alpha = hp.alpha_for(env.cap, satisfaction=satisfaction)
     acts, succ, cum, acc = env.acts, env.succ, env.cum, env.accepting
-    Q: List[Optional[List[float]]] = [None] * len(acts)  # None: not met yet
-    N: List[Optional[List[int]]] = [None] * len(acts)
-    # per built row: V[i] == max(Q[i]) and A[i] its earliest slot
-    V: List[Optional[float]] = [None] * len(acts)
-    A: List[int] = [0] * len(acts)
-
-    def build(i: int) -> None:  # zero slots; a built row is reused
-        if acts[i] is None:
-            env.row(i)
-            grow = len(acts) - len(Q)
-            Q.extend([None] * grow)
-            N.extend([None] * grow)
-            V.extend([None] * grow)
-            A.extend([0] * grow)
-        N[i] = [0] * len(acts[i])
-        Q[i] = [0.0] * len(acts[i])
-        V[i] = 0.0
-
-    init = env.intern(env.reset())
-    build(init)
+    Q = [[0.0] * len(r) for r in acts]
+    N = [[0] * len(r) for r in acts]
+    # per row: V[i] == max(Q[i]) and A[i] its earliest slot
+    V = [0.0] * len(acts)
+    A = [0] * len(acts)
+    init = env.ids[env.reset()]
     updated: List[Tuple[int, int]] = []  # (id, slot) in first-update order
     epsilon, beta, decay_beta = hp.epsilon, hp.beta, hp.decay_beta
     fail_pay = 1.0 - hp.zeta
@@ -200,12 +186,8 @@ def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
                 # payout absorbs the run; nothing left to bootstrap
                 target = 1.0
             else:
-                v2 = V[i2]
-                if v2 is None:
-                    build(i2)
-                    v2 = 0.0
                 r = dwell if not satisfaction and acc[i] else 0.0
-                target = r + exp(-alpha * dwell) * v2
+                target = r + exp(-alpha * dwell) * V[i2]
             ni = N[i]
             n = ni[k]
             if not n:

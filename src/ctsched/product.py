@@ -6,17 +6,17 @@ Automaton nondeterminism is materialized as distinct product actions: taking
 and the automaton to ``q' in delta(q, L(s))``.  Product states whose automaton
 successor set is empty fall into a rejecting trap state.
 
-``OnTheFlyProductEnv`` is the product table, of structure only: its ``row``
-applies these rules, the trap rule included, and is the one place that
+``OnTheFlyProductEnv`` is the product table, of structure only: its rows
+apply these rules, the trap rule included, and are the one place that
 steps the automaton.  ``product_table(m, a)`` keeps one table per model and
 automaton on the model, as the model keeps its ``ChoiceRows``;
 ``build_product``, the learners and ``ctsched simulate`` all take it from
-there, so each reachable row is built once per pair.  A learner builds the
-rows its runs reach that no earlier call built, and ``build_product``
-builds the rest and reads the product off them, numbering product states by
-its own walk, so that the calls made before it change no id.  The table
-keeps the model's choice rows, not the model, so that a model and its
-tables are freed by reference counting alone.
+there.  The table builds every reachable row when it is made, by one
+depth-first walk from the initial pair, and numbers pairs in the order the
+walk meets them; ``build_product`` reads the product off the rows with the
+same numbering, so table id i is product state i.  The table keeps the
+model's choice rows, not the model, so that a model and its tables are
+freed by reference counting alone.
 """
 from __future__ import annotations
 
@@ -113,92 +113,87 @@ def action_name(m: Ctmdp, pair: ActionPair) -> str:
 
 
 class OnTheFlyProductEnv:
-    """The model x automaton product as one table, built pair by pair: a
-    learner builds the rows its runs reach, and ``build_product`` builds
-    every reachable row and materializes the product from them.
+    """The model x automaton product as one table of its reachable rows,
+    built whole when the table is made.
 
-    ``intern`` gives each pair met an id; per id the table keeps the pair,
-    its accepting flag and, once ``row`` has built it, its action tuple and,
-    per action slot k, the successor ids ``succ[i][k]`` and cumulative rates
-    ``cum[i][k]`` that ``simulate.race`` takes; no learning state, so
-    learners may share the table.  Row columns hold None until then, so only
-    the reachable fragment is ever touched.  Rows come from the model's
-    choice rows; a pair whose automaton run dies loops in the trap.
+    A depth-first walk from the initial pair builds every reachable row and
+    gives each pair met an id, in the order the walk meets it: table id i
+    is product state i of ``build_product``.  ``walk`` lists the ids in the
+    order the walk built their rows, the order in which ``build_product``
+    numbers product actions.  Per id the table keeps the pair, its accepting
+    flag, its action tuple and, per action slot k, the successor ids
+    ``succ[i][k]`` and cumulative rates ``cum[i][k]`` that ``simulate.race``
+    takes; no learning state, so learners may share the table.  Rows come
+    from the model's choice rows; a pair whose automaton run dies loops in
+    the trap.
 
-    Of the model the table keeps the choice rows, the initial state and the
-    state count, and ``cap`` reads the maximal exit rate off the rows; it
-    keeps no reference to the model, which holds its tables
-    (``product_table``), so that the two make no cycle.
+    Of the model the table keeps the choice rows and the initial state, and
+    ``cap`` reads the maximal exit rate off the rows; it keeps no reference
+    to the model, which holds its tables (``product_table``), so that the
+    two make no cycle.
 
     ``reset``, ``is_accepting``, ``actions`` and ``sample`` read the same
-    rows keyed by pairs, and check the pairs and actions they are given.
+    rows keyed by pairs, and check the pairs and actions they are given: a
+    pair the walk never reached raises CtmdpError.
     """
 
     def __init__(self, m: Ctmdp, a: BuchiAutomaton):
         self.a = a
-        self._letters = _letters(m, a)
         self.choices = m.choices
         self.initial: StatePair = (m.initial, a.initial)
-        self.model_states = m.num_states
         self.ids: Dict[StatePair, int] = {}
         self.pairs: List[StatePair] = []
-        self.accepting: List[bool] = []
-        self.acts: List[Optional[Tuple[ActionPair, ...]]] = []
-        self.succ: List[Optional[List[Tuple[int, ...]]]] = []
-        self.cum: List[Optional[List[List[float]]]] = []
+        letters = _letters(m, a)
+        rows = {}   # id -> (acts, succ, cum), in walk order
+        stack = [self._intern(self.initial)]
+        while stack:
+            i = stack.pop()
+            if i not in rows:
+                rows[i] = row = self._row(i, letters)
+                for targets in row[1]:
+                    stack.extend(targets)
+        self.walk: List[int] = list(rows)
+        self.acts, self.succ, self.cum = zip(
+            *(rows[i] for i in range(len(self.pairs))))
+        self.accepting: List[bool] = [self.is_accepting(p) for p in self.pairs]
 
     @cached_property
     def cap(self) -> float:
         """The model's maximal exit rate, as ``Ctmdp.max_exit_rate``."""
         return float(self.choices.exit.max())
 
-    def intern(self, pair: StatePair) -> int:
+    def _intern(self, pair: StatePair) -> int:
         i = self.ids.get(pair)
         if i is None:
             i = self.ids[pair] = len(self.pairs)
             self.pairs.append(pair)
-            self.accepting.append(self.is_accepting(pair))
-            for col in (self.acts, self.succ, self.cum):
-                col.append(None)
         return i
 
-    def row(self, i: int) -> None:
-        """Build the row of id i, interning its successors."""
+    def _row(self, i: int, letters: List[FrozenSet[int]]) -> tuple:
+        """The row of id i as (acts, succ, cum), interning its successors."""
         s, q = self.pairs[i]
-        choices = () if s is None else sorted(step(self.a, q, self._letters[s]))
+        choices = () if s is None else sorted(step(self.a, q, letters[s]))
         if not choices:
             # the trap, and pairs whose automaton run dies, loop in the trap
-            acts, cums = (TRAP_ACTION,), [[1.0]]
-            succ = [(self.intern(TRAP_PAIR),)]
-        else:
-            ch = self.choices
-            lo, hi = ch.start[s:s + 2].tolist()
-            ptr = ch.ptr[lo:hi + 1].tolist()
-            acts, succ, cums = [], [], []
-            for act, b, e in zip(ch.action[lo:hi].tolist(), ptr, ptr[1:]):
-                targets = ch.succ[b:e].tolist()
-                cum = list(accumulate(ch.rate[b:e].tolist()))
-                for q2 in choices:
-                    acts.append((act, q2))
-                    succ.append(tuple(self.intern((t, q2)) for t in targets))
-                    cums.append(cum)
-            acts = tuple(acts)
-        self.acts[i], self.succ[i], self.cum[i] = acts, succ, cums
+            return (TRAP_ACTION,), [(self._intern(TRAP_PAIR),)], [[1.0]]
+        ch = self.choices
+        lo, hi = ch.start[s:s + 2].tolist()
+        ptr = ch.ptr[lo:hi + 1].tolist()
+        acts, succ, cums = [], [], []
+        for act, b, e in zip(ch.action[lo:hi].tolist(), ptr, ptr[1:]):
+            targets = ch.succ[b:e].tolist()
+            cum = list(accumulate(ch.rate[b:e].tolist()))
+            for q2 in choices:
+                acts.append((act, q2))
+                succ.append(tuple(self._intern((t, q2)) for t in targets))
+                cums.append(cum)
+        return tuple(acts), succ, cums
 
-    def _built(self, pair: StatePair) -> int:
-        """The id of ``pair`` with its row built."""
+    def _id(self, pair: StatePair) -> int:
         i = self.ids.get(pair)
         if i is None:
-            s, q = pair
-            if pair != TRAP_PAIR and not (s in range(self.model_states)
-                                          and q in range(self.a.num_states)):
-                raise CtmdpError(
-                    f"product pair {pair} out of range: the model has "
-                    f"{self.model_states} states, the automaton "
-                    f"{self.a.num_states}")
-            i = self.intern(pair)
-        if self.acts[i] is None:
-            self.row(i)
+            raise CtmdpError(f"product pair {pair} is not reachable from "
+                             f"the initial pair {self.initial}")
         return i
 
     def reset(self) -> StatePair:
@@ -208,11 +203,11 @@ class OnTheFlyProductEnv:
         return pair[1] in self.a.accepting
 
     def actions(self, pair: StatePair) -> Tuple[ActionPair, ...]:
-        return self.acts[self._built(pair)]
+        return self.acts[self._id(pair)]
 
     def sample(self, pair: StatePair, action: ActionPair,
                rng: RngHandle) -> Tuple[StatePair, float]:
-        i = self._built(pair)
+        i = self._id(pair)
         try:
             k = self.acts[i].index(action)
         except ValueError:
@@ -236,39 +231,21 @@ def product_table(m: Ctmdp, a: BuchiAutomaton) -> OnTheFlyProductEnv:
 
 
 def build_product(m: Ctmdp, a: BuchiAutomaton) -> ProductCtmdp:
-    """Reachable synchronous product of model and automaton.
+    """Reachable synchronous product of model and automaton, read off
+    ``product_table(m, a)``.
 
-    A depth-first walk from the initial pair over ``product_table(m, a)``
-    builds the rows that no earlier call built.  Product states are numbered
-    in the order the walk meets them, a row's successors in slot order, and
-    product actions in the order their pairs are first met over the rows in
-    walk order; the table's own ids, which a learner that ran first gave out
-    in the order of its runs, do not show.
+    Product state i is table id i, numbered in the order the table's
+    depth-first walk from the initial pair meets it; product actions are
+    numbered in the order their pairs are first met over the rows in walk
+    order.
     """
     env = product_table(m, a)
-    init = env.intern(env.reset())
-    num = {init: 0}     # table id -> product state id, in the order met
-    walked: Dict[int, None] = {}    # table ids, in walk order
-    stack = [init]
-    while stack:
-        i = stack.pop()
-        if i in walked:
-            continue
-        walked[i] = None
-        if env.acts[i] is None:
-            env.row(i)
-        for targets in env.succ[i]:
-            for t in targets:
-                if t not in num:
-                    num[t] = len(num)
-            stack.extend(targets)
-
     ch = m.choices
     ptr, rate = ch.ptr.tolist(), ch.rate.tolist()
     action_ids: Dict[ActionPair, int] = {}
     transitions: List[Tuple[int, int, int, float]] = []
-    for i in walked:
-        k, s = num[i], env.pairs[i][0]
+    for i in env.walk:
+        s = env.pairs[i][0]
         for act, targets, cum in zip(env.acts[i], env.succ[i], env.cum[i]):
             j = action_ids.setdefault(act, len(action_ids))
             if act == TRAP_ACTION:
@@ -276,9 +253,9 @@ def build_product(m: Ctmdp, a: BuchiAutomaton) -> ProductCtmdp:
             else:
                 row = ch.row[(s, act[0])]
                 rates = rate[ptr[row]:ptr[row + 1]]
-            transitions.extend((k, j, num[t], r) for t, r in zip(targets, rates))
+            transitions.extend((i, j, t, r) for t, r in zip(targets, rates))
 
-    pairs = tuple(env.pairs[i] for i in num)
+    pairs = tuple(env.pairs)
     action_pairs = tuple(action_ids)
     ctmdp = Ctmdp.from_transitions(
         tuple(state_name(m, p) for p in pairs),
@@ -287,7 +264,7 @@ def build_product(m: Ctmdp, a: BuchiAutomaton) -> ProductCtmdp:
         ap=m.ap,
         labels=[m.labels[s] if s is not None else frozenset()
                 for s, _ in pairs])
-    accepting = frozenset(k for k, i in enumerate(num) if env.accepting[i])
+    accepting = frozenset(i for i, acc in enumerate(env.accepting) if acc)
     return ProductCtmdp(ctmdp, pairs, action_pairs, accepting,
                         model=m, automaton=a)
 

@@ -15,6 +15,7 @@ one action slot of the product table.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from itertools import accumulate, chain
 from typing import Dict, Sequence, Tuple, TypeVar
@@ -39,6 +40,8 @@ class RngHandle:
         if stream not in _STREAM_KEYS:
             raise ValueError(f"unknown stream '{stream}'; "
                              f"expected one of {sorted(_STREAM_KEYS)}")
+        if not isinstance(seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         # the seed fills the upper half of the 64-bit key, so it takes 32 bits
         if not 0 <= seed < SEED_LIMIT:
             raise ValueError(f"seed must lie in [0, 2**32), got {seed}")

@@ -239,6 +239,40 @@ def test_disabled_schedule_choice_exits_with_validation_code(paths, tmp_path,
     assert f"{f}:2:" in err and "not enabled" in err
 
 
+def test_repeated_schedule_state_exits_with_validation_code(paths, tmp_path,
+                                                            capsys):
+    # the first row alone gives PSem 1; a second row must not override it
+    f = tmp_path / "sched.csv"
+    f.write_text("s,q,action,qnext\n0,0,a,0\n0,0,b,0\n")
+    code = main(["check", "--model", paths["mars.ctmdp"],
+                 "--automaton", paths["fig1.hoa"], "--schedule", str(f)])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == \
+        f"error: {f}:3: product state (0,0) is scheduled twice\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("row", ["0,0,a,0,junk", "0,0,a", "0,0,a,x"])
+def test_schedule_row_of_other_than_four_fields_is_malformed(paths, tmp_path,
+                                                            row, capsys):
+    f = tmp_path / "sched.csv"
+    f.write_text(f"s,q,action,qnext\n{row}\n")
+    code = main(["check", "--model", paths["mars.ctmdp"],
+                 "--automaton", paths["fig1.hoa"], "--schedule", str(f)])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {f}:2: malformed schedule row\n"
+
+
+def test_simulate_negative_steps_exits_with_validation_code(paths, capsys):
+    code = main(["simulate", "--model", paths["mars.ctmdp"],
+                 "--automaton", paths["fig1.hoa"], "--steps", "-3"])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == "error: --steps must be non-negative, got -3\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["learn", "bench"])
 def test_runs_below_one_exits_with_validation_code(paths, command, capsys):
     argv = [command, "--runs", "0"]

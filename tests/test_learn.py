@@ -238,6 +238,19 @@ def test_env_rejects_a_pair_out_of_range(mars):
         env.sample((99, 0), (0, 0), RngHandle(0, "trajectory"))
 
 
+@pytest.mark.parametrize("fixture", ["mars", "riskreward"])
+def test_env_rejects_a_pair_the_walk_never_reached(fixture, request):
+    m, a, p = request.getfixturevalue(fixture)
+    env = product_table(m, a)
+    assert (0, 2) not in p.pairs
+    with pytest.raises(CtmdpError, match=r"\(0, 2\) is not reachable"):
+        env.actions((0, 2))
+    with pytest.raises(CtmdpError, match=r"\(0, 2\) is not reachable"):
+        env.sample((0, 2), (0, 2), RngHandle(0, "trajectory"))
+    # the table holds the product's states and no more
+    assert env.pairs == list(p.pairs)
+
+
 def test_learn_sat_finds_the_accepting_trap():
     m = fork_model()
     a = gf_g_automaton()

@@ -273,12 +273,12 @@ def _exp_pins(m, a):
                           ("mars", "fig1", _exp_pins)])
 def test_sharing_the_table_changes_no_output(model, automaton, learn_pinned):
     pinned = PINNED_PRODUCTS[f"{model}x{automaton}"]
-    # a learner first: the table's ids follow its runs, and the product
-    # still numbers its states by its own walk
+    # a learner first: the table it made numbers its pairs by the walk, so
+    # the product takes the table's ids as they are
     m, a = load_model(model), load_automaton(automaton)
     learn_pinned(m, a)
     p = build_product(m, a)
-    assert product_table(m, a).pairs != list(p.pairs)
+    assert product_table(m, a).pairs == list(p.pairs)
     assert _product_digest(p) == pinned
     learn_pinned(m, a)
     # the product first, then a learner, then the product again
@@ -297,12 +297,7 @@ def test_product_after_learners_is_pinned(perfbench):
     hp = Hyperparams(ep_n=20, ep_len=60)
     learn_sat(m, a, hp, seed=0)
     learn_exp(m, a, hp, seed=1)
-    env = product_table(m, a)
-    # the runs left rows unbuilt, so the walk builds some
-    assert None in env.acts
-    p = build_product(m, a)
-    assert None not in env.acts
-    assert _product_digest(p) == PINNED_PRODUCTS["polling8"]
+    assert _product_digest(build_product(m, a)) == PINNED_PRODUCTS["polling8"]
 
 
 def test_a_model_and_its_tables_are_freed_without_the_cyclic_gc():
@@ -344,3 +339,24 @@ def test_product_table_is_the_one_way_to_a_table():
     for name in ("learn.learn_sat", "learn.learn_exp",
                  "product.build_product", "cli.cmd_simulate"):
         assert "product_table" in calls[name], name
+
+
+def test_the_table_is_built_whole_when_it_is_made():
+    # in the package only the table's constructor builds rows, and the
+    # table it leaves has every row of the reachable product
+    src = Path(ctsched.__file__).parent
+    callers = {f"{path.stem}.{node.name}"
+               for path in sorted(src.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)
+               for x in ast.walk(node) if isinstance(x, ast.Call)
+               and ast.unparse(x.func).split(".")[-1] == "_row"}
+    assert callers == {"product.__init__"}
+    for model, automaton in BENCH_PAIRS:
+        m, a = load_model(model), load_automaton(automaton)
+        env = OnTheFlyProductEnv(m, a)
+        for col in (env.acts, env.succ, env.cum):
+            assert len(col) == len(env.pairs)
+            assert None not in col
+        assert sorted(env.walk) == list(range(len(env.pairs)))
+        assert env.pairs == list(build_product(m, a).pairs)

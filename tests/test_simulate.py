@@ -44,6 +44,16 @@ def test_rng_rejects_a_seed_outside_32_bits():
     assert RngHandle(2**32 - 1).uniform() != RngHandle(0).uniform()
 
 
+def test_rng_rejects_a_seed_that_is_not_an_integer():
+    # 1.5 would read the stream of seed 1
+    for seed in (1.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            RngHandle(seed, "trajectory")
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        make_rngs(1.5)
+    assert RngHandle(np.int64(7)).uniform() == RngHandle(7).uniform()
+
+
 def test_rng_integers_range():
     rng = RngHandle(1, "exploration")
     picks = [rng.integers(3) for _ in range(1000)]
