@@ -54,8 +54,8 @@ def _space(m: Ctmdp) -> Tuple[np.ndarray, ChoiceRows]:
     ids = np.arange(len(rows))
     shift = np.repeat(ids - ids % m.num_states, np.diff(P.ptr))
     return rows, ChoiceRows(start=np.append(ids, len(ids)), state=ids,
-                            action=ch.action[rows], exit=ch.exit[rows],
-                            ptr=P.ptr, succ=P.col + shift, rate=P.data)
+                            action=ch.action[rows], ptr=P.ptr,
+                            succ=P.col + shift, rate=P.data)
 
 
 def _best(m: Ctmdp, U: ChoiceRows,

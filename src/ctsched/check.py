@@ -496,11 +496,13 @@ class CheckResult:
 
 
 def _in_unit_interval(values: np.ndarray) -> np.ndarray:
-    """``values`` unchanged if all lie in [0, 1] up to 1e-9; else, or on a
-    NaN, a solve lost its accuracy, and this raises rather than clip."""
+    """``values`` if all lie in [0, 1] up to 1e-9, each -0.0 made +0.0 in
+    place (x + 0.0 is x for any other x); else, or on a NaN, a solve lost
+    its accuracy, and this raises rather than clip."""
     if not -1e-9 <= values.min() <= values.max() <= 1.0 + 1e-9:
         raise np.linalg.LinAlgError(f"values from {values.min()} to "
                                     f"{values.max()} leave [0, 1]")
+    values += 0.0
     return values
 
 

@@ -525,12 +525,10 @@ def serialize_model(m: Ctmdp, name: str = "model") -> str:
     lines = ["ctmdp", f"module {name}"]
     n = m.num_states
     lines.append(f"  s : [0..{n - 1}] init {m.initial};")
-    for s in range(n):
-        for a in m.enabled(s):
-            succ, rates = m.successors(s, a)
-            alts = " + ".join(f"{_fmt_rate(float(r))} : (s'={int(t)})"
-                              for t, r in zip(succ, rates))
-            lines.append(f"  [{_action(m.action_names[a])}] s={s} -> {alts};")
+    for (s, a), (succ, rates) in m.choices.items():
+        alts = " + ".join(f"{_fmt_rate(float(r))} : (s'={int(t)})"
+                          for t, r in zip(succ, rates))
+        lines.append(f"  [{_action(m.action_names[a])}] s={s} -> {alts};")
     lines.append("endmodule")
     for i, ap in enumerate(m.ap):
         holds = [s for s in range(n) if i in m.labels[s]]

@@ -8,7 +8,8 @@ model's one table for their automaton from ``product.product_table``, which
 ``build_product`` and ``ctsched simulate`` share; the table holds every
 reachable row from the start, so a run builds none.  ``_train`` owns the
 Q-values and visit counts, by the table's ids, zeroed over all rows, and
-leaves the table as it found it.  Two trainers share the Q machinery:
+leaves the table as it found it; a row without actions raises CtmdpError.
+Two trainers share the Q machinery:
 
 * ``learn_sat`` maximizes the probability of visiting accepting states
   forever.  Transitions out of accepting states pay 1 with probability
@@ -55,9 +56,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .automata import BuchiAutomaton
 from .check import alpha_from_gamma
-from .model import Ctmdp
+from .model import Ctmdp, CtmdpError
 from .product import (ActionPair, OnTheFlyProductEnv, Schedule, StatePair,
-                      TRAP_PAIR, product_table)
+                      TRAP_PAIR, product_table, state_name)
 from .simulate import make_rngs, race
 
 
@@ -151,13 +152,17 @@ _CHECK_EVERY = 500
 _STABLE_CHECKS = 4
 
 
-def _train(env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
+def _train(m: Ctmdp, env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
            satisfaction: bool) -> LearnResult:
+    acts, succ, cum, acc = env.acts, env.succ, env.cum, env.accepting
+    for i, row in enumerate(acts):
+        if not row:
+            raise CtmdpError(f"state {i} ({state_name(m, env.pairs[i])}) "
+                             "has no enabled action")
     rngs = make_rngs(seed)
     traj, explore = rngs["trajectory"], rngs["exploration"]
     explore_u, coin_u, exp = explore.uniform, rngs["coin"].uniform, math.exp
-    alpha = hp.alpha_for(env.cap, satisfaction=satisfaction)
-    acts, succ, cum, acc = env.acts, env.succ, env.cum, env.accepting
+    alpha = hp.alpha_for(m.max_exit_rate, satisfaction=satisfaction)
     Q = [[0.0] * len(r) for r in acts]
     N = [[0] * len(r) for r in acts]
     # per row: V[i] == max(Q[i]) and A[i] its earliest slot
@@ -242,11 +247,11 @@ def learn_sat(m: Ctmdp, a: BuchiAutomaton, hp: Optional[Hyperparams] = None,
               seed: int = 0) -> LearnResult:
     """Learn a schedule maximizing the probability of Buchi acceptance."""
     hp = hp or Hyperparams()
-    return _train(product_table(m, a), hp, seed, satisfaction=True)
+    return _train(m, product_table(m, a), hp, seed, satisfaction=True)
 
 
 def learn_exp(m: Ctmdp, a: BuchiAutomaton, hp: Optional[Hyperparams] = None,
               seed: int = 0) -> LearnResult:
     """Learn a schedule maximizing the long-run fraction of accepting time."""
     hp = hp or Hyperparams()
-    return _train(product_table(m, a), hp, seed, satisfaction=False)
+    return _train(m, product_table(m, a), hp, seed, satisfaction=False)

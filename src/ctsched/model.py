@@ -1,18 +1,19 @@
 """Core CTMDP structures: rates, embedded chains, uniformization, end-components.
 
-States and actions are dense integer ids; names live in side tables.  A model
-is given by (successor ids, rates) arrays per (state, action) pair, and
-derives from them one state-major index of choice rows, ``ChoiceRows``, that
-caches a reverse (predecessor) index for the checker's backward searches and
-the maximal end-components as masks on the rows, decomposed once per model.
-A model also keeps its product tables, one per automaton
-(``product.product_table``).
+States and actions are dense integer ids; names live in side tables.  A
+model's one store is its state-major ``ChoiceRows``, built once from edge
+arrays by ``ChoiceRows.of_edges``; ``Ctmdp.trans`` is a read-only view of
+the rows in (s, a) order.  The rows compute their exit rates, a reverse
+(predecessor) index for the checker's backward searches and the maximal
+end-components, as masks on the rows, on first use, once per model.  A
+model also keeps its product tables, one per automaton (``product_table``).
 
 The embedded jump chain has no type of its own: ``embed`` returns a Ctmdp
 whose rates are the jump probabilities, so every exit rate is 1.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -23,7 +24,7 @@ from scipy.sparse.csgraph import connected_components
 
 ROW_SUM_TOL = 1e-12
 
-TransitionTable = Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]]
+TransitionTable = Mapping[Tuple[int, int], Tuple[np.ndarray, np.ndarray]]
 
 
 class CtmdpError(Exception):
@@ -37,20 +38,8 @@ class ActionNotEnabled(CtmdpError):
         self.action = action
 
 
-def _row_sums(ptr: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    """The sum of ``rate`` over each row of a CSR with row pointer ``ptr``.
-    Rows of one length summed along a contiguous axis add up in the order
-    rates.sum() does, so each probability is rates / rates.sum()."""
-    counts = np.diff(ptr)
-    out = np.zeros(len(counts))
-    for k in np.unique(counts):
-        same = np.flatnonzero(counts == k)
-        out[same] = rate[ptr[same, None] + np.arange(k)].sum(axis=1)
-    return out
-
-
 @dataclass(frozen=True)
-class ChoiceRows:
+class ChoiceRows(Mapping):
     """State-major index of the enabled (state, action) pairs of a model:
     row i plays ``action[i]`` in ``state[i]``, at exit rate ``exit[i]``; the
     rows of state s are ``start[s]:start[s + 1]`` in increasing action id,
@@ -58,15 +47,45 @@ class ChoiceRows:
     ``succ[ptr[i]:ptr[i + 1]]`` (CSR layout), each at most once in a valid
     model, entered at ``rate`` or with jump probability ``prob``.  The
     reverse index ``preds`` lists, for each state, the rows that have it
-    among their successors."""
+    among their successors.  As a mapping, in row order, they take (s, a)
+    to its row's (successors, rates), views of ``succ`` and ``rate``."""
 
     start: np.ndarray
     state: np.ndarray
     action: np.ndarray
-    exit: np.ndarray
     ptr: np.ndarray
     succ: np.ndarray
     rate: np.ndarray
+
+    @staticmethod
+    def of_edges(num_states: int, s: np.ndarray, a: np.ndarray,
+                 t: np.ndarray, rate: np.ndarray) -> "ChoiceRows":
+        """The rows of the edges (s[i], a[i]) -> t[i] at ``rate[i]``, after
+        one stable sort on (s, a, t): rates of 0 are dropped, a negative
+        one raises, and the rates of one (s, a, t) add up left to right."""
+        s, a, t = (np.asarray(x, dtype=np.int64) for x in (s, a, t))
+        rate = np.asarray(rate, dtype=np.float64)
+        if (rate < 0).any():
+            i = np.argmax(rate < 0)
+            raise CtmdpError(f"negative rate on ({s[i]},{a[i]},{t[i]})")
+        order = np.lexsort((t, a, s))
+        order = order[rate[order] != 0]
+        s, a, t, rate = s[order], a[order], t[order], rate[order]
+        # a row starts where (s, a) changes, an edge where (s, a, t) does
+        row = np.ones(len(s), dtype=bool)
+        row[1:] = (s[1:] != s[:-1]) | (a[1:] != a[:-1])
+        first = row.copy()
+        first[1:] |= t[1:] != t[:-1]
+        first = np.flatnonzero(first)
+        total = rate[first]
+        if len(first) < len(s):
+            repeats = np.diff(first, append=len(s))
+            for k in range(1, repeats.max()):
+                total[repeats > k] += rate[first[repeats > k] + k]
+        ptr = np.flatnonzero(np.concatenate((row[first], [True])))
+        state = s[first[ptr[:-1]]]
+        return ChoiceRows(np.searchsorted(state, np.arange(num_states + 1)),
+                          state, a[first[ptr[:-1]]], ptr, t[first], total)
 
     @staticmethod
     def of(trans: TransitionTable, num_states: int) -> "ChoiceRows":
@@ -74,13 +93,40 @@ class ChoiceRows:
         state = np.array([s for s, _ in keys], dtype=np.int64)
         succ = [np.zeros(0, dtype=np.int64)] + [trans[k][0] for k in keys]
         rates = [np.zeros(0)] + [trans[k][1] for k in keys]
-        ptr = np.cumsum([len(x) for x in succ])
-        rate = np.concatenate(rates)
         return ChoiceRows(
             start=np.searchsorted(state, np.arange(num_states + 1)),
             state=state, action=np.array([a for _, a in keys], dtype=np.int64),
-            exit=_row_sums(ptr, rate), ptr=ptr, succ=np.concatenate(succ),
-            rate=rate)
+            ptr=np.cumsum([len(x) for x in succ]), succ=np.concatenate(succ),
+            rate=np.concatenate(rates))
+
+    def __getitem__(self, key: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+        i = self.row[key]
+        lo, hi = self.ptr[i], self.ptr[i + 1]
+        return self.succ[lo:hi], self.rate[lo:hi]
+
+    def __iter__(self):
+        return iter(self.row)
+
+    def __len__(self) -> int:
+        return len(self.state)
+
+    @cached_property
+    def exit(self) -> np.ndarray:
+        """Each row's exit rate, the sum of its rates; built on first use.
+        Rows of one length summed along a contiguous axis add up in the
+        order rates.sum() does, so each probability is rates / rates.sum()."""
+        counts = np.diff(self.ptr)
+        out = np.zeros(len(counts))
+        for k in np.unique(counts):
+            same = np.flatnonzero(counts == k)
+            entries = self.ptr[same, None] + np.arange(k)
+            out[same] = self.rate[entries].sum(axis=1)
+        return out
+
+    @property
+    def edge_row(self) -> np.ndarray:
+        """The row of each successor entry."""
+        return np.repeat(np.arange(len(self.state)), np.diff(self.ptr))
 
     @cached_property
     def row(self) -> Dict[Tuple[int, int], int]:
@@ -96,9 +142,8 @@ class ChoiceRows:
         on first use."""
         keep = self.succ != np.repeat(self.state, np.diff(self.ptr))
         ptr = np.concatenate(([0], np.cumsum(keep)))[self.ptr]
-        rate = self.rate[keep]
-        return replace(self, exit=_row_sums(ptr, rate), ptr=ptr,
-                       succ=self.succ[keep], rate=rate)
+        return replace(self, ptr=ptr, succ=self.succ[keep],
+                       rate=self.rate[keep])
 
     @cached_property
     def prob(self) -> np.ndarray:
@@ -113,9 +158,9 @@ class ChoiceRows:
         in increasing row order, and row r plays in ``state[r]``; built on
         first use."""
         by_succ = np.argsort(self.succ, kind="stable")
-        edge_row = np.repeat(np.arange(len(self.state)), np.diff(self.ptr))
         pptr = np.searchsorted(self.succ[by_succ], np.arange(len(self.start)))
-        return pptr.tolist(), edge_row[by_succ].tolist(), self.state.tolist()
+        return (pptr.tolist(), self.edge_row[by_succ].tolist(),
+                self.state.tolist())
 
     @cached_property
     def mec(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -125,7 +170,7 @@ class ChoiceRows:
         SCC pruning: each pass finds the SCCs of the kept rows' edges and
         keeps a row iff all its successors lie in the SCC of its state."""
         n = len(self.start) - 1
-        edge_row = np.repeat(np.arange(len(self.state)), np.diff(self.ptr))
+        edge_row = self.edge_row
         src = self.state[edge_row]
         kept = np.ones(len(self.state), dtype=bool)
         while True:
@@ -165,8 +210,10 @@ class Ctmdp:
 
     ``trans[(s, a)]`` is a pair ``(succ, rates)`` of equal-length arrays with
     strictly positive rates; the pair is present exactly when ``a`` is enabled
-    in ``s``.  ``labels[s]`` is the set of atomic-proposition indices that hold
-    in ``s`` (indices into ``ap``).
+    in ``s``; a built model's ``trans`` is its ``ChoiceRows``, and a dict
+    given in its place is indexed by ``ChoiceRows.of`` on first use.
+    ``labels[s]`` is the set of atomic-proposition indices that hold in ``s``
+    (indices into ``ap``).
     """
 
     state_names: Tuple[str, ...]
@@ -183,7 +230,9 @@ class Ctmdp:
 
     @cached_property
     def choices(self) -> ChoiceRows:
-        """The row index of ``trans``, built on first use."""
+        """``trans`` if it is rows, else its rows, built on first use."""
+        if isinstance(self.trans, ChoiceRows):
+            return self.trans
         return ChoiceRows.of(self.trans, self.num_states)
 
     @cached_property
@@ -222,21 +271,11 @@ class Ctmdp:
                          ap: Sequence[str] = (),
                          labels: Optional[Sequence[Iterable[int]]] = None) -> "Ctmdp":
         """Build a Ctmdp from (s, a, s', rate) tuples; duplicate edges add up."""
-        acc: Dict[Tuple[int, int], Dict[int, float]] = {}
-        for s, a, s2, rate in transitions:
-            if rate < 0:
-                raise CtmdpError(f"negative rate on ({s},{a},{s2})")
-            if rate == 0:
-                continue
-            acc.setdefault((s, a), {}).setdefault(s2, 0.0)
-            acc[(s, a)][s2] += float(rate)
-        trans: TransitionTable = {}
-        for key, row in acc.items():
-            succ = np.array(sorted(row), dtype=np.int64)
-            rates = np.array([row[t] for t in succ], dtype=np.float64)
-            trans[key] = (succ, rates)
+        edges = list(transitions)
+        s, a, t, rate = zip(*edges) if edges else ((),) * 4
+        rows = ChoiceRows.of_edges(len(state_names), s, a, t, rate)
         lab = None if labels is None else tuple(frozenset(x) for x in labels)
-        return Ctmdp(tuple(state_names), tuple(action_names), initial, trans,
+        return Ctmdp(tuple(state_names), tuple(action_names), initial, rows,
                      tuple(ap), lab or ())
 
 
@@ -256,9 +295,7 @@ class MecSet:
 def embed(m: Ctmdp) -> Ctmdp:
     """Embedded jump chain as a Ctmdp of exit rate 1: the rates of (s, a)
     are the jump probabilities R(s,a,.) / E(s,a), E the row's exit rate."""
-    probs = {key: (succ, rates / rates.sum())
-             for key, (succ, rates) in m.trans.items()}
-    return Ctmdp(m.state_names, m.action_names, m.initial, probs, m.ap, m.labels)
+    return replace(m, trans=replace(m.choices, rate=m.choices.prob))
 
 
 def uniformize(m: Ctmdp, cap: Optional[float] = None) -> Ctmdp:
@@ -274,12 +311,13 @@ def uniformize(m: Ctmdp, cap: Optional[float] = None) -> Ctmdp:
     if cap < top - ROW_SUM_TOL * max(1.0, top):
         raise CtmdpError(f"uniformization constant {cap} below max exit rate {top}")
     # the added self-loop mass sums with an existing self-loop
-    loops = [(s, a, s, cap - float(rates.sum()))
-             for (s, a), (_, rates) in m.trans.items() if rates.sum() < cap]
-    return Ctmdp.from_transitions(
-        m.state_names, m.action_names, m.initial,
-        [(s, a, int(t), float(r)) for (s, a), (succ, rates) in m.trans.items()
-         for t, r in zip(succ, rates)] + loops, m.ap, m.labels)
+    ch = m.choices
+    short = ch.exit < cap
+    edge_row, loops = ch.edge_row, ch.state[short]
+    return replace(m, trans=ChoiceRows.of_edges(
+        m.num_states, np.append(ch.state[edge_row], loops),
+        np.append(ch.action[edge_row], ch.action[short]),
+        np.append(ch.succ, loops), np.append(ch.rate, cap - ch.exit[short])))
 
 
 def _name(names: Sequence[str], i: int) -> str:
@@ -293,7 +331,7 @@ def validate(m: Ctmdp) -> List[str]:
     out = [f"state {m.state_names[s]}: no enabled action"
            for s in np.flatnonzero(np.diff(ch.start) == 0).tolist()]
     counts = np.diff(ch.ptr)
-    edge_row = np.repeat(np.arange(len(counts)), counts)
+    edge_row = ch.edge_row
 
     def rows_with(bad_edge: np.ndarray) -> np.ndarray:
         return np.bincount(edge_row[bad_edge], minlength=len(counts)) > 0

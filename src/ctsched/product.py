@@ -14,21 +14,23 @@ automaton on the model, as the model keeps its ``ChoiceRows``;
 there.  The table builds every reachable row when it is made, by one
 depth-first walk from the initial pair, and numbers pairs in the order the
 walk meets them; ``build_product`` reads the product off the rows with the
-same numbering, so table id i is product state i.  The table keeps the
-model's choice rows, not the model, so that a model and its tables are
-freed by reference counting alone.
+same numbering, so table id i is product state i, and hands the product's
+edges to ``ChoiceRows.of_edges``, as ``augment`` does: the rows are the
+product's store, its ``trans`` a view of them in (s, a) order, and their
+exit rates are computed on first use.  The table keeps the model's choice
+rows, not the model, so that a model and its tables are freed by reference
+counting alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
 from .automata import BuchiAutomaton, step
-from .model import ActionNotEnabled, Ctmdp, CtmdpError
+from .model import ActionNotEnabled, ChoiceRows, Ctmdp, CtmdpError
 from .simulate import RngHandle, race
 
 StatePair = Tuple[Optional[int], Optional[int]]   # (model state, automaton state)
@@ -127,10 +129,9 @@ class OnTheFlyProductEnv:
     from the model's choice rows; a pair whose automaton run dies loops in
     the trap.
 
-    Of the model the table keeps the choice rows and the initial state, and
-    ``cap`` reads the maximal exit rate off the rows; it keeps no reference
-    to the model, which holds its tables (``product_table``), so that the
-    two make no cycle.
+    Of the model the table keeps the choice rows and the initial state; it
+    keeps no reference to the model, which holds its tables
+    (``product_table``), so that the two make no cycle.
 
     ``reset``, ``is_accepting``, ``actions`` and ``sample`` read the same
     rows keyed by pairs, and check the pairs and actions they are given: a
@@ -156,11 +157,6 @@ class OnTheFlyProductEnv:
         self.acts, self.succ, self.cum = zip(
             *(rows[i] for i in range(len(self.pairs))))
         self.accepting: List[bool] = [self.is_accepting(p) for p in self.pairs]
-
-    @cached_property
-    def cap(self) -> float:
-        """The model's maximal exit rate, as ``Ctmdp.max_exit_rate``."""
-        return float(self.choices.exit.max())
 
     def _intern(self, pair: StatePair) -> int:
         i = self.ids.get(pair)
@@ -241,29 +237,27 @@ def build_product(m: Ctmdp, a: BuchiAutomaton) -> ProductCtmdp:
     """
     env = product_table(m, a)
     ch = m.choices
-    ptr, rate = ch.ptr.tolist(), ch.rate.tolist()
+    # the trap's one loop reads a last model row with one edge, at rate 1
+    ptr, trap = ch.ptr.tolist() + [len(ch.rate) + 1], len(ch.state)
     action_ids: Dict[ActionPair, int] = {}
-    transitions: List[Tuple[int, int, int, float]] = []
+    src, ids, succ, edge = [], [], [], []
     for i in env.walk:
         s = env.pairs[i][0]
-        for act, targets, cum in zip(env.acts[i], env.succ[i], env.cum[i]):
-            j = action_ids.setdefault(act, len(action_ids))
-            if act == TRAP_ACTION:
-                rates = cum     # one successor: its cumulative rate is its rate
-            else:
-                row = ch.row[(s, act[0])]
-                rates = rate[ptr[row]:ptr[row + 1]]
-            transitions.extend((i, j, t, r) for t, r in zip(targets, rates))
+        for act, targets in zip(env.acts[i], env.succ[i]):
+            r = trap if act == TRAP_ACTION else ch.row[(s, act[0])]
+            src += [i] * len(targets)
+            ids += [action_ids.setdefault(act, len(action_ids))] * len(targets)
+            succ += targets
+            edge += range(ptr[r], ptr[r + 1])
+    rows = ChoiceRows.of_edges(len(env.pairs), src, ids, succ,
+                               np.append(ch.rate, 1.0)[edge])
 
     pairs = tuple(env.pairs)
     action_pairs = tuple(action_ids)
-    ctmdp = Ctmdp.from_transitions(
-        tuple(state_name(m, p) for p in pairs),
-        tuple(action_name(m, p) for p in action_pairs),
-        0, transitions,
-        ap=m.ap,
-        labels=[m.labels[s] if s is not None else frozenset()
-                for s, _ in pairs])
+    ctmdp = Ctmdp(tuple(state_name(m, p) for p in pairs),
+                  tuple(action_name(m, p) for p in action_pairs), 0, rows,
+                  m.ap, tuple(m.labels[s] if s is not None else frozenset()
+                              for s, _ in pairs))
     accepting = frozenset(i for i, acc in enumerate(env.accepting) if acc)
     return ProductCtmdp(ctmdp, pairs, action_pairs, accepting,
                         model=m, automaton=a)
@@ -277,23 +271,18 @@ def augment(p: ProductCtmdp, zeta: float) -> AugmentedProduct:
     m, ch = p.ctmdp, p.ctmdp.choices
     sink = m.num_states
     # accepting rows keep zeta of each rate and send the rest of their exit
-    # rate to the sink, in one edge after their last; the sink loops
+    # rate to the sink, the largest successor id, so the last of the row;
+    # the sink loops
     acc = np.isin(ch.state, sorted(p.accepting))
-    counts = np.diff(ch.ptr)
-    ends = ch.ptr[1:][acc]
-    rate = ch.rate * np.repeat(np.where(acc, zeta, 1.0), counts)
-    rate = np.insert(rate, ends, ch.exit[acc] * (1.0 - zeta)).tolist()
-    succ = np.insert(ch.succ, ends, sink).tolist()
-    edge_row = np.repeat(np.arange(len(counts)), counts + acc)
-    transitions = list(zip(ch.state[edge_row].tolist(),
-                           ch.action[edge_row].tolist(), succ, rate))
-    transitions.append((sink, len(p.action_pairs), sink, 1.0))
-
-    ctmdp = Ctmdp.from_transitions(
-        m.state_names + ("(sink)",),
-        m.action_names + ("stay",),
-        m.initial, transitions,
-        ap=m.ap, labels=list(m.labels) + [frozenset()])
+    edge_row = ch.edge_row
+    rows = ChoiceRows.of_edges(
+        sink + 1, np.r_[ch.state[edge_row], ch.state[acc], sink],
+        np.r_[ch.action[edge_row], ch.action[acc], len(p.action_pairs)],
+        np.r_[ch.succ, np.full(np.count_nonzero(acc), sink), sink],
+        np.r_[ch.rate * np.where(acc, zeta, 1.0)[edge_row],
+              ch.exit[acc] * (1.0 - zeta), 1.0])
+    ctmdp = Ctmdp(m.state_names + ("(sink)",), m.action_names + ("stay",),
+                  m.initial, rows, m.ap, (*m.labels, frozenset()))
     product = ProductCtmdp(ctmdp,
                            p.pairs + (SINK_PAIR,),
                            p.action_pairs + (SINK_ACTION,),

@@ -397,6 +397,18 @@ def test_esem_values_lie_in_unit_interval():
         assert np.all(vals >= -1e-12) and np.all(vals <= 1 + 1e-12)
 
 
+def test_no_returned_zero_is_negative():
+    # before _in_unit_interval added +0.0, esem_of, esem_optimal and
+    # brute_force_esem returned -0.0 on 27, 6 and 3 of these products
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        p = random_marked_product(rng, num_states=int(rng.integers(3, 8)))
+        sched = random_schedule(rng, p)
+        for values in (esem_of(p, sched).values, esem_optimal(p).values,
+                       np.array([brute_force_esem(p)[0]])):
+            assert not np.signbit(values[values == 0]).any()
+
+
 def test_riskreward_exact_objectives(riskreward):
     _, _, p = riskreward
     assert psem_optimal(p).value == pytest.approx(1.0, abs=1e-9)

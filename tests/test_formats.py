@@ -178,24 +178,31 @@ def test_product_dump_parses_back(pair):
 
 
 def _digest(m):
-    """SHA-256 over everything parse_model returns, trans in insertion order."""
+    """SHA-256 over everything parse_model returns, in no order of its
+    building: the names and labels, ``trans`` in (s, a) order, and the
+    columns of the choice rows."""
     h = hashlib.sha256()
     h.update(repr((m.state_names, m.action_names, m.initial, m.ap,
                    [sorted(lab) for lab in m.labels])).encode())
-    for (s, a), (succ, rates) in m.trans.items():
-        h.update(repr(((s, a), succ.tolist())).encode())
+    for key in sorted(m.trans):
+        succ, rates = m.trans[key]
+        h.update(repr((key, succ.tolist())).encode())
         h.update(rates.tobytes())
+    ch = m.choices
+    for col in (ch.start, ch.state, ch.action, ch.ptr, ch.succ, ch.rate,
+                ch.exit):
+        h.update(col.tobytes())
     return h.hexdigest()
 
 
 PINNED = {
-    "riskreward": "e04ba04ab0307df64175e88ec09e7ec1ce681270dbf8b4ff2b056814426ca796",
-    "mars": "e4d976eb4bbd2c3e21f7cc3682f3436b9bd0b9139b8bd7bf55c719c4518b9cd4",
-    "mec_demo": "13018eea2285f84150d67d33d5187d942aeb6475469bec1d2ee8170e23aefc01",
-    "uniform_demo": "c9988b239d59bd2e1a351d0e7d02db9dcbc1aacf46ad6c75680056e2c640c9d0",
-    "polling2": "5d296b846104c33025ce19da25aa7b78ab33c0a17d2250760cc9576c4d7155bd",
-    "polling8": "551b5cc7344e2d57adc0f1edf6173267bed2fbef4ac547ce2996bdca942aa8f5",
-    "hazard30": "339460837a6067cb77c936b2fff575819a7d3cc600bb84a959c3dd990f5fdb11",
+    "riskreward": "df41473dde30e8c207fc1eba3f77d6a201af726affe4ed9a62afe9ff2d1575d2",
+    "mars": "67b87bc4c49e1a03e39339e661ba6768f04aaad3b2da4d2a518ccbbc3dfb245c",
+    "mec_demo": "e7537346a18b3c1e70d266e5cf0c9ad83e12a3dd5497135c71800ad769ab6ba8",
+    "uniform_demo": "06b8bdc6566f1b373730c42a7e700866941dae7f6af16640ab2c28bc37acc4da",
+    "polling2": "480c07e76e6c9c88e8c13ffa65d221fb937efcc10f56aaf77e42703ff9d3f9d8",
+    "polling8": "1fa15b27092cfd62c6d4999f4e45b545e4059a142a01e2401ff6ba01d90c6789",
+    "hazard30": "37981dff52cb415fc6d1bb3f3342c9a589f70dd38d4fb4028275d2a7ed2b2b33",
 }
 
 

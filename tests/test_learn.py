@@ -5,8 +5,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ctsched.automata import BuchiAutomaton, Edge, GAp, GNot
+from ctsched.automata import BuchiAutomaton, Edge, GAp, GNot, GTrue
 from ctsched.bruteforce import random_buchi, random_ctmdp
+from ctsched.check import esem_optimal
 from ctsched.data import BENCH_PAIRS, load_automaton, load_model
 from ctsched.learn import (EXP_GAMMA, SAT_GAMMA, Hyperparams, LearnResult,
                            OnTheFlyProductEnv, accepting_dwell,
@@ -30,6 +31,21 @@ def fork_model():
         ("s0", "s1", "s2"), ("a", "b"), 0,
         [(0, 0, 1, 2.0), (0, 1, 2, 2.0), (1, 0, 1, 1.0), (2, 0, 2, 1.0)],
         ap=("g",), labels=[set(), {0}, set()])
+
+
+def test_a_state_without_actions_raises_in_both_learners():
+    # s1 has no action, and every run reaches it from s0; both learners
+    # name it as the checker's optimizers do for the product
+    m = Ctmdp.from_transitions(("s0", "s1"), ("a",), 0, [(0, 0, 1, 1.0)])
+    gf_true = BuchiAutomaton(num_states=1, initial=0, ap=(),
+                             edges=((Edge(GTrue(), 0),),),
+                             accepting=frozenset({0}))
+    message = r"^state 1 \(\(s1,q0\)\) has no enabled action$"
+    for learn in (learn_sat, learn_exp):
+        with pytest.raises(CtmdpError, match=message):
+            learn(m, gf_true, Hyperparams(ep_n=5, ep_len=5), seed=0)
+    with pytest.raises(CtmdpError, match=message):
+        esem_optimal(build_product(m, gf_true))
 
 
 def test_hyperparams_validation():

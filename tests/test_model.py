@@ -1,12 +1,19 @@
 """Core model structures: construction, embedding, uniformization, MECs."""
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ctsched
 from ctsched.bruteforce import (_gate, brute_force_mec_pairs, random_buchi,
                                 random_ctmdp)
 from ctsched.data import load_model
-from ctsched.model import (ActionNotEnabled, Ctmdp, CtmdpError, embed,
-                           mec_decompose, uniformize, validate)
+from ctsched.model import (ActionNotEnabled, ChoiceRows, Ctmdp, CtmdpError,
+                           embed, mec_decompose, uniformize, validate)
 from ctsched.product import TRAP_PAIR, augment, build_product
 
 
@@ -33,6 +40,66 @@ def test_from_transitions_drops_zero_and_rejects_negative_rates():
     assert list(succ) == [1]
     with pytest.raises(CtmdpError):
         Ctmdp.from_transitions(("s0",), ("a",), 0, [(0, 0, 0, -1.0)])
+
+
+def _reference_table(transitions):
+    """The transition dict of the dict-of-dicts builder that the edge
+    builder replaced, kept as the reference: rows in first-seen order,
+    successors sorted, duplicate rates added up from 0.0 in the order
+    given."""
+    acc = {}
+    for s, a, s2, rate in transitions:
+        if rate < 0:
+            raise CtmdpError(f"negative rate on ({s},{a},{s2})")
+        if rate == 0:
+            continue
+        acc.setdefault((s, a), {}).setdefault(s2, 0.0)
+        acc[(s, a)][s2] += float(rate)
+    return {key: (np.array(sorted(row), dtype=np.int64),
+                  np.array([row[t] for t in sorted(row)], dtype=np.float64))
+            for key, row in acc.items()}
+
+
+_RATES = st.one_of(
+    st.just(0.0),
+    st.builds(lambda u, k, sign: sign * u * 10.0 ** k,
+              st.floats(0.5, 2.0), st.integers(-8, 3),
+              st.sampled_from([1.0] * 39 + [-1.0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 2),
+                       st.integers(0, n - 1), _RATES), max_size=40))))
+def test_the_edge_builder_matches_the_dict_of_dicts(case):
+    # unsorted keys, repeated edges, zero and negative rates over eleven
+    # decades: the rows, their exit rates and the trans view are the
+    # reference's bit for bit, and a negative rate names its edge
+    n, transitions = case
+    names = tuple(f"s{i}" for i in range(n))
+    try:
+        want = ChoiceRows.of(_reference_table(transitions), n)
+    except CtmdpError as exc:
+        with pytest.raises(CtmdpError, match=f"^{re.escape(str(exc))}$"):
+            Ctmdp.from_transitions(names, ("a", "b", "c"), 0, transitions)
+        return
+    edges = np.array(transitions, dtype=np.float64).reshape(-1, 4)
+    built = ChoiceRows.of_edges(n, *edges[:, :3].T.astype(np.int64),
+                                edges[:, 3])
+    m = Ctmdp.from_transitions(names, ("a", "b", "c"), 0, transitions)
+    for got in (built, m.choices):
+        for col in ("start", "state", "action", "ptr", "succ", "rate",
+                    "exit"):
+            x, y = getattr(got, col), getattr(want, col)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), col
+    assert m.trans is m.choices
+    assert list(m.trans) == sorted(_reference_table(transitions))
+    for (key, (succ, rates)), (key2, (succ2, rates2)) in zip(
+            m.trans.items(), want.items(), strict=True):
+        assert key == key2
+        assert succ.tobytes() == succ2.tobytes()
+        assert rates.tobytes() == rates2.tobytes()
 
 
 def test_enabled_and_disabled_actions():
@@ -213,3 +280,29 @@ def test_mec_decompose_matches_recurrence_oracle():
                     == set(brute_force_mec_pairs(prod.ctmdp)))
             compared += 1
     assert traps >= 10 and compared >= 40
+
+
+def test_rows_are_built_by_the_edge_builder():
+    # in the package only the parser and the random models build from
+    # tuples, every other model is built by the edge builder, and rows
+    # are made by hand only where they are indexed, loop-freed or unioned
+    src = Path(ctsched.__file__).parent
+    calls = {}
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                calls[f"{path.stem}.{node.name}"] = {
+                    ast.unparse(x.func)
+                    for x in ast.walk(node) if isinstance(x, ast.Call)}
+    assert {name for name, called in calls.items()
+            if "Ctmdp.from_transitions" in called} == {
+                "model_lang.parse_model", "bruteforce.random_ctmdp"}
+    for name in ("product.build_product", "product.augment",
+                 "model.uniformize"):
+        assert "ChoiceRows.of_edges" in calls[name], name
+    assert {name for name, called in calls.items()
+            if "ChoiceRows" in called} == {
+                "model.of_edges", "model.of", "bruteforce._space"}
+    # loop_free and embed keep the rows' entries and replace their columns
+    assert "replace" in calls["model.loop_free"]
+    assert "replace" in calls["model.embed"]
