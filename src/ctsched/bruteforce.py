@@ -53,9 +53,13 @@ def _space(m: Ctmdp) -> Tuple[np.ndarray, ChoiceRows]:
     P = _gather(ch, rows, ch.rate)
     ids = np.arange(len(rows))
     shift = np.repeat(ids - ids % m.num_states, np.diff(P.ptr))
-    return rows, ChoiceRows(start=np.append(ids, len(ids)), state=ids,
-                            action=ch.action[rows], ptr=P.ptr,
-                            succ=P.col + shift, rate=P.data)
+    U = ChoiceRows(start=np.append(ids, len(ids)), state=ids,
+                   action=ch.action[rows], ptr=P.ptr, succ=P.col + shift,
+                   rate=P.data)
+    # row i of U holds the rates of row rows[i], so its cached exit rate is
+    # that row's, gathered rather than summed again
+    vars(U)["exit"] = ch.exit[rows]
+    return rows, U
 
 
 def _best(m: Ctmdp, U: ChoiceRows,

@@ -5,10 +5,10 @@ state, automaton state) get the integer ids of ``build_product``'s product
 states, and a pair's actions (a, q') combine a model action with a
 resolution of the automaton's nondeterminism.  Both trainers take the
 model's one table for their automaton from ``product.product_table``, which
-``build_product`` and ``ctsched simulate`` share; the table holds every
-reachable row from the start, so a run builds none.  ``_train`` owns the
-Q-values and visit counts, by the table's ids, zeroed over all rows, and
-leaves the table as it found it; a row without actions raises CtmdpError.
+``build_product`` and ``ctsched simulate`` share; the first run derives the
+table's columns from the product's rows, and every later run reads them.
+``_train`` owns the Q-values and visit counts, by the table's ids, zeroed
+over all rows; a state without actions raises CtmdpError, as in the checker.
 Two trainers share the Q machinery:
 
 * ``learn_sat`` maximizes the probability of visiting accepting states
@@ -55,10 +55,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .automata import BuchiAutomaton
-from .check import alpha_from_gamma
-from .model import Ctmdp, CtmdpError
+from .check import _first_rows, alpha_from_gamma
+from .model import Ctmdp
 from .product import (ActionPair, OnTheFlyProductEnv, Schedule, StatePair,
-                      TRAP_PAIR, product_table, state_name)
+                      TRAP_PAIR, product_table)
 from .simulate import make_rngs, race
 
 
@@ -154,11 +154,8 @@ _STABLE_CHECKS = 4
 
 def _train(m: Ctmdp, env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
            satisfaction: bool) -> LearnResult:
+    _first_rows(env.ctmdp)   # raises on a state without actions
     acts, succ, cum, acc = env.acts, env.succ, env.cum, env.accepting
-    for i, row in enumerate(acts):
-        if not row:
-            raise CtmdpError(f"state {i} ({state_name(m, env.pairs[i])}) "
-                             "has no enabled action")
     rngs = make_rngs(seed)
     traj, explore = rngs["trajectory"], rngs["exploration"]
     explore_u, coin_u, exp = explore.uniform, rngs["coin"].uniform, math.exp

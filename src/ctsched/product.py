@@ -6,25 +6,17 @@ Automaton nondeterminism is materialized as distinct product actions: taking
 and the automaton to ``q' in delta(q, L(s))``.  Product states whose automaton
 successor set is empty fall into a rejecting trap state.
 
-``OnTheFlyProductEnv`` is the product table, of structure only: its rows
-apply these rules, the trap rule included, and are the one place that
-steps the automaton.  ``product_table(m, a)`` keeps one table per model and
-automaton on the model, as the model keeps its ``ChoiceRows``;
-``build_product``, the learners and ``ctsched simulate`` all take it from
-there.  The table builds every reachable row when it is made, by one
-depth-first walk from the initial pair, and numbers pairs in the order the
-walk meets them; ``build_product`` reads the product off the rows with the
-same numbering, so table id i is product state i, and hands the product's
-edges to ``ChoiceRows.of_edges``, as ``augment`` does: the rows are the
-product's store, its ``trans`` a view of them in (s, a) order, and their
-exit rates are computed on first use.  The table keeps the model's choice
-rows, not the model, so that a model and its tables are freed by reference
-counting alone.
+``OnTheFlyProductEnv`` is the product table: one depth-first walk makes it,
+the one pass over the product and the one place that steps the automaton.
+``product_table(m, a)`` keeps one table per model and automaton on the
+model; ``build_product`` wraps the table's product, and the learners and
+``ctsched simulate`` read the columns the table derives from its rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cache, cached_property
+from itertools import accumulate, compress, count
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -115,23 +107,24 @@ def action_name(m: Ctmdp, pair: ActionPair) -> str:
 
 
 class OnTheFlyProductEnv:
-    """The model x automaton product as one table of its reachable rows,
-    built whole when the table is made.
+    """The model x automaton product, built whole when the table is made.
 
-    A depth-first walk from the initial pair builds every reachable row and
-    gives each pair met an id, in the order the walk meets it: table id i
-    is product state i of ``build_product``.  ``walk`` lists the ids in the
-    order the walk built their rows, the order in which ``build_product``
-    numbers product actions.  Per id the table keeps the pair, its accepting
-    flag, its action tuple and, per action slot k, the successor ids
-    ``succ[i][k]`` and cumulative rates ``cum[i][k]`` that ``simulate.race``
-    takes; no learning state, so learners may share the table.  Rows come
-    from the model's choice rows; a pair whose automaton run dies loops in
-    the trap.
+    A depth-first walk from the initial pair gives each pair, and each
+    product action (a, q'), an id in the order it first meets them: (a, q')
+    pairs a model row of s with a successor q' of (q, L(s)), in row and
+    then automaton state order; a pair whose automaton run dies loops in
+    the trap.  The walk's edges go to ``ChoiceRows.of_edges``, and the table
+    holds the product's model ``ctmdp``, ``pairs``, ``action_pairs`` and
+    ``accepting`` flags by id, which ``build_product`` wraps.  It keeps no
+    reference to the model, which holds its tables, so that the two make no
+    cycle, but keeps the automaton, whose id keys it there.
 
-    Of the model the table keeps the choice rows and the initial state; it
-    keeps no reference to the model, which holds its tables
-    (``product_table``), so that the two make no cycle.
+    The learner's columns are derived from the rows on first use: per id,
+    ``acts[i]`` lists its action pairs in (model action, automaton
+    successor) order, and slot k races the successor ids ``succ[i][k]`` at
+    the cumulative rates ``cum[i][k]`` in model state order, the order of
+    the model's own rows (``ChoiceRows.of_edges``).  They hold no learning
+    state, so learners may share them.
 
     ``reset``, ``is_accepting``, ``actions`` and ``sample`` read the same
     rows keyed by pairs, and check the pairs and actions they are given: a
@@ -140,50 +133,82 @@ class OnTheFlyProductEnv:
 
     def __init__(self, m: Ctmdp, a: BuchiAutomaton):
         self.a = a
-        self.choices = m.choices
         self.initial: StatePair = (m.initial, a.initial)
-        self.ids: Dict[StatePair, int] = {}
-        self.pairs: List[StatePair] = []
+        self.ids: Dict[StatePair, int] = {self.initial: 0}
+        ids, action_ids = self.ids, {}
         letters = _letters(m, a)
-        rows = {}   # id -> (acts, succ, cum), in walk order
-        stack = [self._intern(self.initial)]
+        successors = cache(lambda q, letter: sorted(step(a, q, letter)))
+        ch = m.choices
+        start, action, ptr, succ, rate = (x.tolist() for x in (
+            ch.start, ch.action, ch.ptr, ch.succ, ch.rate))
+        src, act, dst, rates = [], [], [], []
+        built, stack = set(), [self.initial]
         while stack:
-            i = stack.pop()
-            if i not in rows:
-                rows[i] = row = self._row(i, letters)
-                for targets in row[1]:
-                    stack.extend(targets)
-        self.walk: List[int] = list(rows)
-        self.acts, self.succ, self.cum = zip(
-            *(rows[i] for i in range(len(self.pairs))))
-        self.accepting: List[bool] = [self.is_accepting(p) for p in self.pairs]
+            pair = stack.pop()
+            i = ids[pair]
+            if i in built:
+                continue
+            built.add(i)
+            s, q = pair
+            q2s = () if s is None else successors(q, letters[s])
+            if q2s:   # slots (action pair, successor pairs, rates)
+                slots = [((action[r], q2),
+                          [(t, q2) for t in succ[ptr[r]:ptr[r + 1]]],
+                          rate[ptr[r]:ptr[r + 1]])
+                         for r in range(start[s], start[s + 1]) for q2 in q2s]
+            else:     # the trap, and pairs whose automaton run dies
+                slots = [(TRAP_ACTION, [TRAP_PAIR], [1.0])]
+            for act_pair, targets, row_rates in slots:
+                n = len(targets)
+                src += [i] * n
+                act += [action_ids.setdefault(act_pair, len(action_ids))] * n
+                dst += [ids.setdefault(t, len(ids)) for t in targets]
+                rates += row_rates
+                stack += targets
+        self.pairs: List[StatePair] = list(ids)
+        self.action_pairs: Tuple[ActionPair, ...] = tuple(action_ids)
+        self.accepting: List[bool] = [q in a.accepting for _, q in self.pairs]
+        self.ctmdp = Ctmdp(
+            tuple(state_name(m, p) for p in self.pairs),
+            tuple(action_name(m, p) for p in self.action_pairs), 0,
+            ChoiceRows.of_edges(len(self.pairs), src, act, dst, rates), m.ap,
+            tuple(m.labels[s] if s is not None else frozenset()
+                  for s, _ in self.pairs))
 
-    def _intern(self, pair: StatePair) -> int:
-        i = self.ids.get(pair)
-        if i is None:
-            i = self.ids[pair] = len(self.pairs)
-            self.pairs.append(pair)
-        return i
+    def _by_slot(self, column: np.ndarray, make) -> tuple:
+        """Per id, per slot, ``make`` of the list of the slot's entries of
+        ``column``, a value per entry of the product's rows: an id's slots
+        are its rows ordered by the (model action, automaton successor) of
+        their action pair, and a slot's entries are ordered by model state."""
+        ch = self.ctmdp.choices
+        key = np.array([(-1, -1) if p == TRAP_ACTION else p
+                        for p in self.action_pairs],
+                       dtype=np.int64).reshape(-1, 2)[ch.action]
+        rows = np.lexsort((key[:, 1], key[:, 0], ch.state))
+        rank = np.empty_like(rows)
+        rank[rows] = np.arange(len(rows))
+        model_state = np.array([-1 if s is None else s for s, _ in self.pairs])
+        flat = column[np.lexsort((model_state[ch.succ],
+                                  rank[ch.edge_row]))].tolist()
+        ptr = [0, *np.cumsum(np.diff(ch.ptr)[rows]).tolist()]
+        slots = [make(flat[b:e]) for b, e in zip(ptr, ptr[1:])]
+        start = ch.start.tolist()
+        return tuple(tuple(slots[b:e]) for b, e in zip(start, start[1:]))
 
-    def _row(self, i: int, letters: List[FrozenSet[int]]) -> tuple:
-        """The row of id i as (acts, succ, cum), interning its successors."""
-        s, q = self.pairs[i]
-        choices = () if s is None else sorted(step(self.a, q, letters[s]))
-        if not choices:
-            # the trap, and pairs whose automaton run dies, loop in the trap
-            return (TRAP_ACTION,), [(self._intern(TRAP_PAIR),)], [[1.0]]
-        ch = self.choices
-        lo, hi = ch.start[s:s + 2].tolist()
-        ptr = ch.ptr[lo:hi + 1].tolist()
-        acts, succ, cums = [], [], []
-        for act, b, e in zip(ch.action[lo:hi].tolist(), ptr, ptr[1:]):
-            targets = ch.succ[b:e].tolist()
-            cum = list(accumulate(ch.rate[b:e].tolist()))
-            for q2 in choices:
-                acts.append((act, q2))
-                succ.append(tuple(self._intern((t, q2)) for t in targets))
-                cums.append(cum)
-        return tuple(acts), succ, cums
+    @cached_property
+    def acts(self) -> Tuple[Tuple[ActionPair, ...], ...]:
+        # of_edges makes no row without entries
+        ch, names = self.ctmdp.choices, self.action_pairs
+        return self._by_slot(ch.action[ch.edge_row], lambda j: names[j[0]])
+
+    @cached_property
+    def succ(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        return self._by_slot(self.ctmdp.choices.succ, tuple)
+
+    @cached_property
+    def cum(self) -> Tuple[Tuple[List[float], ...], ...]:
+        return self._by_slot(self.ctmdp.choices.rate,
+                             lambda rates: list(accumulate(rates)))
 
     def _id(self, pair: StatePair) -> int:
         i = self.ids.get(pair)
@@ -196,7 +221,7 @@ class OnTheFlyProductEnv:
         return self.initial
 
     def is_accepting(self, pair: StatePair) -> bool:
-        return pair[1] in self.a.accepting
+        return self.accepting[self._id(pair)]
 
     def actions(self, pair: StatePair) -> Tuple[ActionPair, ...]:
         return self.acts[self._id(pair)]
@@ -227,39 +252,11 @@ def product_table(m: Ctmdp, a: BuchiAutomaton) -> OnTheFlyProductEnv:
 
 
 def build_product(m: Ctmdp, a: BuchiAutomaton) -> ProductCtmdp:
-    """Reachable synchronous product of model and automaton, read off
-    ``product_table(m, a)``.
-
-    Product state i is table id i, numbered in the order the table's
-    depth-first walk from the initial pair meets it; product actions are
-    numbered in the order their pairs are first met over the rows in walk
-    order.
-    """
+    """Reachable synchronous product of model and automaton: the product
+    that ``product_table(m, a)`` holds, with the model and automaton."""
     env = product_table(m, a)
-    ch = m.choices
-    # the trap's one loop reads a last model row with one edge, at rate 1
-    ptr, trap = ch.ptr.tolist() + [len(ch.rate) + 1], len(ch.state)
-    action_ids: Dict[ActionPair, int] = {}
-    src, ids, succ, edge = [], [], [], []
-    for i in env.walk:
-        s = env.pairs[i][0]
-        for act, targets in zip(env.acts[i], env.succ[i]):
-            r = trap if act == TRAP_ACTION else ch.row[(s, act[0])]
-            src += [i] * len(targets)
-            ids += [action_ids.setdefault(act, len(action_ids))] * len(targets)
-            succ += targets
-            edge += range(ptr[r], ptr[r + 1])
-    rows = ChoiceRows.of_edges(len(env.pairs), src, ids, succ,
-                               np.append(ch.rate, 1.0)[edge])
-
-    pairs = tuple(env.pairs)
-    action_pairs = tuple(action_ids)
-    ctmdp = Ctmdp(tuple(state_name(m, p) for p in pairs),
-                  tuple(action_name(m, p) for p in action_pairs), 0, rows,
-                  m.ap, tuple(m.labels[s] if s is not None else frozenset()
-                              for s, _ in pairs))
-    accepting = frozenset(i for i, acc in enumerate(env.accepting) if acc)
-    return ProductCtmdp(ctmdp, pairs, action_pairs, accepting,
+    return ProductCtmdp(env.ctmdp, tuple(env.pairs), env.action_pairs,
+                        frozenset(compress(count(), env.accepting)),
                         model=m, automaton=a)
 
 

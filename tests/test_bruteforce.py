@@ -1,6 +1,7 @@
 """Brute-force oracles: the one solve on the union of every schedule's chain
 agrees with grading the schedules one at a time."""
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,6 +152,17 @@ def test_one_brute_force_call_is_one_solve(monkeypatch):
             assert len(bsccs) == searches
             assert len(factors) <= most
     assert len(sizes) == 4 and max(sizes) > 100
+
+
+def test_union_exit_rates_are_the_model_rows_exit_rates():
+    # the union takes its exit rates from the model's rows; they are the
+    # very bytes that summing the union's own rows gives
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        m = random_ctmdp(rng, int(rng.integers(1, 9)), rate_lo=1e-3,
+                         rate_hi=1e3, max_schedules=500)
+        _, U = _space(m)
+        assert U.exit.tobytes() == replace(U).exit.tobytes()
 
 
 def test_brute_force_names_a_state_without_actions():

@@ -252,6 +252,10 @@ def test_env_rejects_a_pair_out_of_range(mars):
         env.actions((99, 0))
     with pytest.raises(CtmdpError, match=r"\(99, 0\)"):
         env.sample((99, 0), (0, 0), RngHandle(0, "trajectory"))
+    with pytest.raises(CtmdpError, match=r"\(99, 0\)"):
+        env.is_accepting((99, 0))
+    with pytest.raises(CtmdpError, match=r"\(99, 1\)"):
+        env.is_accepting((99, 1))
 
 
 @pytest.mark.parametrize("fixture", ["mars", "riskreward"])
@@ -263,6 +267,8 @@ def test_env_rejects_a_pair_the_walk_never_reached(fixture, request):
         env.actions((0, 2))
     with pytest.raises(CtmdpError, match=r"\(0, 2\) is not reachable"):
         env.sample((0, 2), (0, 2), RngHandle(0, "trajectory"))
+    with pytest.raises(CtmdpError, match=r"\(0, 2\) is not reachable"):
+        env.is_accepting((0, 2))
     # the table holds the product's states and no more
     assert env.pairs == list(p.pairs)
 

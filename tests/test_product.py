@@ -3,23 +3,25 @@ import ast
 import gc
 import hashlib
 import weakref
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ctsched
-from ctsched.automata import BuchiAutomaton, Edge, GFalse, GTrue
+from ctsched.automata import BuchiAutomaton, Edge, GFalse, GTrue, step
 from ctsched.bruteforce import random_buchi, random_ctmdp
 from ctsched.check import esem_of, psem_of
 from ctsched.data import BENCH_PAIRS, load_automaton, load_model
 from ctsched.formats import ModelSource, parse_model
 from ctsched.learn import Hyperparams, learn_exp, learn_sat
-from ctsched.model import Ctmdp, CtmdpError
-from ctsched.product import (ApMismatch, TRAP_PAIR, OnTheFlyProductEnv,
-                             ProductCtmdp, augment, build_product,
+from ctsched.model import ChoiceRows, Ctmdp, CtmdpError
+from ctsched.product import (TRAP_ACTION, TRAP_PAIR, ApMismatch,
+                             OnTheFlyProductEnv, ProductCtmdp, _letters,
+                             action_name, augment, build_product,
                              product_table, project_schedule,
-                             schedule_from_ids, schedule_to_ids)
+                             schedule_from_ids, schedule_to_ids, state_name)
 from test_pinned import (PINNED_DECAY_ESTIMATE, PINNED_DECAY_Q,
                          PINNED_DECAY_SCHEDULE, PINNED_DECAY_STEPS, PINNED_Q,
                          PINNED_SCHEDULE, PINNED_STEPS)
@@ -342,21 +344,155 @@ def test_product_table_is_the_one_way_to_a_table():
 
 
 def test_the_table_is_built_whole_when_it_is_made():
-    # in the package only the table's constructor builds rows, and the
-    # table it leaves has every row of the reachable product
+    # the table's constructor is the one walk over the product: it alone
+    # steps the automaton, and build_product wraps what the walk leaves,
+    # with no loop of its own and no read of a row index
     src = Path(ctsched.__file__).parent
-    callers = {f"{path.stem}.{node.name}"
-               for path in sorted(src.rglob("*.py"))
-               for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, ast.FunctionDef)
-               for x in ast.walk(node) if isinstance(x, ast.Call)
-               and ast.unparse(x.func).split(".")[-1] == "_row"}
-    assert callers == {"product.__init__"}
+    stepping = {f"{path.stem}.{node.name}"
+                for path in sorted(src.rglob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.FunctionDef)
+                for x in ast.walk(node) if isinstance(x, ast.Call)
+                and ast.unparse(x.func).split(".")[-1] == "step"}
+    assert stepping == {"product.__init__"}
+    tree = ast.parse((src / "product.py").read_text())
+    build = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "build_product")
+    for x in ast.walk(build):
+        assert not isinstance(x, (ast.For, ast.While, ast.comprehension))
+        assert not (isinstance(x, ast.Attribute) and x.attr == "row")
     for model, automaton in BENCH_PAIRS:
         m, a = load_model(model), load_automaton(automaton)
         env = OnTheFlyProductEnv(m, a)
         for col in (env.acts, env.succ, env.cum):
             assert len(col) == len(env.pairs)
-            assert None not in col
-        assert sorted(env.walk) == list(range(len(env.pairs)))
         assert env.pairs == list(build_product(m, a).pairs)
+
+
+def test_build_product_leaves_the_learner_columns_unbuilt():
+    # the product needs neither the learner's columns nor the model's row
+    # index; a learner derives the columns, once, from the product's rows
+    m, a = load_model("mars"), load_automaton("fig1")
+    build_product(m, a)
+    env = product_table(m, a)
+    columns = {"acts", "succ", "cum"}
+    assert not columns & vars(env).keys()
+    assert "row" not in vars(m.choices)
+    learn_sat(m, a, Hyperparams(ep_n=5, ep_len=10), seed=0)
+    assert columns <= vars(env).keys()
+    assert "row" not in vars(m.choices)
+
+
+# ---------------------------------------------------------------------------
+# the one walk against the two passes it replaced
+
+
+def _two_pass_product(m, a):
+    """The product as two passes build it: a depth-first walk that builds
+    the learner's columns row by row, then a loop over those rows in walk
+    order that maps each slot back to its model row through
+    ``ChoiceRows.row`` for its rates.  Returns the product's fields and
+    the learner's columns."""
+    letters, ch = _letters(m, a), m.choices
+    ids, pairs = {}, []
+
+    def intern(pair):
+        i = ids.get(pair)
+        if i is None:
+            i = ids[pair] = len(pairs)
+            pairs.append(pair)
+        return i
+
+    def row(i):
+        s, q = pairs[i]
+        choices = () if s is None else sorted(step(a, q, letters[s]))
+        if not choices:
+            return (TRAP_ACTION,), [(intern(TRAP_PAIR),)], [[1.0]]
+        lo, hi = ch.start[s:s + 2].tolist()
+        ptr = ch.ptr[lo:hi + 1].tolist()
+        acts, succ, cums = [], [], []
+        for act, b, e in zip(ch.action[lo:hi].tolist(), ptr, ptr[1:]):
+            targets = ch.succ[b:e].tolist()
+            cum = list(accumulate(ch.rate[b:e].tolist()))
+            for q2 in choices:
+                acts.append((act, q2))
+                succ.append(tuple(intern((t, q2)) for t in targets))
+                cums.append(cum)
+        return tuple(acts), succ, cums
+
+    rows = {}
+    stack = [intern((m.initial, a.initial))]
+    while stack:
+        i = stack.pop()
+        if i not in rows:
+            rows[i] = built = row(i)
+            for targets in built[1]:
+                stack.extend(targets)
+    acts, succ, cum = zip(*(rows[i] for i in range(len(pairs))))
+
+    ptr, trap = ch.ptr.tolist() + [len(ch.rate) + 1], len(ch.state)
+    action_ids = {}
+    src, aid, dst, edge = [], [], [], []
+    for i in rows:
+        s = pairs[i][0]
+        for act, targets in zip(acts[i], succ[i]):
+            r = trap if act == TRAP_ACTION else ch.row[(s, act[0])]
+            src += [i] * len(targets)
+            aid += [action_ids.setdefault(act, len(action_ids))] * len(targets)
+            dst += targets
+            edge += range(ptr[r], ptr[r + 1])
+    choices = ChoiceRows.of_edges(len(pairs), src, aid, dst,
+                                  np.append(ch.rate, 1.0)[edge])
+    accepting = frozenset(i for i, (_, q) in enumerate(pairs)
+                          if q in a.accepting)
+    return (pairs, tuple(action_ids), accepting, choices), (acts, succ, cum)
+
+
+def _columns(acts, succ, cum):
+    return ([tuple(row) for row in acts],
+            [[tuple(slot) for slot in row] for row in succ],
+            [[[x.hex() for x in slot] for slot in row] for row in cum])
+
+
+def _assert_one_walk_matches_two_passes(m, a):
+    product, columns = _two_pass_product(m, a)
+    pairs, action_pairs, accepting, choices = product
+    p = build_product(m, a)
+    assert p.pairs == tuple(pairs)
+    assert p.action_pairs == action_pairs
+    assert p.accepting == accepting
+    assert p.ctmdp.state_names == tuple(state_name(m, x) for x in pairs)
+    assert p.ctmdp.action_names == tuple(action_name(m, x)
+                                         for x in action_pairs)
+    for col in ("start", "state", "action", "ptr", "succ", "rate"):
+        got, want = getattr(p.ctmdp.choices, col), getattr(choices, col)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    env = product_table(m, a)
+    assert _columns(env.acts, env.succ, env.cum) == _columns(*columns)
+    # the action pairs of some state outnumber its model actions
+    return TRAP_PAIR in pairs, any(
+        len(row) > len({act for act, _ in row}) for row in env.acts)
+
+
+def test_one_walk_matches_the_two_passes(perfbench):
+    families = perfbench("families")
+    for model, automaton in BENCH_PAIRS:
+        _assert_one_walk_matches_two_passes(load_model(model),
+                                            load_automaton(automaton))
+    for text, hoa in (
+            (families.polling_text(8, **families.polling_params(
+                np.random.default_rng(1))), families.POLLING_HOA),
+            (families.hazard_text(30, **families.hazard_params(
+                np.random.default_rng(1))), families.HAZARD_HOA)):
+        _assert_one_walk_matches_two_passes(
+            parse_model(ModelSource(text, origin="family")),
+            load_automaton(hoa[:-len(".hoa")]))
+    rng = np.random.default_rng(27)
+    traps = forks = 0
+    for _ in range(200):
+        m = random_ctmdp(rng, int(rng.integers(2, 8)), ap=("g", "p"))
+        trap, fork = _assert_one_walk_matches_two_passes(m, random_buchi(rng))
+        traps += trap
+        forks += fork
+    assert traps >= 2 and forks >= 2
