@@ -9,9 +9,9 @@ induces is a CSR (``Chain``) that one builder, ``_induced``, gathers from
 the rows it plays with no self-loop entry; its systems are D - P, with the
 rate of leaving on D, so no diagonal is formed as 1 - p_ss.  The graph
 passes read its entries, and ``_factor`` is the one place that assembles
-and factors a system: dense LAPACK LU while the system's rows fit in
-``_DENSE_MAX`` squared entries, SuperLU above, so no large chain is held
-dense:
+and factors a system: dense LAPACK LU while it has at most ``_DENSE_MAX``
+unknowns, SuperLU on a CSC built straight from its entries above, so no
+large system is held dense:
 
 * discounted values solve v = rho + Gamma P v, where Gamma(s) =
   lam(s, a) / (lam(s, a) + alpha) is the expected dwell discount;
@@ -49,7 +49,7 @@ from typing import (Callable, Dict, FrozenSet, NamedTuple, Optional, Sequence,
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
-from scipy.sparse import csc_matrix, csr_array
+from scipy.sparse import csc_array, csr_array
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
@@ -147,21 +147,24 @@ def _row_rewards(m: Ctmdp, spec: RewardSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Induced-chain plumbing
 
-# A system over k of a chain's n states is factored dense by LAPACK while
-# k n is at most this value squared, and by SuperLU otherwise: below the
-# measured crossover (CHANGES.md) the sparse path's fixed cost dominates,
-# above it the dense LU's cubic work.  The rule counts k n, as when the
-# crossover was measured, not the k x k of the dense matrix, so that no
-# system changes branch without a new measurement.
-_DENSE_MAX = 256
+# A system of k unknowns is factored dense by LAPACK while k is at most
+# this value, and by SuperLU otherwise: below it the sparse path's fixed
+# cost dominates, above it the dense LU's cubic work.  Every system of one
+# round of each benchmark workload, factored both ways (CHANGES.md): dense
+# won every one with k <= 96 and 21 of the 27 with 97 <= k <= 128, sparse
+# every one above 128; summed per workload and metric, this cutoff is
+# within 0.1 ms of the faster branch everywhere, where 96 loses 0.2 ms on
+# the polling oracle and 64 loses 0.9 ms on the learner's oracle.
+_DENSE_MAX = 128
 
 
 class Chain(NamedTuple):
     """A finite Markov chain in CSR layout: row s has the entries
     ``data[ptr[s]:ptr[s + 1]]`` in the columns ``col[ptr[s]:ptr[s + 1]]``,
     every entry positive and no column twice in a row.  Its systems are
-    D - P, with D the diagonal ``diag`` (from ``_induced``: no self-loop
-    entry, the rate of leaving on D), or the identity if that is None."""
+    D - P, with D the diagonal ``diag``, or the identity if that is None;
+    a chain that ``_factor`` solves has no self-loop entry, its weight
+    being on D (``_induced`` puts the rate of leaving there)."""
 
     ptr: np.ndarray
     col: np.ndarray
@@ -263,12 +266,15 @@ def _factor(P: Chain, t: np.ndarray, f: np.ndarray,
     the states ``f``.
 
     This is the one place that factors a matrix.  A is assembled once, as
-    (row, column, value) triplets whose repeats add up.  While the rows of
-    ``t`` fit in ``_DENSE_MAX`` squared entries, they are summed into a
-    dense k x k matrix for LAPACK's getrf and getrs, called directly to
-    skip the wrapper cost that dominates on small chains; otherwise A goes
-    to SuperLU (``splu``) with its default COLAMD ordering.  A singular A
-    raises ``np.linalg.LinAlgError`` on both.
+    (row, column, value) triplets with no (row, column) twice: P has no
+    self-loop entry and no column twice in a row, and a pinned column's
+    entries are dropped before its ones go in.  With at most ``_DENSE_MAX``
+    unknowns they are scattered into a dense k x k matrix for LAPACK's
+    getrf and getrs, called directly to skip the wrapper cost that
+    dominates on small chains; otherwise they are sorted by column, then
+    row, into a canonical CSC for SuperLU (``splu``, default COLAMD
+    ordering), which skips scipy's COO conversion.  A singular A raises
+    ``np.linalg.LinAlgError`` on both.
     """
     n, k = len(P.ptr) - 1, len(t)
     counts, entries = _entries(P.ptr, t)
@@ -294,15 +300,17 @@ def _factor(P: Chain, t: np.ndarray, f: np.ndarray,
     def couple(x: np.ndarray) -> np.ndarray:
         return np.bincount(fi, weights=fp * x[fj], minlength=k)
 
-    if k * n <= _DENSE_MAX ** 2:
+    if k <= _DENSE_MAX:
         A = np.zeros((k, k))
-        np.add.at(A, (rows, cols), vals)
+        A[rows, cols] = vals
         lu, piv, info = dgetrf(A)
         if info > 0:
             raise np.linalg.LinAlgError("Singular matrix")
         return (lambda b: dgetrs(lu, piv, b)[0]), couple
+    order = np.lexsort((rows, cols))
+    ptr = np.concatenate(([0], np.bincount(cols, minlength=k).cumsum()))
     try:
-        lu = splu(csc_matrix((vals, (rows, cols)), shape=(k, k)))
+        lu = splu(csc_array((vals[order], rows[order], ptr), shape=(k, k)))
     except RuntimeError as exc:     # "Factor is exactly singular"
         raise np.linalg.LinAlgError(str(exc)) from None
     return lu.solve, couple

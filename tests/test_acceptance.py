@@ -116,9 +116,12 @@ def test_criterion_4_sink_reduction_oracle():
 
 
 def _chain(P):
-    """The checker's CSR form of a dense stochastic matrix."""
-    A = csr_matrix(P)
-    return Chain(A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data)
+    """The checker's CSR form of a dense stochastic matrix: no self-loop
+    entry, and 1 - P[s, s] on D, so its systems are those of I - P."""
+    loops = np.diag(P)
+    A = csr_matrix(P - np.diag(loops))
+    return Chain(A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data,
+                 1.0 - loops)
 
 
 def _dense(P):

@@ -472,9 +472,12 @@ def test_blackwell_probe_stabilizes(riskreward):
 
 
 def _chain(P):
-    """The chain of a dense stochastic matrix, as the checker stores it."""
-    A = csr_matrix(P)
-    return Chain(A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data)
+    """The chain of a dense stochastic matrix, as the checker stores it: no
+    self-loop entry, and 1 - P[s, s] on D, so its systems are those of I - P."""
+    loops = np.diag(P)
+    A = csr_matrix(P - np.diag(loops))
+    return Chain(A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data,
+                 1.0 - loops)
 
 
 def _dense(P):
@@ -851,11 +854,13 @@ def _multichain_chain(rng, n):
     return _renumbered(rng, P, set())[0]
 
 
-def test_factorization_branches_agree(monkeypatch):
+def test_factorization_branches_agree(monkeypatch, hazard_line,
+                                     polling_family, perfbench):
     # every system factored both ways, dense LAPACK and SuperLU, by moving
     # the size cutoff: the gain and bias of irreducible chains, of chains
-    # with several bottom classes and transient states, and hitting
-    # probabilities agree with the references and with each other
+    # with several bottom classes and transient states, hitting
+    # probabilities, and the optima of two family members agree with the
+    # references and with each other
     def both(solve):
         out = []
         for cutoff in (10**9, 0):
@@ -911,6 +916,76 @@ def test_factorization_branches_agree(monkeypatch):
         monkeypatch.setattr("ctsched.check._DENSE_MAX", cutoff)
         with pytest.raises(np.linalg.LinAlgError):
             _absorption(P, np.zeros(3, dtype=bool))
+
+    # family members: the hazard line's absorption systems and the polling
+    # grid's pinned gain/bias systems give the same optima both ways
+    rates = perfbench("families").polling_params(np.random.default_rng(1))
+    for p in (hazard_line(200)[0], polling_family(20, **rates)):
+        for optimal in (esem_optimal, psem_optimal):
+            dense, sparse = both(lambda: optimal(p))
+            assert dense.schedule == sparse.schedule
+            assert abs(dense.value - sparse.value) <= 1e-12 * abs(dense.value)
+            scale = 1e-12 * float(np.abs(dense.values).max())
+            assert np.allclose(dense.values, sparse.values, rtol=0, atol=scale)
+    p = hazard_line(200)[0]
+    schedule = esem_optimal(p).schedule
+    dense, sparse = both(lambda: esem_of(p, schedule))
+    assert abs(dense.value - sparse.value) <= 1e-12 * abs(dense.value)
+
+
+def test_factor_hands_superlu_a_canonical_csc_and_branches_on_k(
+        monkeypatch, hazard_line, polling_family, perfbench):
+    # each system goes to LAPACK with at most _DENSE_MAX unknowns and to
+    # SuperLU above, whatever the size of its chain; the CSC that SuperLU
+    # gets is canonical and equals the dense branch's k x k matrix
+    check = ctsched.check
+    handed = []
+    splu, dgetrf = check.splu, check.dgetrf
+    # copies: splu sorts a CSC's indices in place
+    monkeypatch.setattr(check, "splu",
+                        lambda A: handed.append(("sparse", A.copy()))
+                        or splu(A))
+    monkeypatch.setattr(check, "dgetrf",
+                        lambda A: handed.append(("dense", A.copy()))
+                        or dgetrf(A))
+    factor, systems = check._factor, []
+
+    def record(P, t, f, classes=None):
+        systems.append((P, t, f, classes))
+        return factor(P, t, f, classes)
+
+    monkeypatch.setattr(check, "_factor", record)
+    rates = perfbench("families").polling_params(np.random.default_rng(1))
+    hazard = hazard_line(200)[0]
+    esem_optimal(hazard)
+    psem_optimal(hazard)
+    esem_optimal(polling_family(20, **rates))
+    rng = np.random.default_rng(26)
+    for _ in range(3):
+        p = random_marked_product(rng, num_states=6)
+        brute_force_psem(p)
+        brute_force_esem(p)
+    assert len(handed) == len(systems)
+    sizes = [(len(P.ptr) - 1, len(t), branch)
+             for (P, t, _, _), (branch, _) in zip(systems, handed)]
+    assert all((branch == "dense") == (k <= check._DENSE_MAX)
+               for _, k, branch in sizes)
+    assert (204, 202, "sparse") in sizes
+    assert any(k <= 128 and n > 512 and k * n > 256**2 and branch == "dense"
+               for n, k, branch in sizes)
+
+    for P, t, f, classes in systems:
+        handed.clear()
+        for cutoff in (0, 10**9):
+            monkeypatch.setattr(check, "_DENSE_MAX", cutoff)
+            factor(P, t, f, classes)
+        (_, csc), (_, dense) = handed
+        assert csc.format == "csc" and csc.shape == dense.shape
+        ptr, rows = csc.indptr, csc.indices
+        assert ptr[0] == 0 and ptr[-1] == len(rows) == len(csc.data)
+        assert all((np.diff(rows[lo:hi]) > 0).all()
+                   for lo, hi in zip(ptr[:-1], ptr[1:]))
+        assert np.array_equal(csc.toarray(), dense)
 
 
 def test_esem_optimal_on_polling_above_the_dense_cutoff(polling_family,
