@@ -1,9 +1,9 @@
 """Model-free learning on the risk/reward model, graded by the exact checker.
 
 The learner never sees the transition matrix: it samples trajectories of the
-model x automaton product from the product's rows (the table that
-``build_product`` reads too) and runs tabular Q-learning with dwell-time
-discounting.  The resulting greedy schedule is then evaluated exactly, which
+model x automaton product from its rows (the product that ``build_product``
+returns, which the checker grades) and runs tabular Q-learning with
+dwell-time discounting.  The resulting greedy schedule is then evaluated exactly, which
 is the honest way to score a learned policy.
 
 Run:  python3 demos/02_learning_schedules.py

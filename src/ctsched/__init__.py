@@ -14,8 +14,8 @@ from .learn import (EXP_GAMMA, SAT_GAMMA, Hyperparams, LearnResult, QTable,
 from .model import (Ctmdp, CtmdpError, Mec, MecSet, embed, mec_decompose,
                     uniformize, validate)
 from .product import (AugmentedProduct, OnTheFlyProductEnv, ProductCtmdp,
-                      Schedule, augment, build_product, product_table,
-                      project_schedule, schedule_from_ids, schedule_to_ids)
+                      Schedule, augment, build_product, project_schedule,
+                      schedule_from_ids, schedule_to_ids)
 from .simulate import RngHandle, sample_transition
 
 __version__ = "0.1.0"

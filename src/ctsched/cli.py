@@ -31,9 +31,8 @@ from .formats import (BenchRow, HoaError, HoaSource, ModelError, ModelSource,
                       serialize_model)
 from .learn import Hyperparams, accepting_dwell, learn_exp, learn_sat
 from .model import Ctmdp, CtmdpError
-from .product import (ProductCtmdp, Schedule, action_name, build_product,
-                      product_table, state_name)
-from .simulate import SEED_LIMIT, RngHandle
+from .product import ProductCtmdp, Schedule, action_name, build_product
+from .simulate import SEED_LIMIT, RngHandle, race
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -83,19 +82,19 @@ def _build(args) -> Tuple[Ctmdp, BuchiAutomaton, ProductCtmdp]:
 # Schedule files: CSV with columns s,q,action,qnext (ids for s/q/qnext,
 # action by name)
 
-def write_schedule(p: ProductCtmdp, schedule: Schedule, out) -> None:
+def write_schedule(m: Ctmdp, schedule: Schedule, out) -> None:
+    """Write ``schedule``, a schedule of a product over ``m``."""
     w = csv.writer(out, lineterminator="\n")
     w.writerow(["s", "q", "action", "qnext"])
-    base = p.model if p.model is not None else p.ctmdp
     for (s, q), (act, q2) in sorted(schedule.items()):
         if s is None or act is None:
             continue
-        w.writerow([s, q, base.action_names[act], q2])
+        w.writerow([s, q, m.action_names[act], q2])
 
 
-def read_schedule(p: ProductCtmdp, path: str) -> Schedule:
-    base = p.model if p.model is not None else p.ctmdp
-    action_ids = {name: i for i, name in enumerate(base.action_names)}
+def read_schedule(m: Ctmdp, p: ProductCtmdp, path: str) -> Schedule:
+    """The schedule of product ``p`` over ``m`` in the file at ``path``."""
+    action_ids = {name: i for i, name in enumerate(m.action_names)}
     known = p.state_index()
     choices = p.action_index()
     out: Schedule = {}
@@ -190,16 +189,20 @@ def cmd_learn(args) -> int:
     row = BenchRow(name=name, states=m.num_states, prod=p.num_states, **cells)
     sys.stdout.write(emit_result_table([row], fmt=args.format))
     if args.schedule_out:
-        with open(args.schedule_out, "w", encoding="utf-8") as fh:
-            write_schedule(p, best, fh)
+        with _output(args.schedule_out) as fh:
+            write_schedule(m, best, fh)
     return 0
 
 
 def _output(path: Optional[str]):
     """A context giving the file at ``path`` opened for writing, or stdout
     (left open) if there is no path."""
-    return (open(path, "w", encoding="utf-8") if path
-            else contextlib.nullcontext(sys.stdout))
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"{path}: {exc.strerror}", EXIT_VALIDATION)
 
 
 def _values_csv(p: ProductCtmdp, result: CheckResult, out) -> None:
@@ -215,15 +218,15 @@ def _values_csv(p: ProductCtmdp, result: CheckResult, out) -> None:
 def cmd_check(args) -> int:
     m, a, p = _build(args)
     _, optimize, grade = _objective(args.objective)
-    result = (grade(p, read_schedule(p, args.schedule)) if args.schedule
+    result = (grade(p, read_schedule(m, p, args.schedule)) if args.schedule
               else optimize(p))
     with _output(args.out) as fh:
         _values_csv(p, result, fh)
     label = "PSem" if args.objective == "sat" else "ESem"
     sys.stdout.write(f"# {label}(initial) = {result.value:.9g}\n")
     if args.schedule_out and result.schedule is not None:
-        with open(args.schedule_out, "w", encoding="utf-8") as fh:
-            write_schedule(p, result.schedule, fh)
+        with _output(args.schedule_out) as fh:
+            write_schedule(m, result.schedule, fh)
     return 0
 
 
@@ -232,23 +235,22 @@ def cmd_simulate(args) -> int:
     if args.steps < 0:
         raise CliError(f"--steps must be non-negative, got {args.steps}",
                        EXIT_VALIDATION)
-    m, a, p = _build(args)
-    schedule = read_schedule(p, args.schedule) if args.schedule else {}
-    env = product_table(m, a)
+    m, _, p = _build(args)
+    schedule = read_schedule(m, p, args.schedule) if args.schedule else {}
+    acts, succ, cum, names = p.acts, p.succ, p.cum, p.ctmdp.state_names
     rng = RngHandle(args.seed, "trajectory")
     with _output(args.out) as out:
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["step", "state", "action", "next", "dwell", "reward"])
-        s = env.reset()
+        i = p.ctmdp.initial
         for step in range(args.steps):
-            choice = schedule.get(s)
-            actions = env.actions(s)
-            action = choice if choice in actions else actions[0]
-            s2, dwell = env.sample(s, action, rng)
-            r = accepting_dwell(env.is_accepting(s), dwell)
-            w.writerow([step, state_name(m, s), action_name(m, action),
-                        state_name(m, s2), f"{dwell:.9g}", f"{r:.9g}"])
-            s = s2
+            choice = schedule.get(p.pairs[i])
+            k = acts[i].index(choice) if choice in acts[i] else 0
+            i2, dwell = race(succ[i][k], cum[i][k], rng)
+            r = accepting_dwell(i in p.accepting, dwell)
+            w.writerow([step, names[i], action_name(m, acts[i][k]),
+                        names[i2], f"{dwell:.9g}", f"{r:.9g}"])
+            i = i2
     return 0
 
 

@@ -1,14 +1,12 @@
 """Model-free Q-learning of schedules on the model x automaton product.
 
-``product.OnTheFlyProductEnv`` is the table of the product: pairs (model
-state, automaton state) get the integer ids of ``build_product``'s product
-states, and a pair's actions (a, q') combine a model action with a
-resolution of the automaton's nondeterminism.  Both trainers take the
-model's one table for their automaton from ``product.product_table``, which
-``build_product`` and ``ctsched simulate`` share; the first run derives the
-table's columns from the product's rows, and every later run reads them.
-``_train`` owns the Q-values and visit counts, by the table's ids, zeroed
-over all rows; a state without actions raises CtmdpError, as in the checker.
+Both trainers step on the ids of ``build_product``'s product, which the
+checker and ``ctsched simulate`` share: a product state's actions (a, q')
+combine a model action with a resolution of the automaton's
+nondeterminism.  The first run derives the product's columns from its rows,
+and every later run reads them.  ``_train`` owns the Q-values and visit
+counts, by the product's ids, zeroed over all rows; a state without actions
+raises CtmdpError, as in the checker.
 Two trainers share the Q machinery:
 
 * ``learn_sat`` maximizes the probability of visiting accepting states
@@ -28,7 +26,7 @@ alpha, with alpha = C (1 - gamma) / gamma (``check.alpha_from_gamma``)
 mapping a per-step discount gamma at uniformization rate C onto the
 continuous clock.
 
-The trainers step on the table's ids and action slots, drawing dwells and
+The trainers step on the product's ids and action slots, drawing dwells and
 successors only through ``simulate.race``, the one sampler; a draw from any
 stream, exploration and zeta coin too, is one C call.  The update is
 
@@ -57,8 +55,9 @@ from typing import Dict, List, Optional, Tuple
 from .automata import BuchiAutomaton
 from .check import _first_rows, alpha_from_gamma
 from .model import Ctmdp
-from .product import (ActionPair, OnTheFlyProductEnv, Schedule, StatePair,
-                      TRAP_PAIR, product_table)
+from .product import (ActionPair, ProductCtmdp, Schedule, StatePair,
+                      TRAP_PAIR, build_product)
+from .product import OnTheFlyProductEnv  # noqa: F401  (perfbench's import)
 from .simulate import make_rngs, race
 
 
@@ -152,10 +151,11 @@ _CHECK_EVERY = 500
 _STABLE_CHECKS = 4
 
 
-def _train(m: Ctmdp, env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
+def _train(m: Ctmdp, p: ProductCtmdp, hp: Hyperparams, seed: int,
            satisfaction: bool) -> LearnResult:
-    _first_rows(env.ctmdp)   # raises on a state without actions
-    acts, succ, cum, acc = env.acts, env.succ, env.cum, env.accepting
+    _first_rows(p.ctmdp)   # raises on a state without actions
+    acts, succ, cum = p.acts, p.succ, p.cum
+    acc = [i in p.accepting for i in range(len(acts))]
     rngs = make_rngs(seed)
     traj, explore = rngs["trajectory"], rngs["exploration"]
     explore_u, coin_u, exp = explore.uniform, rngs["coin"].uniform, math.exp
@@ -165,7 +165,7 @@ def _train(m: Ctmdp, env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
     # per row: V[i] == max(Q[i]) and A[i] its earliest slot
     V = [0.0] * len(acts)
     A = [0] * len(acts)
-    init = env.ids[env.reset()]
+    init = p.ctmdp.initial
     updated: List[Tuple[int, int]] = []  # (id, slot) in first-update order
     epsilon, beta, decay_beta = hp.epsilon, hp.beta, hp.decay_beta
     fail_pay = 1.0 - hp.zeta
@@ -230,7 +230,7 @@ def _train(m: Ctmdp, env: OnTheFlyProductEnv, hp: Hyperparams, seed: int,
         estimate *= alpha
     table, schedule = QTable(), {}
     for i, k in updated:
-        pair, ai, qi = env.pairs[i], acts[i], Q[i]
+        pair, ai, qi = p.pairs[i], acts[i], Q[i]
         table.q[(pair, ai[k])] = qi[k]
         table.visits[(pair, ai[k])] = N[i][k]
         if pair != TRAP_PAIR and pair not in schedule:
@@ -244,11 +244,11 @@ def learn_sat(m: Ctmdp, a: BuchiAutomaton, hp: Optional[Hyperparams] = None,
               seed: int = 0) -> LearnResult:
     """Learn a schedule maximizing the probability of Buchi acceptance."""
     hp = hp or Hyperparams()
-    return _train(m, product_table(m, a), hp, seed, satisfaction=True)
+    return _train(m, build_product(m, a), hp, seed, satisfaction=True)
 
 
 def learn_exp(m: Ctmdp, a: BuchiAutomaton, hp: Optional[Hyperparams] = None,
               seed: int = 0) -> LearnResult:
     """Learn a schedule maximizing the long-run fraction of accepting time."""
     hp = hp or Hyperparams()
-    return _train(m, product_table(m, a), hp, seed, satisfaction=False)
+    return _train(m, build_product(m, a), hp, seed, satisfaction=False)

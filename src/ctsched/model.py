@@ -6,8 +6,8 @@ arrays by ``ChoiceRows.of_edges``; ``Ctmdp.trans`` is a read-only view of
 the rows in (s, a) order.  The rows compute their exit rates, a reverse
 (predecessor) index for the checker's backward searches and the maximal
 end-components, as masks on the rows, on first use, once per model.  A
-model also keeps its product tables, one per automaton (``product_table``):
-each holds its product as a model of the same kind, built by one walk.
+model also keeps its products, one per automaton (``build_product``): each
+holds its product as a model of the same kind, built by one walk.
 
 The embedded jump chain has no type of its own: ``embed`` returns a Ctmdp
 whose rates are the jump probabilities, so every exit rate is 1.
@@ -237,9 +237,9 @@ class Ctmdp:
         return ChoiceRows.of(self.trans, self.num_states)
 
     @cached_property
-    def product_tables(self) -> Dict[int, object]:
-        """This model's product tables by automaton id, which
-        ``product.product_table`` makes and fills; empty on first use."""
+    def products(self) -> Dict[int, object]:
+        """This model's products by automaton id, which
+        ``product.build_product`` makes and fills; empty on first use."""
         return {}
 
     @property

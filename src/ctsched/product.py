@@ -6,17 +6,18 @@ Automaton nondeterminism is materialized as distinct product actions: taking
 and the automaton to ``q' in delta(q, L(s))``.  Product states whose automaton
 successor set is empty fall into a rejecting trap state.
 
-``OnTheFlyProductEnv`` is the product table: one depth-first walk makes it,
-the one pass over the product and the one place that steps the automaton.
-``product_table(m, a)`` keeps one table per model and automaton on the
-model; ``build_product`` wraps the table's product, and the learners and
-``ctsched simulate`` read the columns the table derives from its rows.
+``_walk`` is the one pass over the product and the one place that steps the
+automaton.  ``build_product(m, a)`` keeps the product it makes in
+``m.products``, one per automaton, so that the checker, both learners and
+``ctsched simulate`` share it; the learners and ``ctsched simulate`` step on
+its ids through the columns it derives from its rows on first use.
+``OnTheFlyProductEnv`` is the same product keyed by pairs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, compress, count
+from itertools import accumulate
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -45,15 +46,23 @@ class ProductCtmdp:
     """Materialized reachable product with accepting-state flags.
 
     ``pairs[i]`` is the (s, q) behind product state i; ``action_pairs[j]`` the
-    (a, q') behind product action j.  ``model``/``automaton`` back-references
-    are kept for schedule projection and may be None for synthetic products.
+    (a, q') behind product action j.  ``automaton`` is the automaton whose id
+    keys a built product on its model, and may be None for synthetic
+    products; the product keeps no reference to the model, which holds it,
+    so that the two make no cycle.
+
+    The learner's columns are derived from the rows on first use: per state
+    i, ``acts[i]`` lists its action pairs in (model action, automaton
+    successor) order, and slot k races the successor ids ``succ[i][k]`` at
+    the cumulative rates ``cum[i][k]`` in model state order, the order of
+    the model's own rows (``ChoiceRows.of_edges``).  They hold no learning
+    state, so learners may share them.
     """
 
     ctmdp: Ctmdp
     pairs: Tuple[StatePair, ...]
     action_pairs: Tuple[ActionPair, ...]
     accepting: FrozenSet[int]
-    model: Optional[Ctmdp] = None
     automaton: Optional[BuchiAutomaton] = None
 
     @property
@@ -65,6 +74,42 @@ class ProductCtmdp:
 
     def action_index(self) -> Dict[ActionPair, int]:
         return {pair: j for j, pair in enumerate(self.action_pairs)}
+
+    def _by_slot(self, column: np.ndarray, make) -> tuple:
+        """Per id, per slot, ``make`` of the list of the slot's entries of
+        ``column``, a value per entry of the product's rows: an id's slots
+        are its rows ordered by the (model action, automaton successor) of
+        their action pair, and a slot's entries are ordered by model state.
+        The trap and the sink have no model coordinates, and order as -1."""
+        ch = self.ctmdp.choices
+        key = np.array([[-1 if x is None else x for x in p]
+                        for p in self.action_pairs],
+                       dtype=np.int64).reshape(-1, 2)[ch.action]
+        rows = np.lexsort((key[:, 1], key[:, 0], ch.state))
+        rank = np.empty_like(rows)
+        rank[rows] = np.arange(len(rows))
+        model_state = np.array([-1 if s is None else s for s, _ in self.pairs])
+        flat = column[np.lexsort((model_state[ch.succ],
+                                  rank[ch.edge_row]))].tolist()
+        ptr = [0, *np.cumsum(np.diff(ch.ptr)[rows]).tolist()]
+        slots = [make(flat[b:e]) for b, e in zip(ptr, ptr[1:])]
+        start = ch.start.tolist()
+        return tuple(tuple(slots[b:e]) for b, e in zip(start, start[1:]))
+
+    @cached_property
+    def acts(self) -> Tuple[Tuple[ActionPair, ...], ...]:
+        # of_edges makes no row without entries
+        ch, names = self.ctmdp.choices, self.action_pairs
+        return self._by_slot(ch.action[ch.edge_row], lambda j: names[j[0]])
+
+    @cached_property
+    def succ(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        return self._by_slot(self.ctmdp.choices.succ, tuple)
+
+    @cached_property
+    def cum(self) -> Tuple[Tuple[List[float], ...], ...]:
+        return self._by_slot(self.ctmdp.choices.rate,
+                             lambda rates: list(accumulate(rates)))
 
 
 @dataclass(frozen=True)
@@ -106,158 +151,106 @@ def action_name(m: Ctmdp, pair: ActionPair) -> str:
     return f"{m.action_names[act]}>q{q2}"
 
 
+def _walk(m: Ctmdp, a: BuchiAutomaton) -> ProductCtmdp:
+    """The model x automaton product, built whole by one depth-first walk.
+
+    The walk from the initial pair gives each pair, and each product action
+    (a, q'), an id in the order it first meets them: (a, q') pairs a model
+    row of s with a successor q' of (q, L(s)), in row and then automaton
+    state order; a pair whose automaton run dies loops in the trap.  The
+    walk's edges go to ``ChoiceRows.of_edges``."""
+    initial = (m.initial, a.initial)
+    ids, action_ids = {initial: 0}, {}
+    letters = _letters(m, a)
+    successors = cache(lambda q, letter: sorted(step(a, q, letter)))
+    ch = m.choices
+    start, action, ptr, succ, rate = (x.tolist() for x in (
+        ch.start, ch.action, ch.ptr, ch.succ, ch.rate))
+    src, act, dst, rates = [], [], [], []
+    built, stack = set(), [initial]
+    while stack:
+        pair = stack.pop()
+        i = ids[pair]
+        if i in built:
+            continue
+        built.add(i)
+        s, q = pair
+        q2s = () if s is None else successors(q, letters[s])
+        if q2s:   # slots (action pair, successor pairs, rates)
+            slots = [((action[r], q2),
+                      [(t, q2) for t in succ[ptr[r]:ptr[r + 1]]],
+                      rate[ptr[r]:ptr[r + 1]])
+                     for r in range(start[s], start[s + 1]) for q2 in q2s]
+        else:     # the trap, and pairs whose automaton run dies
+            slots = [(TRAP_ACTION, [TRAP_PAIR], [1.0])]
+        for act_pair, targets, row_rates in slots:
+            n = len(targets)
+            src += [i] * n
+            act += [action_ids.setdefault(act_pair, len(action_ids))] * n
+            dst += [ids.setdefault(t, len(ids)) for t in targets]
+            rates += row_rates
+            stack += targets
+    pairs, action_pairs = tuple(ids), tuple(action_ids)
+    ctmdp = Ctmdp(
+        tuple(state_name(m, p) for p in pairs),
+        tuple(action_name(m, p) for p in action_pairs), 0,
+        ChoiceRows.of_edges(len(pairs), src, act, dst, rates), m.ap,
+        tuple(m.labels[s] if s is not None else frozenset()
+              for s, _ in pairs))
+    return ProductCtmdp(ctmdp, pairs, action_pairs,
+                        frozenset(i for i, (_, q) in enumerate(pairs)
+                                  if q in a.accepting), a)
+
+
+def build_product(m: Ctmdp, a: BuchiAutomaton) -> ProductCtmdp:
+    """Reachable synchronous product of model and automaton: made by
+    ``_walk`` on first use and kept in ``m.products``, so that every later
+    call returns the same product.
+
+    Products are keyed by the automaton's ``id``, which costs no hash of its
+    guards; the product holds the automaton, so the id names no other object
+    while the entry lives."""
+    products = m.products
+    p = products.get(id(a))
+    if p is None:
+        p = products[id(a)] = _walk(m, a)
+    return p
+
+
 class OnTheFlyProductEnv:
-    """The model x automaton product, built whole when the table is made.
-
-    A depth-first walk from the initial pair gives each pair, and each
-    product action (a, q'), an id in the order it first meets them: (a, q')
-    pairs a model row of s with a successor q' of (q, L(s)), in row and
-    then automaton state order; a pair whose automaton run dies loops in
-    the trap.  The walk's edges go to ``ChoiceRows.of_edges``, and the table
-    holds the product's model ``ctmdp``, ``pairs``, ``action_pairs`` and
-    ``accepting`` flags by id, which ``build_product`` wraps.  It keeps no
-    reference to the model, which holds its tables, so that the two make no
-    cycle, but keeps the automaton, whose id keys it there.
-
-    The learner's columns are derived from the rows on first use: per id,
-    ``acts[i]`` lists its action pairs in (model action, automaton
-    successor) order, and slot k races the successor ids ``succ[i][k]`` at
-    the cumulative rates ``cum[i][k]`` in model state order, the order of
-    the model's own rows (``ChoiceRows.of_edges``).  They hold no learning
-    state, so learners may share them.
-
-    ``reset``, ``is_accepting``, ``actions`` and ``sample`` read the same
-    rows keyed by pairs, and check the pairs and actions they are given: a
-    pair the walk never reached raises CtmdpError.
-    """
+    """``build_product(m, a)`` keyed by pairs: ``reset``, ``is_accepting``,
+    ``actions`` and ``sample`` read the product's columns at a pair's id, and
+    a pair the walk never reached raises CtmdpError."""
 
     def __init__(self, m: Ctmdp, a: BuchiAutomaton):
-        self.a = a
-        self.initial: StatePair = (m.initial, a.initial)
-        self.ids: Dict[StatePair, int] = {self.initial: 0}
-        ids, action_ids = self.ids, {}
-        letters = _letters(m, a)
-        successors = cache(lambda q, letter: sorted(step(a, q, letter)))
-        ch = m.choices
-        start, action, ptr, succ, rate = (x.tolist() for x in (
-            ch.start, ch.action, ch.ptr, ch.succ, ch.rate))
-        src, act, dst, rates = [], [], [], []
-        built, stack = set(), [self.initial]
-        while stack:
-            pair = stack.pop()
-            i = ids[pair]
-            if i in built:
-                continue
-            built.add(i)
-            s, q = pair
-            q2s = () if s is None else successors(q, letters[s])
-            if q2s:   # slots (action pair, successor pairs, rates)
-                slots = [((action[r], q2),
-                          [(t, q2) for t in succ[ptr[r]:ptr[r + 1]]],
-                          rate[ptr[r]:ptr[r + 1]])
-                         for r in range(start[s], start[s + 1]) for q2 in q2s]
-            else:     # the trap, and pairs whose automaton run dies
-                slots = [(TRAP_ACTION, [TRAP_PAIR], [1.0])]
-            for act_pair, targets, row_rates in slots:
-                n = len(targets)
-                src += [i] * n
-                act += [action_ids.setdefault(act_pair, len(action_ids))] * n
-                dst += [ids.setdefault(t, len(ids)) for t in targets]
-                rates += row_rates
-                stack += targets
-        self.pairs: List[StatePair] = list(ids)
-        self.action_pairs: Tuple[ActionPair, ...] = tuple(action_ids)
-        self.accepting: List[bool] = [q in a.accepting for _, q in self.pairs]
-        self.ctmdp = Ctmdp(
-            tuple(state_name(m, p) for p in self.pairs),
-            tuple(action_name(m, p) for p in self.action_pairs), 0,
-            ChoiceRows.of_edges(len(self.pairs), src, act, dst, rates), m.ap,
-            tuple(m.labels[s] if s is not None else frozenset()
-                  for s, _ in self.pairs))
-
-    def _by_slot(self, column: np.ndarray, make) -> tuple:
-        """Per id, per slot, ``make`` of the list of the slot's entries of
-        ``column``, a value per entry of the product's rows: an id's slots
-        are its rows ordered by the (model action, automaton successor) of
-        their action pair, and a slot's entries are ordered by model state."""
-        ch = self.ctmdp.choices
-        key = np.array([(-1, -1) if p == TRAP_ACTION else p
-                        for p in self.action_pairs],
-                       dtype=np.int64).reshape(-1, 2)[ch.action]
-        rows = np.lexsort((key[:, 1], key[:, 0], ch.state))
-        rank = np.empty_like(rows)
-        rank[rows] = np.arange(len(rows))
-        model_state = np.array([-1 if s is None else s for s, _ in self.pairs])
-        flat = column[np.lexsort((model_state[ch.succ],
-                                  rank[ch.edge_row]))].tolist()
-        ptr = [0, *np.cumsum(np.diff(ch.ptr)[rows]).tolist()]
-        slots = [make(flat[b:e]) for b, e in zip(ptr, ptr[1:])]
-        start = ch.start.tolist()
-        return tuple(tuple(slots[b:e]) for b, e in zip(start, start[1:]))
-
-    @cached_property
-    def acts(self) -> Tuple[Tuple[ActionPair, ...], ...]:
-        # of_edges makes no row without entries
-        ch, names = self.ctmdp.choices, self.action_pairs
-        return self._by_slot(ch.action[ch.edge_row], lambda j: names[j[0]])
-
-    @cached_property
-    def succ(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-        return self._by_slot(self.ctmdp.choices.succ, tuple)
-
-    @cached_property
-    def cum(self) -> Tuple[Tuple[List[float], ...], ...]:
-        return self._by_slot(self.ctmdp.choices.rate,
-                             lambda rates: list(accumulate(rates)))
+        self.p = build_product(m, a)
+        self.ids = self.p.state_index()
 
     def _id(self, pair: StatePair) -> int:
         i = self.ids.get(pair)
         if i is None:
             raise CtmdpError(f"product pair {pair} is not reachable from "
-                             f"the initial pair {self.initial}")
+                             f"the initial pair {self.reset()}")
         return i
 
     def reset(self) -> StatePair:
-        return self.initial
+        return self.p.pairs[self.p.ctmdp.initial]
 
     def is_accepting(self, pair: StatePair) -> bool:
-        return self.accepting[self._id(pair)]
+        return self._id(pair) in self.p.accepting
 
     def actions(self, pair: StatePair) -> Tuple[ActionPair, ...]:
-        return self.acts[self._id(pair)]
+        return self.p.acts[self._id(pair)]
 
     def sample(self, pair: StatePair, action: ActionPair,
                rng: RngHandle) -> Tuple[StatePair, float]:
-        i = self._id(pair)
+        i, p = self._id(pair), self.p
         try:
-            k = self.acts[i].index(action)
+            k = p.acts[i].index(action)
         except ValueError:
             raise ActionNotEnabled(pair, action) from None
-        t, dwell = race(self.succ[i][k], self.cum[i][k], rng)
-        return self.pairs[t], dwell
-
-
-def product_table(m: Ctmdp, a: BuchiAutomaton) -> OnTheFlyProductEnv:
-    """The one product table of ``m`` and ``a``: made on first use and kept
-    in ``m.product_tables``, so that every later call shares its rows.
-
-    Tables are keyed by the automaton's ``id``, which costs no hash of its
-    guards; the table holds the automaton, so the id names no other object
-    while the entry lives."""
-    tables = m.product_tables
-    env = tables.get(id(a))
-    if env is None:
-        env = tables[id(a)] = OnTheFlyProductEnv(m, a)
-    return env
-
-
-def build_product(m: Ctmdp, a: BuchiAutomaton) -> ProductCtmdp:
-    """Reachable synchronous product of model and automaton: the product
-    that ``product_table(m, a)`` holds, with the model and automaton."""
-    env = product_table(m, a)
-    return ProductCtmdp(env.ctmdp, tuple(env.pairs), env.action_pairs,
-                        frozenset(compress(count(), env.accepting)),
-                        model=m, automaton=a)
+        t, dwell = race(p.succ[i][k], p.cum[i][k], rng)
+        return p.pairs[t], dwell
 
 
 def augment(p: ProductCtmdp, zeta: float) -> AugmentedProduct:
@@ -283,8 +276,7 @@ def augment(p: ProductCtmdp, zeta: float) -> AugmentedProduct:
     product = ProductCtmdp(ctmdp,
                            p.pairs + (SINK_PAIR,),
                            p.action_pairs + (SINK_ACTION,),
-                           frozenset({sink}),
-                           model=p.model, automaton=p.automaton)
+                           frozenset({sink}), p.automaton)
     return AugmentedProduct(product=product, sink=sink)
 
 

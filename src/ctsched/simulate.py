@@ -9,9 +9,9 @@ so one draw is one call into C.
 ``race`` is the one sampler and holds the one dwell formula: it draws the
 dwell time by inverting the exponential CDF, then the successor by bisecting
 a list of cumulative rates.  ``sample_transition`` feeds it one (state,
-action) row of a Ctmdp; the learner and ``OnTheFlyProductEnv.sample`` feed it
-one action slot of the product table, whose successors and cumulative rates
-the table derives from the product's rows on first use.
+action) row of a Ctmdp; the learners and ``ctsched simulate`` feed it one
+action slot of the product, whose successors and cumulative rates the
+product derives from its rows on first use.
 """
 from __future__ import annotations
 

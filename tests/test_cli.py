@@ -91,7 +91,7 @@ def test_check_suboptimal_schedule_is_dominated(paths, mars, tmp_path, capsys):
     sched = schedule_from_ids(p, sigma)
     sched_file = tmp_path / "sub.csv"
     with open(sched_file, "w") as fh:
-        write_schedule(p, sched, fh)
+        write_schedule(m, sched, fh)
     code = main(["check", "--model", paths["mars.ctmdp"],
                  "--automaton", paths["fig1.hoa"],
                  "--objective", "sat", "--schedule", str(sched_file)])
@@ -108,8 +108,8 @@ def test_schedule_round_trip(paths, mars, tmp_path):
     opt = psem_optimal(p)
     f = tmp_path / "rt.csv"
     with open(f, "w") as fh:
-        write_schedule(p, opt.schedule, fh)
-    back = read_schedule(p, str(f))
+        write_schedule(m, opt.schedule, fh)
+    back = read_schedule(m, p, str(f))
     for pair, action in back.items():
         assert opt.schedule[pair] == action
 
@@ -325,6 +325,24 @@ def test_missing_file_exits_with_validation_code(paths, capsys):
         assert capsys.readouterr().err == \
             f"error: {missing}: No such file or directory\n"
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--out"],
+    ["check", "--schedule-out"],
+    ["learn", "--episodes", "10", "--ep-len", "10", "--schedule-out"],
+    ["simulate", "--steps", "3", "--out"],
+    ["product", "--out"],
+])
+def test_unwritable_output_exits_with_validation_code(paths, tmp_path, argv,
+                                                      capsys):
+    # every output is opened alike, and a path it cannot open is named
+    out = str(tmp_path / "missing" / "v.csv")
+    code = main(argv + [out, "--model", paths["mars.ctmdp"],
+                        "--automaton", paths["fig1.hoa"]])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == \
+        f"error: {out}: No such file or directory\n"
 
 def test_non_convergence_exits_with_numeric_code(paths, monkeypatch, capsys):
     # riskreward's ESem needs a second round to confirm its first switch

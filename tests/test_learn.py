@@ -13,7 +13,7 @@ from ctsched.learn import (EXP_GAMMA, SAT_GAMMA, Hyperparams, LearnResult,
                            OnTheFlyProductEnv, accepting_dwell,
                            learn_exp, learn_sat)
 from ctsched.model import ActionNotEnabled, Ctmdp, CtmdpError
-from ctsched.product import TRAP_PAIR, build_product, product_table
+from ctsched.product import TRAP_PAIR, build_product
 from ctsched.simulate import RngHandle, make_rngs, sample_transition
 from test_pinned import PINNED_Q, PINNED_SCHEDULE, PINNED_STEPS
 
@@ -261,7 +261,7 @@ def test_env_rejects_a_pair_out_of_range(mars):
 @pytest.mark.parametrize("fixture", ["mars", "riskreward"])
 def test_env_rejects_a_pair_the_walk_never_reached(fixture, request):
     m, a, p = request.getfixturevalue(fixture)
-    env = product_table(m, a)
+    env = OnTheFlyProductEnv(m, a)
     assert (0, 2) not in p.pairs
     with pytest.raises(CtmdpError, match=r"\(0, 2\) is not reachable"):
         env.actions((0, 2))
@@ -269,8 +269,9 @@ def test_env_rejects_a_pair_the_walk_never_reached(fixture, request):
         env.sample((0, 2), (0, 2), RngHandle(0, "trajectory"))
     with pytest.raises(CtmdpError, match=r"\(0, 2\) is not reachable"):
         env.is_accepting((0, 2))
-    # the table holds the product's states and no more
-    assert env.pairs == list(p.pairs)
+    # the view holds the product's states and no more
+    assert env.p is p
+    assert list(env.ids) == list(p.pairs)
 
 
 def test_learn_sat_finds_the_accepting_trap():
@@ -321,10 +322,9 @@ def test_schedule_covers_visited_states():
 
 def test_learners_share_a_table_whose_rows_are_built():
     m, a = load_model("riskreward"), load_automaton("riskreward")
-    # build_product builds every reachable row of the model's one table
-    build_product(m, a)
-    env = product_table(m, a)
-    rows = (list(env.acts), list(env.succ), list(env.cum))
+    # build_product builds every reachable row of the model's one product
+    p = build_product(m, a)
+    rows = (list(p.acts), list(p.succ), list(p.cum))
     # the rows carry no learning state: two learners in turn on the table
     # each give the pinned run of a fresh one, and no row is built again
     for _ in range(2):
@@ -334,8 +334,8 @@ def test_learners_share_a_table_whose_rows_are_built():
         assert res.schedule == PINNED_SCHEDULE
         assert res.qtable.q == {k: float.fromhex(v)
                                 for k, v in PINNED_Q.items()}
-        assert product_table(m, a) is env
-        for before, now in zip(rows, (env.acts, env.succ, env.cum)):
+        assert build_product(m, a) is p
+        for before, now in zip(rows, (p.acts, p.succ, p.cum)):
             assert all(r is s for r, s in zip(before, now, strict=True))
 
 

@@ -297,7 +297,7 @@ def test_rows_are_built_by_the_edge_builder():
     assert {name for name, called in calls.items()
             if "Ctmdp.from_transitions" in called} == {
                 "model_lang.parse_model", "bruteforce.random_ctmdp"}
-    for name in ("product.__init__", "product.augment", "model.uniformize"):
+    for name in ("product._walk", "product.augment", "model.uniformize"):
         assert "ChoiceRows.of_edges" in calls[name], name
     assert {name for name, called in calls.items()
             if "ChoiceRows" in called} == {

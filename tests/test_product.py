@@ -11,17 +11,18 @@ import pytest
 
 import ctsched
 from ctsched.automata import BuchiAutomaton, Edge, GFalse, GTrue, step
-from ctsched.bruteforce import random_buchi, random_ctmdp
+from ctsched.bruteforce import (random_buchi, random_ctmdp,
+                                random_marked_product)
 from ctsched.check import esem_of, psem_of
 from ctsched.data import BENCH_PAIRS, load_automaton, load_model
 from ctsched.formats import ModelSource, parse_model
 from ctsched.learn import Hyperparams, learn_exp, learn_sat
 from ctsched.model import ChoiceRows, Ctmdp, CtmdpError
-from ctsched.product import (TRAP_ACTION, TRAP_PAIR, ApMismatch,
+from ctsched.product import (SINK_ACTION, TRAP_ACTION, TRAP_PAIR, ApMismatch,
                              OnTheFlyProductEnv, ProductCtmdp, _letters,
                              action_name, augment, build_product,
-                             product_table, project_schedule,
-                             schedule_from_ids, schedule_to_ids, state_name)
+                             project_schedule, schedule_from_ids,
+                             schedule_to_ids, state_name)
 from test_pinned import (PINNED_DECAY_ESTIMATE, PINNED_DECAY_Q,
                          PINNED_DECAY_SCHEDULE, PINNED_DECAY_STEPS, PINNED_Q,
                          PINNED_SCHEDULE, PINNED_STEPS)
@@ -275,12 +276,11 @@ def _exp_pins(m, a):
                           ("mars", "fig1", _exp_pins)])
 def test_sharing_the_table_changes_no_output(model, automaton, learn_pinned):
     pinned = PINNED_PRODUCTS[f"{model}x{automaton}"]
-    # a learner first: the table it made numbers its pairs by the walk, so
-    # the product takes the table's ids as they are
+    # a learner first: build_product returns the product the learner made
     m, a = load_model(model), load_automaton(automaton)
     learn_pinned(m, a)
     p = build_product(m, a)
-    assert product_table(m, a).pairs == list(p.pairs)
+    assert m.products == {id(a): p}
     assert _product_digest(p) == pinned
     learn_pinned(m, a)
     # the product first, then a learner, then the product again
@@ -303,25 +303,26 @@ def test_product_after_learners_is_pinned(perfbench):
 
 
 def test_a_model_and_its_tables_are_freed_without_the_cyclic_gc():
-    # the table keeps the model's choice rows, not the model, so that the
-    # model's own reference to its tables makes no cycle
+    # the product keeps no reference to the model, so that the model's own
+    # reference to its products makes no cycle
     gc.disable()
     try:
         m, a = load_model("mars"), load_automaton("fig1")
         p = build_product(m, a)
         learn_sat(m, a, Hyperparams(ep_n=20, ep_len=20), seed=0)
-        assert m.product_tables
-        model, table = weakref.ref(m), weakref.ref(product_table(m, a))
+        assert m.products == {id(a): p}
+        model, product = weakref.ref(m), weakref.ref(p)
         del m, p
         assert model() is None
-        assert table() is None
+        assert product() is None
     finally:
         gc.enable()
 
 
 def test_product_table_is_the_one_way_to_a_table():
-    # in the package only the accessor makes a table, and every caller
-    # that walks the product takes it from the accessor
+    # in the package only build_product walks the product, the pair-keyed
+    # view is made nowhere, and every caller that steps on the product
+    # takes it from build_product
     src = Path(ctsched.__file__).parent
     calls = {}
     for path in sorted(src.rglob("*.py")):
@@ -330,23 +331,23 @@ def test_product_table_is_the_one_way_to_a_table():
                 calls[f"{path.stem}.{node.name}"] = {
                     ast.unparse(x.func).split(".")[-1]
                     for x in ast.walk(node) if isinstance(x, ast.Call)}
-    making = {name for name, called in calls.items()
-              if "OnTheFlyProductEnv" in called}
-    assert making == {"product.product_table"}
-    made = sum(isinstance(x, ast.Call)
-               and ast.unparse(x.func).endswith("OnTheFlyProductEnv")
-               for path in src.rglob("*.py")
-               for x in ast.walk(ast.parse(path.read_text())))
-    assert made == 1
-    for name in ("learn.learn_sat", "learn.learn_exp",
-                 "product.build_product", "cli.cmd_simulate"):
-        assert "product_table" in calls[name], name
+    made = [ast.unparse(x.func).split(".")[-1]
+            for path in src.rglob("*.py")
+            for x in ast.walk(ast.parse(path.read_text()))
+            if isinstance(x, ast.Call)]
+    assert made.count("_walk") == 1
+    assert {name for name, called in calls.items()
+            if "_walk" in called} == {"product.build_product"}
+    assert "OnTheFlyProductEnv" not in made
+    for name in ("learn.learn_sat", "learn.learn_exp", "cli._build"):
+        assert "build_product" in calls[name], name
+    assert "_build" in calls["cli.cmd_simulate"]
 
 
 def test_the_table_is_built_whole_when_it_is_made():
-    # the table's constructor is the one walk over the product: it alone
-    # steps the automaton, and build_product wraps what the walk leaves,
-    # with no loop of its own and no read of a row index
+    # _walk is the one walk over the product: it alone steps the
+    # automaton, and build_product keeps what the walk returns, with no
+    # loop of its own and no read of a row index
     src = Path(ctsched.__file__).parent
     stepping = {f"{path.stem}.{node.name}"
                 for path in sorted(src.rglob("*.py"))
@@ -354,7 +355,7 @@ def test_the_table_is_built_whole_when_it_is_made():
                 if isinstance(node, ast.FunctionDef)
                 for x in ast.walk(node) if isinstance(x, ast.Call)
                 and ast.unparse(x.func).split(".")[-1] == "step"}
-    assert stepping == {"product.__init__"}
+    assert stepping == {"product._walk"}
     tree = ast.parse((src / "product.py").read_text())
     build = next(node for node in tree.body
                  if isinstance(node, ast.FunctionDef)
@@ -364,24 +365,87 @@ def test_the_table_is_built_whole_when_it_is_made():
         assert not (isinstance(x, ast.Attribute) and x.attr == "row")
     for model, automaton in BENCH_PAIRS:
         m, a = load_model(model), load_automaton(automaton)
-        env = OnTheFlyProductEnv(m, a)
-        for col in (env.acts, env.succ, env.cum):
-            assert len(col) == len(env.pairs)
-        assert env.pairs == list(build_product(m, a).pairs)
+        p = build_product(m, a)
+        for col in (p.acts, p.succ, p.cum):
+            assert len(col) == len(p.pairs) == p.num_states
 
 
 def test_build_product_leaves_the_learner_columns_unbuilt():
     # the product needs neither the learner's columns nor the model's row
     # index; a learner derives the columns, once, from the product's rows
     m, a = load_model("mars"), load_automaton("fig1")
-    build_product(m, a)
-    env = product_table(m, a)
+    p = build_product(m, a)
     columns = {"acts", "succ", "cum"}
-    assert not columns & vars(env).keys()
+    assert not columns & vars(p).keys()
     assert "row" not in vars(m.choices)
     learn_sat(m, a, Hyperparams(ep_n=5, ep_len=10), seed=0)
-    assert columns <= vars(env).keys()
+    assert columns <= vars(p).keys()
     assert "row" not in vars(m.choices)
+
+
+def test_build_product_returns_the_models_one_product(monkeypatch):
+    # the learners step on the product build_product returns, and derive
+    # its columns once, on that same object
+    m, a = load_model("mars"), load_automaton("fig1")
+    p = build_product(m, a)
+    assert build_product(m, a) is p
+    derived = []
+    by_slot = ProductCtmdp._by_slot
+
+    def counted(self, column, make):
+        derived.append(self)
+        return by_slot(self, column, make)
+
+    monkeypatch.setattr(ProductCtmdp, "_by_slot", counted)
+    hp = Hyperparams(ep_n=5, ep_len=10)
+    learn_sat(m, a, hp, seed=0)
+    columns = (p.acts, p.succ, p.cum)
+    learn_exp(m, a, hp, seed=1)
+    assert len(derived) == 3 and all(x is p for x in derived)
+    assert all(x is y for x, y in zip(columns, (p.acts, p.succ, p.cum)))
+    assert build_product(m, a) is p
+
+
+def _assert_columns_follow_the_rows(p):
+    """Each state has one slot per choice row, ordered by its action pair,
+    and a slot holds its row's successors and cumulative rates in model
+    state order; the trap and the sink have no model coordinates and
+    order as -1."""
+    def key(pair):
+        return tuple(-1 if x is None else x for x in pair)
+
+    ch = p.ctmdp.choices
+    for i in range(p.num_states):
+        rows = range(ch.start[i], ch.start[i + 1])
+        assert len(p.acts[i]) == len(p.succ[i]) == len(p.cum[i]) == len(rows)
+        want = {}
+        for r in rows:
+            b, e = ch.ptr[r], ch.ptr[r + 1]
+            entries = sorted(zip(ch.succ[b:e].tolist(), ch.rate[b:e].tolist()),
+                             key=lambda entry: key(p.pairs[entry[0]])[0])
+            want[p.action_pairs[ch.action[r]]] = (
+                tuple(t for t, _ in entries),
+                list(accumulate(rate for _, rate in entries)))
+        assert sorted(want, key=key) == list(p.acts[i])
+        assert [want[act] for act in p.acts[i]] == list(zip(p.succ[i],
+                                                             p.cum[i]))
+
+
+def test_learner_columns_follow_the_rows_of_every_product(mars, riskreward):
+    # an augmented product holds the sink's action (None, -1), and may hold
+    # the trap's (None, None) beside it; a random marked product has no
+    # walk behind it
+    products = [augment(p, 0.9).product for _, _, p in (mars, riskreward)]
+    rng = np.random.default_rng(27)
+    for _ in range(30):
+        m = random_ctmdp(rng, int(rng.integers(2, 8)), ap=("g", "p"))
+        marked = random_marked_product(rng)
+        products += [augment(build_product(m, random_buchi(rng)), 0.5).product,
+                     marked, augment(marked, 0.5).product]
+    assert any(SINK_ACTION in p.action_pairs and TRAP_ACTION in p.action_pairs
+               for p in products)
+    for p in products:
+        _assert_columns_follow_the_rows(p)
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +532,10 @@ def _assert_one_walk_matches_two_passes(m, a):
     for col in ("start", "state", "action", "ptr", "succ", "rate"):
         got, want = getattr(p.ctmdp.choices, col), getattr(choices, col)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    env = product_table(m, a)
-    assert _columns(env.acts, env.succ, env.cum) == _columns(*columns)
+    assert _columns(p.acts, p.succ, p.cum) == _columns(*columns)
     # the action pairs of some state outnumber its model actions
     return TRAP_PAIR in pairs, any(
-        len(row) > len({act for act, _ in row}) for row in env.acts)
+        len(row) > len({act for act, _ in row}) for row in p.acts)
 
 
 def test_one_walk_matches_the_two_passes(perfbench):

@@ -197,7 +197,8 @@ def test_race_picks_the_clamped_bisection(weights, scale, draw):
 
 def test_race_is_the_one_sampler():
     # only race inverts the exponential CDF and bisects cumulative rates,
-    # and the trainer draws dwells and successors only through it
+    # and the trainer and ctsched simulate draw dwells and successors only
+    # through it, stepping on the product's ids
     src = Path(ctsched.__file__).parent
     calling = {f"{path.stem}.{node.name}"
                for path in sorted(src.rglob("*.py"))
@@ -220,3 +221,12 @@ def test_race_is_the_one_sampler():
     reads = [x for x in ast.walk(train) if isinstance(x, ast.Name)
              and x.id == "traj" and isinstance(x.ctx, ast.Load)]
     assert reads and all(any(x is a for a in race_args) for x in reads)
+    tree = ast.parse((src / "cli.py").read_text())
+    simulate = next(n for n in tree.body if isinstance(n, ast.FunctionDef)
+                    and n.name == "cmd_simulate")
+    called = {ast.unparse(x.func) for x in ast.walk(simulate)
+              if isinstance(x, ast.Call)}
+    assert "race" in called
+    assert not {name for name in called
+                if name.split(".")[-1] in ("OnTheFlyProductEnv", "sample",
+                                           "sample_transition")}
