@@ -13,9 +13,9 @@ from .learn import (EXP_GAMMA, SAT_GAMMA, Hyperparams, LearnResult, QTable,
                     learn_exp, learn_sat)
 from .model import (Ctmdp, CtmdpError, Mec, MecSet, embed, mec_decompose,
                     uniformize, validate)
-from .product import (AugmentedProduct, OnTheFlyProductEnv, ProductCtmdp,
-                      Schedule, augment, build_product, project_schedule,
-                      schedule_from_ids, schedule_to_ids)
+from .product import (OnTheFlyProductEnv, ProductCtmdp, Schedule, augment,
+                      build_product, project_schedule, schedule_from_ids,
+                      schedule_to_ids)
 from .simulate import RngHandle, sample_transition
 
 __version__ = "0.1.0"

@@ -184,23 +184,25 @@ def _learn_and_grade(m: Ctmdp, a: BuchiAutomaton, p: ProductCtmdp,
 def cmd_learn(args) -> int:
     m, a, p = _build(args)
     hp = _hyperparams(args)
-    cells, best = _learn_and_grade(m, a, p, args.objective, hp, args)
+    # opened before any seed trains; appending keeps the file if a run fails
+    with _output(args.schedule_out, "a") as out:
+        cells, best = _learn_and_grade(m, a, p, args.objective, hp, args)
+        if args.schedule_out:
+            out.truncate(0)
+            write_schedule(m, best, out)
     name = args.model.rsplit("/", 1)[-1].rsplit(".", 1)[0]
     row = BenchRow(name=name, states=m.num_states, prod=p.num_states, **cells)
     sys.stdout.write(emit_result_table([row], fmt=args.format))
-    if args.schedule_out:
-        with _output(args.schedule_out) as fh:
-            write_schedule(m, best, fh)
     return 0
 
 
-def _output(path: Optional[str]):
-    """A context giving the file at ``path`` opened for writing, or stdout
+def _output(path: Optional[str], mode: str = "w"):
+    """A context giving the file at ``path`` opened in ``mode``, or stdout
     (left open) if there is no path."""
     if not path:
         return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w", encoding="utf-8")
+        return open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror}", EXIT_VALIDATION)
 
@@ -293,17 +295,18 @@ def _add_io_flags(sp):
 
 
 def _add_learn_flags(sp, runs: int):
+    hp = Hyperparams()
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--runs", type=int, default=runs)
     sp.add_argument("--format", choices=("csv", "table"), default="csv")
-    sp.add_argument("--zeta", type=float, default=0.99)
-    sp.add_argument("--episodes", type=int, default=20000)
-    sp.add_argument("--ep-len", dest="ep_len", type=int, default=300)
-    sp.add_argument("--beta", type=float, default=0.01)
-    sp.add_argument("--epsilon", type=float, default=0.1)
-    sp.add_argument("--gamma", type=float, default=None,
+    sp.add_argument("--zeta", type=float, default=hp.zeta)
+    sp.add_argument("--episodes", type=int, default=hp.ep_n)
+    sp.add_argument("--ep-len", dest="ep_len", type=int, default=hp.ep_len)
+    sp.add_argument("--beta", type=float, default=hp.beta)
+    sp.add_argument("--epsilon", type=float, default=hp.epsilon)
+    sp.add_argument("--gamma", type=float, default=hp.gamma,
                     help="per-step discount; default depends on the objective")
-    sp.add_argument("--tol", type=float, default=0.01)
+    sp.add_argument("--tol", type=float, default=hp.tol)
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -24,8 +24,9 @@ The parser compiles each guard, rate, update and label, as it reads it, into
 one closure over an environment: a dict holding the constants and the
 variables of one state.  Identifiers are looked up when the closure runs, so
 a constant may be declared after the module, and an expression that is never
-evaluated is never checked.  `parse_model` builds one environment per
-reachable state and evaluates every closure of that state against it.
+evaluated is never checked.  `parse_model` writes each state's variables
+into one environment as it reads that state, and, as the product walk does,
+appends each edge to the columns that `ChoiceRows.of_edges` takes.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..model import Ctmdp, validate
+from ..model import ChoiceRows, Ctmdp, validate
 
 
 @dataclass(frozen=True)
@@ -371,9 +372,10 @@ class _Parser:
     def parse_bound(self, var: Token, consts: Env) -> int:
         tok = self.peek()
         value = self.num_expr()(consts)
-        if not math.isfinite(value):
+        if not (math.isfinite(value) and value == int(value)):
+            what = "non-integer" if math.isfinite(value) else "non-finite"
             raise ModelSemanticError(
-                f"non-finite bound {value} for variable '{var.value}'",
+                f"{what} bound {value} for variable '{var.value}'",
                 tok.line, tok.col)
         return int(value)
 
@@ -436,13 +438,9 @@ def parse_model(src) -> Ctmdp:
 
     var_names = [v.name for v in variables]
     slots = {v.name: (i, v.lo, v.hi) for i, v in enumerate(variables)}
+    env: Env = dict(consts)  # and the variables of the state read last
 
-    def env_of(valuation) -> Env:
-        env = dict(consts)
-        env.update(zip(var_names, valuation))
-        return env
-
-    def apply_update(valuation, env: Env, assignments, cmd: _Command):
+    def apply_update(valuation, assignments, cmd: _Command):
         new = list(valuation)
         for name, expr in assignments:
             if name not in slots:
@@ -459,18 +457,18 @@ def parse_model(src) -> Ctmdp:
             new[i] = ivalue
         return tuple(new)
 
-    # Depth-first search from a stack: the state pushed last is expanded
-    # first.  States are numbered when first reached, so every state id, and
-    # with it the order of `transitions`, depends on this order.
+    # Depth-first search from a stack: the state pushed last is expanded first.
+    # States are numbered when first reached, so every state id, and with it
+    # the edge columns, follows this order; a state's edges keep source order.
     order = [tuple(v.init for v in variables)]
     state_ids: Dict[Tuple[int, ...], int] = {order[0]: 0}
-    envs = [env_of(order[0])]  # envs[s] is the environment of state s
     action_ids: Dict[str, int] = {}
-    transitions: List[Tuple[int, int, int, float]] = []
+    edge_s, edge_a, edge_t, edge_rate = [], [], [], []
     stack = [0]
     while stack:
         s = stack.pop()
-        valuation, env = order[s], envs[s]
+        valuation = order[s]
+        env.update(zip(var_names, valuation))
         for cmd in commands:
             if not cmd.guard(env):
                 continue
@@ -483,22 +481,27 @@ def parse_model(src) -> Ctmdp:
                         cmd.line, cmd.col)
                 if rate == 0:
                     continue
-                target = apply_update(valuation, env, assignments, cmd)
+                target = apply_update(valuation, assignments, cmd)
                 t = state_ids.get(target)
                 if t is None:
                     t = state_ids[target] = len(order)
                     order.append(target)
-                    envs.append(env_of(target))
                     stack.append(t)
-                transitions.append((s, a, t, rate))
+                edge_s.append(s)
+                edge_a.append(a)
+                edge_t.append(t)
+                edge_rate.append(rate)
 
-    state_names = tuple(",".join(f"{n}={v}" for n, v in zip(var_names, val))
-                        for val in order)
-    action_names = tuple(sorted(action_ids, key=action_ids.get))
-    state_labels = [frozenset(i for i, (_, expr) in enumerate(labels)
-                              if expr(env)) for env in envs]
-    m = Ctmdp.from_transitions(state_names, action_names, 0, transitions,
-                               ap=tuple(label_names), labels=state_labels)
+    state_labels = []
+    for valuation in order:  # after the exploration: update errors come first
+        env.update(zip(var_names, valuation))
+        state_labels.append(frozenset(i for i, (_, expr) in enumerate(labels)
+                                      if expr(env)))
+    rows = ChoiceRows.of_edges(len(order), edge_s, edge_a, edge_t, edge_rate)
+    m = Ctmdp(tuple(",".join(f"{n}={v}" for n, v in zip(var_names, val))
+                    for val in order),
+              tuple(sorted(action_ids, key=action_ids.get)), 0, rows,
+              tuple(label_names), tuple(state_labels))
     problems = validate(m)
     if problems:
         raise ModelSemanticError("; ".join(problems))

@@ -112,12 +112,6 @@ class ProductCtmdp:
                              lambda rates: list(accumulate(rates)))
 
 
-@dataclass(frozen=True)
-class AugmentedProduct:
-    product: ProductCtmdp      # the augmented model itself (sink included)
-    sink: int                  # product state id of t
-
-
 def _letters(m: Ctmdp, a: BuchiAutomaton) -> List[FrozenSet[int]]:
     """Each model state's label re-indexed into the automaton's AP space,
     with propositions matched by name."""
@@ -253,9 +247,10 @@ class OnTheFlyProductEnv:
         return p.pairs[t], dwell
 
 
-def augment(p: ProductCtmdp, zeta: float) -> AugmentedProduct:
+def augment(p: ProductCtmdp, zeta: float) -> ProductCtmdp:
     """Sink-state construction: accepting exits split into zeta / (1 - zeta);
-    the sink loops at rate 1."""
+    the sink loops at rate 1.  The sink is the augmented product's last
+    state, pair ``SINK_PAIR``, and its only accepting state."""
     if not (0.0 < zeta < 1.0):
         raise CtmdpError(f"zeta must lie in (0,1), got {zeta}")
     m, ch = p.ctmdp, p.ctmdp.choices
@@ -273,11 +268,9 @@ def augment(p: ProductCtmdp, zeta: float) -> AugmentedProduct:
               ch.exit[acc] * (1.0 - zeta), 1.0])
     ctmdp = Ctmdp(m.state_names + ("(sink)",), m.action_names + ("stay",),
                   m.initial, rows, m.ap, (*m.labels, frozenset()))
-    product = ProductCtmdp(ctmdp,
-                           p.pairs + (SINK_PAIR,),
-                           p.action_pairs + (SINK_ACTION,),
-                           frozenset({sink}), p.automaton)
-    return AugmentedProduct(product=product, sink=sink)
+    return ProductCtmdp(ctmdp, p.pairs + (SINK_PAIR,),
+                        p.action_pairs + (SINK_ACTION,), frozenset({sink}),
+                        p.automaton)
 
 
 # ---------------------------------------------------------------------------

@@ -103,9 +103,8 @@ def test_criterion_4_sink_reduction_oracle():
         bf_val, _ = brute_force_psem(p)
         bf_gap = max(bf_gap, abs(opt.value - bf_val))
         aug = augment(p, 0.99)
-        spec = accepting_rate_spec(aug.product.num_states,
-                                   aug.product.accepting)
-        _, sigma = average_optimal(aug.product.ctmdp, spec)
+        spec = accepting_rate_spec(aug.num_states, aug.accepting)
+        _, sigma = average_optimal(aug.ctmdp, spec)
         sched = schedule_from_ids(p, sigma[:p.num_states])
         worst = max(worst, opt.value - psem_of(p, sched).value)
     elapsed = time.perf_counter() - t0

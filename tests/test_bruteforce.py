@@ -51,7 +51,7 @@ def _products():
                          max_actions=2, ap=("g", "p"))
         p = build_product(m, random_buchi(rng, num_states=2))
         traps += TRAP_PAIR in p.pairs
-        for prod in (p, augment(p, 0.9).product):
+        for prod in (p, augment(p, 0.9)):
             try:
                 _gate(prod.ctmdp)
             except CtmdpError:

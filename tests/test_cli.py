@@ -4,9 +4,12 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from ctsched.cli import (EXIT_NUMERIC, EXIT_PARSE, EXIT_VALIDATION, main,
-                         read_schedule, write_schedule)
+from ctsched.cli import (EXIT_NUMERIC, EXIT_PARSE, EXIT_VALIDATION,
+                         _hyperparams, main, make_parser, read_schedule,
+                         write_schedule)
 from ctsched.check import psem_optimal
+from ctsched.learn import Hyperparams
+from ctsched.model import CtmdpError
 
 
 def _bundled(name: str) -> str:
@@ -343,6 +346,46 @@ def test_unwritable_output_exits_with_validation_code(paths, tmp_path, argv,
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err == \
         f"error: {out}: No such file or directory\n"
+
+def test_schedule_out_is_opened_before_any_seed_trains(paths, tmp_path,
+                                                      monkeypatch, capsys):
+    def untrained(*args, **kwargs):
+        raise AssertionError("the learner ran")
+
+    monkeypatch.setattr("ctsched.cli.learn_sat", untrained)
+    out = str(tmp_path / "missing" / "s.csv")
+    code = main(["learn", "--model", paths["mars.ctmdp"],
+                 "--automaton", paths["fig1.hoa"], "--schedule-out", out])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {out}: No such file or directory\n"
+    assert captured.out == ""
+
+
+def test_failed_learn_keeps_and_finished_learn_replaces_schedule_out(
+        paths, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "s.csv"
+    out.write_text("old contents\n")
+    argv = ["learn", "--model", paths["mars.ctmdp"], "--automaton",
+            paths["fig1.hoa"], "--episodes", "30", "--ep-len", "20",
+            "--schedule-out", str(out)]
+    with monkeypatch.context() as patch:
+        def failing(*args, **kwargs):
+            raise CtmdpError("learner failed")
+
+        patch.setattr("ctsched.cli.learn_sat", failing)
+        assert main(argv) == EXIT_VALIDATION
+    assert out.read_text() == "old contents\n"
+    assert main(argv) == 0
+    assert out.read_text().startswith("s,q,action,qnext\n")
+    assert "old contents" not in out.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["learn", "--model", "m.ctmdp", "--automaton", "a.hoa"], ["bench"]])
+def test_learn_flag_defaults_are_the_hyperparams_defaults(argv):
+    assert _hyperparams(make_parser().parse_args(argv)) == Hyperparams()
+
 
 def test_non_convergence_exits_with_numeric_code(paths, monkeypatch, capsys):
     # riskreward's ESem needs a second round to confirm its first switch

@@ -306,8 +306,15 @@ label "cond" = {cond[0]};
     (_HEAD + "[a] true -> r : true;\nendmodule\nconst double r = 3;\n", None),
     (_HEAD + "[a] true -> 1 : true;\n[b] z=1 & y=1 -> 1 : true;\nendmodule\n",
      None),
+    # labels are read after the exploration: an update out of range in the
+    # last state reached is reported before a label read in every state
+    (_HEAD + "[a] z=0 -> 1 : (z'=1);\n[a] z=1 -> 1 : (z'=2);\nendmodule\n"
+     "label \"p\" = y=1;\n", "5:1: update drives 'z' to 2.0, outside [0..1]"),
+    (_HEAD + "[a] z=0 -> 1 : (z'=1);\n[a] z=1 -> 1 : (z'=0);\nendmodule\n"
+     "label \"p\" = y=1;\n", "7:13: unknown identifier 'y'"),
 ], ids=["unknown-identifier", "unknown-variable", "out-of-range",
-        "const-after-module", "never-evaluated"])
+        "const-after-module", "never-evaluated", "update-before-label",
+        "label"])
 def test_lazy_lookup_and_update_errors(text, error):
     if error is None:
         assert parse_model(text).num_states == 1
@@ -433,8 +440,16 @@ def test_non_finite_rate_is_reported_before_any_numpy_warning():
     ("ctmdp\nlabel \"x\" = true;\n", "no module block"),
     (_HEAD + "[a] z=0 -> 1 : (z'=1);\nendmodule\n",
      "state z=1: no enabled action"),
+    # a bound is not truncated, as an update may not reach a non-integer
+    ("ctmdp\nmodule m\n z : [0..2.7] init 0;\n[a] true -> 1 : true;\n"
+     "endmodule\n", "3:10: non-integer bound 2.7 for variable 'z'"),
+    ("ctmdp\nmodule m\n z : [0..2] init 1.5;\n[a] true -> 1 : true;\n"
+     "endmodule\n", "3:18: non-integer bound 1.5 for variable 'z'"),
+    ("ctmdp\nmodule m\n z : [-0.5..2] init 0;\n[a] true -> 1 : true;\n"
+     "endmodule\n", "3:7: non-integer bound -0.5 for variable 'z'"),
 ], ids=["const-and-variable", "two-variables", "two-consts", "label", "no-variables",
-        "no-commands", "no-module", "validation"])
+        "no-commands", "no-module", "validation", "non-integer-upper",
+        "non-integer-init", "non-integer-lower"])
 def test_errors_point_at_their_token_or_nowhere(text, error):
     with pytest.raises(ModelError) as err:
         parse_model(text)

@@ -271,7 +271,7 @@ def test_mec_decompose_matches_recurrence_oracle():
                          max_actions=2, ap=("g", "p"))
         p = build_product(m, random_buchi(rng, num_states=2))
         traps += TRAP_PAIR in p.pairs
-        for prod in (p, augment(p, 0.5).product):
+        for prod in (p, augment(p, 0.5)):
             try:
                 _gate(prod.ctmdp)
             except CtmdpError:
@@ -283,8 +283,8 @@ def test_mec_decompose_matches_recurrence_oracle():
 
 
 def test_rows_are_built_by_the_edge_builder():
-    # in the package only the parser and the random models build from
-    # tuples, every other model is built by the edge builder, and rows
+    # in the package only the random models build from tuples, every other
+    # model, the parsed ones too, is built by the edge builder, and rows
     # are made by hand only where they are indexed, loop-freed or unioned
     src = Path(ctsched.__file__).parent
     calls = {}
@@ -296,8 +296,9 @@ def test_rows_are_built_by_the_edge_builder():
                     for x in ast.walk(node) if isinstance(x, ast.Call)}
     assert {name for name, called in calls.items()
             if "Ctmdp.from_transitions" in called} == {
-                "model_lang.parse_model", "bruteforce.random_ctmdp"}
-    for name in ("product._walk", "product.augment", "model.uniformize"):
+                "bruteforce.random_ctmdp"}
+    for name in ("model_lang.parse_model", "product._walk",
+                 "product.augment", "model.uniformize"):
         assert "ChoiceRows.of_edges" in calls[name], name
     assert {name for name, called in calls.items()
             if "ChoiceRows" in called} == {

@@ -152,14 +152,14 @@ def test_decaying_rate_learner_output_is_pinned(mars):
 
 def test_psem_optimal_schedule_is_pinned():
     p = build_product(load_model("polling2"), load_automaton("polling"))
-    opt = psem_optimal(augment(p, 0.99).product)
+    opt = psem_optimal(augment(p, 0.99))
     assert opt.schedule == PINNED_PSEM_SCHEDULE
 
 
 def test_psem_optimal_hazard_schedules_are_pinned(hazard_line):
     p, _ = hazard_line(30)
     assert psem_optimal(p).schedule == PINNED_HAZARD_SCHEDULE
-    opt = psem_optimal(augment(p, 0.99).product)
+    opt = psem_optimal(augment(p, 0.99))
     assert opt.schedule == {**PINNED_HAZARD_SCHEDULE, SINK_PAIR: SINK_ACTION}
 
 
@@ -171,7 +171,7 @@ def test_esem_optimal_schedules_are_pinned(pair):
 
 def test_esem_optimal_augmented_schedule_is_pinned():
     p = build_product(load_model("polling2"), load_automaton("polling"))
-    opt = esem_optimal(augment(p, 0.99).product)
+    opt = esem_optimal(augment(p, 0.99))
     assert opt.schedule == PINNED_ESEM_AUGMENTED_SCHEDULE
 
 

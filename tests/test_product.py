@@ -18,9 +18,9 @@ from ctsched.data import BENCH_PAIRS, load_automaton, load_model
 from ctsched.formats import ModelSource, parse_model
 from ctsched.learn import Hyperparams, learn_exp, learn_sat
 from ctsched.model import ChoiceRows, Ctmdp, CtmdpError
-from ctsched.product import (SINK_ACTION, TRAP_ACTION, TRAP_PAIR, ApMismatch,
-                             OnTheFlyProductEnv, ProductCtmdp, _letters,
-                             action_name, augment, build_product,
+from ctsched.product import (SINK_ACTION, SINK_PAIR, TRAP_ACTION, TRAP_PAIR,
+                             ApMismatch, OnTheFlyProductEnv, ProductCtmdp,
+                             _letters, action_name, augment, build_product,
                              project_schedule, schedule_from_ids,
                              schedule_to_ids, state_name)
 from test_pinned import (PINNED_DECAY_ESTIMATE, PINNED_DECAY_Q,
@@ -109,26 +109,27 @@ def test_augment_splits_accepting_exits(riskreward):
     _, _, p = riskreward
     zeta = 0.99
     aug = augment(p, zeta)
-    am = aug.product.ctmdp
-    assert am.num_states == p.num_states + 1
-    assert aug.product.accepting == frozenset({aug.sink})
+    am = aug.ctmdp
+    sink = am.num_states - 1
+    assert sink == p.num_states and aug.pairs[sink] == SINK_PAIR
+    assert aug.accepting == frozenset({sink})
     for (s, a), (succ, rates) in p.ctmdp.trans.items():
         asucc, arates = am.successors(s, a)
         lam = float(rates.sum())
         # exit rates are preserved by the split
         assert arates.sum() == pytest.approx(lam, rel=1e-12)
         if s in p.accepting:
-            assert aug.sink in asucc
-            i = list(asucc).index(aug.sink)
+            assert sink in asucc
+            i = list(asucc).index(sink)
             assert arates[i] == pytest.approx(lam * (1 - zeta))
             for t, r in zip(succ, rates):
                 j = list(asucc).index(int(t))
                 assert arates[j] == pytest.approx(float(r) * zeta)
         else:
-            assert aug.sink not in asucc
+            assert sink not in asucc
     # the sink is absorbing
-    succ, rates = am.successors(aug.sink, am.enabled(aug.sink)[0])
-    assert list(succ) == [aug.sink] and rates[0] == 1.0
+    succ, rates = am.successors(sink, am.enabled(sink)[0])
+    assert list(succ) == [sink] and rates[0] == 1.0
 
 
 def test_augment_keeps_trap_and_sink_apart():
@@ -138,15 +139,16 @@ def test_augment_keeps_trap_and_sink_apart():
     assert TRAP_PAIR in p.pairs
     trap = p.pairs.index(TRAP_PAIR)
     aug = augment(p, 0.99)
-    pairs, action_pairs = aug.product.pairs, aug.product.action_pairs
+    pairs, action_pairs = aug.pairs, aug.action_pairs
+    sink = aug.num_states - 1
     assert len(set(pairs)) == len(pairs)
     assert len(set(action_pairs)) == len(action_pairs)
-    assert aug.product.state_index()[TRAP_PAIR] == trap != aug.sink
+    assert aug.state_index()[TRAP_PAIR] == trap != sink
+    assert aug.state_index()[SINK_PAIR] == sink
     # schedules leave out only the trap; the sink keeps its stay action
-    sigma = np.array([aug.product.ctmdp.enabled(s)[0]
-                      for s in range(aug.product.num_states)])
-    sched = schedule_from_ids(aug.product, sigma)
-    assert TRAP_PAIR not in sched and pairs[aug.sink] in sched
+    sigma = np.array([aug.ctmdp.enabled(s)[0] for s in range(aug.num_states)])
+    sched = schedule_from_ids(aug, sigma)
+    assert TRAP_PAIR not in sched and pairs[sink] in sched
 
 
 def test_augment_rejects_bad_zeta(riskreward):
@@ -435,13 +437,13 @@ def test_learner_columns_follow_the_rows_of_every_product(mars, riskreward):
     # an augmented product holds the sink's action (None, -1), and may hold
     # the trap's (None, None) beside it; a random marked product has no
     # walk behind it
-    products = [augment(p, 0.9).product for _, _, p in (mars, riskreward)]
+    products = [augment(p, 0.9) for _, _, p in (mars, riskreward)]
     rng = np.random.default_rng(27)
     for _ in range(30):
         m = random_ctmdp(rng, int(rng.integers(2, 8)), ap=("g", "p"))
         marked = random_marked_product(rng)
-        products += [augment(build_product(m, random_buchi(rng)), 0.5).product,
-                     marked, augment(marked, 0.5).product]
+        products += [augment(build_product(m, random_buchi(rng)), 0.5),
+                     marked, augment(marked, 0.5)]
     assert any(SINK_ACTION in p.action_pairs and TRAP_ACTION in p.action_pairs
                for p in products)
     for p in products:
