@@ -4,14 +4,15 @@ time in accepting states).
 
 Everything reduces to linear algebra on chains read from the model's choice
 rows (``Ctmdp.choices``); each policy-iteration round scores every choice
-with one sparse product and switches in ``_improve``.  The chain a schedule
-induces is a CSR (``Chain``) that one builder, ``_induced``, gathers from
-the rows it plays with no self-loop entry; its systems are D - P, with the
-rate of leaving on D, so no diagonal is formed as 1 - p_ss.  The graph
-passes read its entries, and ``_factor`` is the one place that assembles
-and factors a system: dense LAPACK LU while it has at most ``_DENSE_MAX``
-unknowns, SuperLU on a CSC built straight from its entries above, so no
-large system is held dense:
+with one sparse product and switches in ``_improve``, which scans, in plain
+Python floats, only the states whose top score clears their tolerance.  The
+chain a schedule induces is a CSR (``Chain``) that one builder,
+``_induced``, gathers from the rows it plays with no self-loop entry; its
+systems are D - P, with the rate of leaving on D, so no diagonal is formed
+as 1 - p_ss.  The graph passes read its entries, and ``_factor`` is the one
+place that assembles and factors a system: dense LAPACK LU while it has at
+most ``_DENSE_MAX`` unknowns, SuperLU on a CSC built straight from its
+entries above, so no large system is held dense:
 
 * discounted values solve v = rho + Gamma P v, where Gamma(s) =
   lam(s, a) / (lam(s, a) + alpha) is the expected dwell discount;
@@ -37,9 +38,11 @@ large system is held dense:
 * acceptance probabilities combine the model's cached end-component masks
   (``ChoiceRows.mec``) with maximal reachability by policy iteration, one
   exact absorption solve per round; the one backward search,
-  ``_attractor``, breadth-first over the predecessor index, gives the
-  starting schedules and the closure of the states that can reach the
-  target, and a value outside [0, 1] raises.
+  ``_attractor``, breadth-first over the predecessor index in plain lists
+  (a per-level array pass pays its fixed cost once per level, and the
+  hazard line has about one level per state), gives the starting schedules
+  and the closure of the states that can reach the target, and a value
+  outside [0, 1] raises.
 """
 from __future__ import annotations
 
@@ -223,15 +226,27 @@ def _improve(ch: ChoiceRows, q: np.ndarray, rows: np.ndarray,
     """New rows after one step on the scores ``q`` (one per choice row): each
     state scans its rows in action order and leaves its incumbent ``rows[s]``
     only for a score above the best so far by more than its ``tol``, one
-    value for all states or one per state."""
+    value for all states or one per state.  Only the states whose top score
+    clears that bar are scanned, in plain Python floats: each one's scores
+    are one slice of ``q``, and their bounds, incumbents and tolerances one
+    list each."""
     best = q[rows]
     new = rows.copy()
     top = np.maximum.reduceat(q, ch.start[:-1])
-    for s in np.flatnonzero(top > best + tol).tolist():
-        margin = tol[s] if isinstance(tol, np.ndarray) else tol
-        for i in range(ch.start[s], ch.start[s + 1]):
-            if q[i] > best[s] + margin:
-                new[s], best[s] = i, q[i]
+    cand = np.flatnonzero(top > best + tol)
+    if not len(cand):   # every final round: skip the set-up below
+        return new
+    margins = (tol[cand].tolist() if isinstance(tol, np.ndarray)
+               else [float(tol)] * len(cand))
+    picks = []
+    for lo, hi, b, margin, pick in zip(
+            ch.start[cand].tolist(), ch.start[cand + 1].tolist(),
+            best[cand].tolist(), margins, rows[cand].tolist()):
+        for i, x in enumerate(q[lo:hi].tolist(), lo):
+            if x > b + margin:
+                pick, b = i, x
+        picks.append(pick)
+    new[cand] = picks
     return new
 
 
@@ -521,27 +536,38 @@ def _attractor(ch: ChoiceRows, allowed: np.ndarray, target: np.ndarray,
     ``allowed``, by breadth-first search over ``ch.preds``.  A state joins
     the level after the first that an allowed row of it enters, through its
     least such row, which goes into ``rows`` (a choice row per state) if
-    given."""
+    given.  The search runs on plain lists: ``inside`` marks the states
+    found, ``pick`` holds each joining state's least row so far (-1 before
+    it is hit), and a level's new states, in the order they are first hit,
+    are marked inside only once the level ends."""
     if target.all() or not target.any():
         return target.copy()
     pptr, prow, state = ch.preds
     ok = allowed.tolist()
+    inside = target.tolist()
+    pick = [-1] * len(inside)
     level = np.flatnonzero(target).tolist()
-    done = set(level)
-    picks: Dict[int, int] = {}    # the row of each state that joins
     while level:
-        first: Dict[int, int] = {}
+        new = []
         for t in level:
             for r in prow[pptr[t]:pptr[t + 1]]:
                 s = state[r]
-                if ok[r] and s not in done and r < first.get(s, r + 1):
-                    first[s] = r
-        done.update(first)
-        picks.update(first)
-        level = list(first)
+                if inside[s] or not ok[r]:
+                    continue
+                least = pick[s]
+                if least < 0:
+                    new.append(s)
+                    pick[s] = r
+                elif r < least:
+                    pick[s] = r
+        for s in new:
+            inside[s] = True
+        level = new
     if rows is not None:
-        rows[list(picks)] = list(picks.values())
-    return _mask(len(target), list(done))
+        joined = np.array(pick)
+        hit = joined >= 0
+        rows[hit] = joined[hit]
+    return np.array(inside)
 
 
 def _reach_probability(ch: ChoiceRows, rows: np.ndarray, target: np.ndarray,

@@ -220,15 +220,20 @@ def _values_csv(p: ProductCtmdp, result: CheckResult, out) -> None:
 def cmd_check(args) -> int:
     m, a, p = _build(args)
     _, optimize, grade = _objective(args.objective)
-    result = (grade(p, read_schedule(m, p, args.schedule)) if args.schedule
-              else optimize(p))
-    with _output(args.out) as fh:
-        _values_csv(p, result, fh)
-    label = "PSem" if args.objective == "sat" else "ESem"
-    sys.stdout.write(f"# {label}(initial) = {result.value:.9g}\n")
-    if args.schedule_out and result.schedule is not None:
-        with _output(args.schedule_out) as fh:
-            write_schedule(m, result.schedule, fh)
+    # both files open before the solve, the schedule's first, so a bad path
+    # exits before any output; appending keeps them if the solve fails
+    with _output(args.schedule_out, "a") as sched, \
+            _output(args.out, "a") as out:
+        result = (grade(p, read_schedule(m, p, args.schedule))
+                  if args.schedule else optimize(p))
+        if args.out:
+            out.truncate(0)
+        _values_csv(p, result, out)
+        label = "PSem" if args.objective == "sat" else "ESem"
+        sys.stdout.write(f"# {label}(initial) = {result.value:.9g}\n")
+        if args.schedule_out and result.schedule is not None:
+            sched.truncate(0)
+            write_schedule(m, result.schedule, sched)
     return 0
 
 

@@ -19,7 +19,7 @@ from ctsched.bruteforce import (_gate, brute_force_average,
                                 random_schedule)
 from ctsched.check import (BlackwellReport, Chain, ConvergenceError,
                            RewardSpec, _absorption, _attractor, _bsccs,
-                           _gather, _in_unit_interval, _induced,
+                           _gather, _improve, _in_unit_interval, _induced,
                            _policy_gain_bias, _reach_probability,
                            _recurrent_gain_bias,
                            accepting_rate_spec, alpha_from_gamma,
@@ -27,7 +27,7 @@ from ctsched.check import (BlackwellReport, Chain, ConvergenceError,
                            discounted_optimal, discounted_value, esem_of,
                            esem_optimal, psem_of, psem_optimal,
                            step_reward_spec, uniformized_reward_spec)
-from ctsched.model import Ctmdp, CtmdpError, uniformize
+from ctsched.model import ChoiceRows, Ctmdp, CtmdpError, uniformize
 from ctsched.product import (TRAP_PAIR, ProductCtmdp, build_product,
                               project_schedule, schedule_from_ids,
                               schedule_to_ids)
@@ -629,8 +629,27 @@ def _sweep_attractor(ch, allowed, target, rows):
         done |= set(sweep)
 
 
+def _late_least_rows(ch, allowed, target, picks):
+    """The number of states whose least joining row ``picks[s]`` a
+    level-by-level search over ``ch.preds`` meets only after a larger row of
+    the same state that enters the same level."""
+    pptr, prow, state = ch.preds
+    level, seen, late = sorted(target), set(target), 0
+    while level:
+        met = {}
+        for t in level:
+            for r in prow[pptr[t]:pptr[t + 1]]:
+                if r in allowed and state[r] not in seen:
+                    met.setdefault(state[r], r)
+        late += sum(r != picks[s] for s, r in met.items())
+        seen.update(met)
+        level = list(met)
+    return late
+
+
 def test_attractor_matches_the_sweep_reference():
     rng = np.random.default_rng(37)
+    late = 0
     for i in range(300):
         n = int(rng.integers(3, 30))
         m = random_ctmdp(rng, num_states=n, max_actions=3, ap=("g", "p"))
@@ -646,8 +665,9 @@ def test_attractor_matches_the_sweep_reference():
         target[rng.choice(n, int(rng.integers(1, n + 1)), replace=False)] = True
         rows = rng.integers(0, 3, n)
         want, got = rows.copy(), rows.copy()
-        closure = _sweep_attractor(ch, set(np.flatnonzero(allowed).tolist()),
-                                   set(np.flatnonzero(target).tolist()), want)
+        allowed_rows = set(np.flatnonzero(allowed).tolist())
+        targets = set(np.flatnonzero(target).tolist())
+        closure = _sweep_attractor(ch, allowed_rows, targets, want)
         mask = _attractor(ch, allowed, target, got)
         assert np.array_equal(np.flatnonzero(mask), sorted(closure))
         assert np.array_equal(got, want)
@@ -655,6 +675,66 @@ def test_attractor_matches_the_sweep_reference():
         # nothing reaches an empty target, and no entry of rows changes
         assert not _attractor(ch, allowed, target & False, got).any()
         assert np.array_equal(got, want)
+        late += _late_least_rows(ch, allowed_rows, targets, want.tolist())
+    # a search that kept the first row it met would fail these joins
+    assert late >= 20
+
+
+def _scan_reference(start, q, rows, tol):
+    """The improvement step as a plain scan of every state: a state leaves
+    its incumbent only for a score above the best so far by more than its
+    tolerance, ``tol`` or ``tol[s]``."""
+    new = rows.copy()
+    for s in range(len(start) - 1):
+        margin = tol[s] if isinstance(tol, np.ndarray) else tol
+        best = q[rows[s]]
+        for i in range(start[s], start[s + 1]):
+            if q[i] > best + margin:
+                new[s], best = i, q[i]
+    return new
+
+
+def test_improve_matches_the_sequential_scan():
+    rng = np.random.default_rng(43)
+    chains = 0
+    for i in range(400):
+        n = int(rng.integers(1, 12))
+        k = rng.integers(1, 5, n)
+        s = np.repeat(np.arange(n), k)
+        a = np.concatenate([np.arange(j) for j in k])
+        ch = ChoiceRows.of_edges(n, s, a, rng.integers(0, n, len(s)),
+                                 np.ones(len(s)))
+        start = ch.start
+        rows = start[:-1] + rng.integers(0, k)
+        # exact ties, spread scores and -inf rows, some whole states -inf
+        # as psem_optimal sets them on its settled region
+        q = np.where(rng.random(len(s)) < 0.5,
+                     rng.integers(0, 3, len(s)) / 2, rng.random(len(s)))
+        q[rng.random(len(s)) < 0.1] = -np.inf
+        q[np.isin(ch.state, rng.permutation(n)[:int(rng.integers(0, 3))])] \
+            = -np.inf
+        tol = [0.0, 1e-9, 0.05, 0.3][i % 4]
+        if i % 3 == 1:
+            tol = rng.random(n) * 0.2
+        elif i % 3 == 2:
+            tol = ctsched.check._TIE_TOL * q[rows]
+        # near-tie chains b, b + 1.5 t, b + 2 t from the incumbent: the
+        # scan keeps the middle row, where an argmax would take the last
+        for t in np.flatnonzero(k >= 3)[:2]:
+            margin = tol[t] if isinstance(tol, np.ndarray) else tol
+            if np.isfinite(margin) and margin > 0:
+                b = rng.random()
+                q[start[t]:start[t] + 3] = [b, b + 1.5 * margin, b + 2 * margin]
+                q[start[t] + 3:start[t + 1]] = -np.inf
+                rows[t] = start[t]
+        want = _scan_reference(start, q, rows, tol)
+        got = _improve(ch, q, rows, tol)
+        assert np.array_equal(got, want)
+        assert got is not rows
+        argmax = np.array([start[t] + np.argmax(q[start[t]:start[t + 1]])
+                           for t in range(n)])
+        chains += int(np.count_nonzero((want != rows) & (want != argmax)))
+    assert chains >= 20
 
 
 def test_induced_embedded_matches_the_row_loop():

@@ -362,6 +362,46 @@ def test_schedule_out_is_opened_before_any_seed_trains(paths, tmp_path,
     assert captured.out == ""
 
 
+def test_check_opens_both_outputs_before_the_solve(paths, tmp_path,
+                                                  monkeypatch, capsys):
+    def unsolved(p):
+        raise AssertionError("the checker ran")
+
+    monkeypatch.setattr("ctsched.cli.psem_optimal", unsolved)
+    values = tmp_path / "v.csv"
+    out = str(tmp_path / "missing" / "s.csv")
+    code = main(["check", "--model", paths["mars.ctmdp"],
+                 "--automaton", paths["fig1.hoa"], "--out", str(values),
+                 "--schedule-out", out])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {out}: No such file or directory\n"
+    assert captured.out == ""
+    assert not values.exists()
+
+
+def test_failed_check_keeps_and_finished_check_replaces_its_outputs(
+        paths, tmp_path, monkeypatch, capsys):
+    values, sched = tmp_path / "v.csv", tmp_path / "s.csv"
+    for f in (values, sched):
+        f.write_text("old contents\n")
+    argv = ["check", "--model", paths["mars.ctmdp"], "--automaton",
+            paths["fig1.hoa"], "--out", str(values), "--schedule-out",
+            str(sched)]
+    with monkeypatch.context() as patch:
+        def failing(p):
+            raise CtmdpError("checker failed")
+
+        patch.setattr("ctsched.cli.psem_optimal", failing)
+        assert main(argv) == EXIT_VALIDATION
+    assert values.read_text() == sched.read_text() == "old contents\n"
+    assert main(argv) == 0
+    assert values.read_text().startswith("state,s,q,value\n")
+    assert sched.read_text().startswith("s,q,action,qnext\n")
+    assert "old contents" not in values.read_text() + sched.read_text()
+    assert capsys.readouterr().out.startswith("# PSem(initial) = ")
+
+
 def test_failed_learn_keeps_and_finished_learn_replaces_schedule_out(
         paths, tmp_path, monkeypatch, capsys):
     out = tmp_path / "s.csv"
