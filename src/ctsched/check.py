@@ -41,8 +41,8 @@ entries above, so no large system is held dense:
   ``_attractor``, breadth-first over the predecessor index in plain lists
   (a per-level array pass pays its fixed cost once per level, and the
   hazard line has about one level per state), gives the starting schedules
-  and the closure of the states that can reach the target, and a value
-  outside [0, 1] raises.
+  and, once per optimization, the closure of the states that can reach the
+  target; a value outside [0, 1] raises.
 """
 from __future__ import annotations
 
@@ -570,18 +570,13 @@ def _attractor(ch: ChoiceRows, allowed: np.ndarray, target: np.ndarray,
     return np.array(inside)
 
 
-def _reach_probability(ch: ChoiceRows, rows: np.ndarray, target: np.ndarray,
-                       P: Optional[Chain] = None) -> np.ndarray:
-    """Probability of ever hitting the mask ``target`` in the chain that the
-    choice rows ``rows`` induce: 0 outside their attractor, else solved on
-    that chain, P if the caller has built it (``_induced`` of the rows at
-    scale ``exit``)."""
-    fixed = target | ~_attractor(ch, _mask(len(ch.state), rows), target)
-    if fixed.all():
-        return target.astype(float)
-    if P is None:
-        P = _induced(ch, rows, ch.exit[rows])
-    return _in_unit_interval(_absorption(P, fixed)(target.astype(float)))
+def _reach_probability(P: Chain, target: np.ndarray,
+                       closure: np.ndarray) -> np.ndarray:
+    """Probability of ever hitting the mask ``target`` in the jump chain P
+    (``_induced`` of its rows at scale ``exit``): 0 outside the mask
+    ``closure`` of the states that reach the target in P, else solved."""
+    return _in_unit_interval(
+        _absorption(P, target | ~closure)(target.astype(float)))
 
 
 def psem_of(p: ProductCtmdp, schedule: Schedule) -> CheckResult:
@@ -603,7 +598,8 @@ def _psem(ch: ChoiceRows, rows: np.ndarray,
     members, sizes = _bsccs(P)
     hit = np.logical_or.reduceat(accepting[members], np.cumsum(sizes) - sizes)
     good = _mask(len(rows), members[np.repeat(hit, sizes)])
-    return _reach_probability(ch, rows, good, P)
+    return _reach_probability(
+        P, good, _attractor(ch, _mask(len(ch.state), rows), good))
 
 
 def psem_optimal(p: ProductCtmdp) -> CheckResult:
@@ -616,8 +612,10 @@ def psem_optimal(p: ProductCtmdp) -> CheckResult:
     of the region, started from the attractor toward it over all enabled
     actions: each round solves the induced chain exactly and switches a
     state's action only when that strictly raises its value, so values
-    never drop and the final schedule attains them.  ``iterations`` counts
-    the rounds.  Raises ``CtmdpError`` if a state has no enabled action.
+    never drop, each round's chain reaches the region from every state of
+    that first attractor, where each round solves, and the final schedule
+    attains them.  ``iterations`` counts the rounds.  Raises ``CtmdpError``
+    if a state has no enabled action.
     """
     m = p.ctmdp
     ch = m.choices
@@ -636,10 +634,13 @@ def psem_optimal(p: ProductCtmdp) -> CheckResult:
     # a component's kept rows stay inside it, so one search over all of
     # them attracts and picks as one search per component would
     _attractor(ch, kept & settled, start, rows)
-    _attractor(ch, np.ones(len(ch.state), dtype=bool), target, rows)
+    closure = _attractor(ch, np.ones(len(ch.state), dtype=bool), target, rows)
+    # where only the region reaches it, every value is 0 or 1: no solve
+    solve = (closure > target).any()
 
     for rounds in range(1, _MAX_ROUNDS + 1):
-        v = _reach_probability(ch, rows, target)
+        v = (_reach_probability(_induced(ch, rows, ch.exit[rows]), target,
+                                closure) if solve else target.astype(float))
         q = _dot(ch, ch.prob, v)
         q[settled] = -np.inf     # the region keeps its schedule
         # relative to the incumbent's score, so that small values still

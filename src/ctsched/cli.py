@@ -68,13 +68,32 @@ def _load_automaton(path: str) -> BuchiAutomaton:
         raise CliError(f"{path}: {exc}", EXIT_PARSE)
 
 
-def _build(args) -> Tuple[Ctmdp, BuchiAutomaton, ProductCtmdp]:
+def _build(args, objective: Optional[str] = None
+           ) -> Tuple[Ctmdp, BuchiAutomaton, ProductCtmdp]:
+    """The model, the automaton and their product.  For the ``sat``
+    objective it refuses an automaton that guesses on a letter the model
+    produces: satisfaction values are exact only for automata that are good
+    for MDPs, and no check short of determinism tells those apart."""
     m = _load_model(args.model)
     a = _load_automaton(args.automaton)
     try:
         p = build_product(m, a)
     except CtmdpError as exc:
         raise CliError(str(exc), EXIT_VALIDATION)
+    if objective == "sat":
+        # the rows of one product state and model action differ in q' only
+        ch = p.ctmdp.choices
+        act = np.array([-1 if x is None else x for x, _ in p.action_pairs])
+        _, first, counts = np.unique(
+            np.stack((ch.state, act[ch.action]), axis=1), axis=0,
+            return_index=True, return_counts=True)
+        if (counts > 1).any():
+            i, k = first[counts > 1][0], counts[counts > 1][0]
+            raise CliError(
+                f"satisfaction needs a deterministic automaton: at product "
+                f"state {p.ctmdp.state_names[ch.state[i]]} it has {k} "
+                f"successors for action {m.action_names[act[ch.action[i]]]}",
+                EXIT_VALIDATION)
     return m, a, p
 
 
@@ -182,7 +201,7 @@ def _learn_and_grade(m: Ctmdp, a: BuchiAutomaton, p: ProductCtmdp,
 
 
 def cmd_learn(args) -> int:
-    m, a, p = _build(args)
+    m, a, p = _build(args, args.objective)
     hp = _hyperparams(args)
     # opened before any seed trains; appending keeps the file if a run fails
     with _output(args.schedule_out, "a") as out:
@@ -196,15 +215,27 @@ def cmd_learn(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
 def _output(path: Optional[str], mode: str = "w"):
     """A context giving the file at ``path`` opened in ``mode``, or stdout
-    (left open) if there is no path."""
+    (left open) if there is no path.  A file that it creates is removed
+    again if the command fails inside the context; one that existed stays."""
     if not path:
-        return contextlib.nullcontext(sys.stdout)
+        yield sys.stdout
+        return
+    created = not os.path.exists(path)
     try:
-        return open(path, mode, encoding="utf-8")
+        fh = open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror}", EXIT_VALIDATION)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def _values_csv(p: ProductCtmdp, result: CheckResult, out) -> None:
@@ -218,7 +249,7 @@ def _values_csv(p: ProductCtmdp, result: CheckResult, out) -> None:
 
 
 def cmd_check(args) -> int:
-    m, a, p = _build(args)
+    m, a, p = _build(args, args.objective)
     _, optimize, grade = _objective(args.objective)
     # both files open before the solve, the schedule's first, so a bad path
     # exits before any output; appending keeps them if the solve fails

@@ -3,7 +3,8 @@
 States and actions are dense integer ids; names live in side tables.  A
 model's one store is its state-major ``ChoiceRows``, built once from edge
 arrays by ``ChoiceRows.of_edges``; ``Ctmdp.trans`` is a read-only view of
-the rows in (s, a) order.  The rows compute their exit rates, a reverse
+the rows in (s, a) order, and a mapping given in its place goes through
+the same builder on first use.  The rows compute their exit rates, a reverse
 (predecessor) index for the checker's backward searches and the maximal
 end-components, as masks on the rows, on first use, once per model.  A
 model also keeps its products, one per automaton (``build_product``): each
@@ -87,18 +88,6 @@ class ChoiceRows(Mapping):
         state = s[first[ptr[:-1]]]
         return ChoiceRows(np.searchsorted(state, np.arange(num_states + 1)),
                           state, a[first[ptr[:-1]]], ptr, t[first], total)
-
-    @staticmethod
-    def of(trans: TransitionTable, num_states: int) -> "ChoiceRows":
-        keys = sorted(trans)
-        state = np.array([s for s, _ in keys], dtype=np.int64)
-        succ = [np.zeros(0, dtype=np.int64)] + [trans[k][0] for k in keys]
-        rates = [np.zeros(0)] + [trans[k][1] for k in keys]
-        return ChoiceRows(
-            start=np.searchsorted(state, np.arange(num_states + 1)),
-            state=state, action=np.array([a for _, a in keys], dtype=np.int64),
-            ptr=np.cumsum([len(x) for x in succ]), succ=np.concatenate(succ),
-            rate=np.concatenate(rates))
 
     def __getitem__(self, key: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
         i = self.row[key]
@@ -211,8 +200,8 @@ class Ctmdp:
 
     ``trans[(s, a)]`` is a pair ``(succ, rates)`` of equal-length arrays with
     strictly positive rates; the pair is present exactly when ``a`` is enabled
-    in ``s``; a built model's ``trans`` is its ``ChoiceRows``, and a dict
-    given in its place is indexed by ``ChoiceRows.of`` on first use.
+    in ``s``; a built model's ``trans`` is its ``ChoiceRows``, and a mapping
+    given in its place becomes rows on first use, by the one edge builder.
     ``labels[s]`` is the set of atomic-proposition indices that hold in ``s``
     (indices into ``ap``).
     """
@@ -231,10 +220,16 @@ class Ctmdp:
 
     @cached_property
     def choices(self) -> ChoiceRows:
-        """``trans`` if it is rows, else its rows, built on first use."""
+        """``trans`` if it is rows, else the rows of its entries' edges,
+        built on first use by ``ChoiceRows.of_edges``."""
         if isinstance(self.trans, ChoiceRows):
             return self.trans
-        return ChoiceRows.of(self.trans, self.num_states)
+        keys = np.array(list(self.trans), dtype=np.int64).reshape(-1, 2)
+        succ, rate = zip(*self.trans.values()) if len(keys) else ((), ())
+        return ChoiceRows.of_edges(
+            self.num_states, *keys.repeat([len(x) for x in succ], axis=0).T,
+            np.concatenate((np.zeros(0, dtype=np.int64), *succ)),
+            np.concatenate((np.zeros(0), *rate)))
 
     @cached_property
     def products(self) -> Dict[int, object]:
@@ -256,7 +251,7 @@ class Ctmdp:
 
     def successors(self, s: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
         try:
-            return self.trans[(s, a)]
+            return self.choices[(s, a)]
         except KeyError:
             raise ActionNotEnabled(s, a) from None
 

@@ -27,8 +27,9 @@ from ctsched.check import (BlackwellReport, Chain, ConvergenceError,
                            discounted_optimal, discounted_value, esem_of,
                            esem_optimal, psem_of, psem_optimal,
                            step_reward_spec, uniformized_reward_spec)
+from ctsched.data import BENCH_PAIRS, load_automaton, load_model
 from ctsched.model import ChoiceRows, Ctmdp, CtmdpError, uniformize
-from ctsched.product import (TRAP_PAIR, ProductCtmdp, build_product,
+from ctsched.product import (TRAP_PAIR, ProductCtmdp, augment, build_product,
                               project_schedule, schedule_from_ids,
                               schedule_to_ids)
 
@@ -359,6 +360,77 @@ def test_psem_optimal_decomposes_once_per_model(monkeypatch):
         comp[0] = -1
 
 
+def _reaching(P, target):
+    """The mask of the states of the chain P that reach the mask ``target``
+    over its entries, grown one sweep at a time."""
+    tail = np.repeat(np.arange(len(target)), np.diff(P.ptr))
+    can = target.copy()
+    while True:
+        grown = can.copy()
+        grown[tail[can[P.col]]] = True
+        if np.array_equal(grown, can):
+            return can
+        can = grown
+
+
+def _stiff_product(rng):
+    """A random marked product of 3-6 states, two actions per state, each
+    with 1-2 successors drawn from all states at rates uniform(0.5, 2)
+    times 10**k, k in -8..3."""
+    n = int(rng.integers(3, 7))
+    trans = [(s, a, int(t), float(rng.uniform(0.5, 2.0)
+                                  * 10.0 ** int(rng.integers(-8, 4))))
+             for s in range(n) for a in range(2)
+             for t in rng.choice(n, int(rng.integers(1, 3)), replace=False)]
+    m = Ctmdp.from_transitions(tuple(f"s{i}" for i in range(n)), ("a", "b"),
+                               0, trans)
+    accepting = frozenset(np.flatnonzero(rng.random(n) < 0.5).tolist())
+    return ProductCtmdp(m, tuple((s, 0) for s in range(n)),
+                        ((0, 0), (1, 0)), accepting)
+
+
+def test_psem_rounds_solve_on_the_closure_of_the_rows_they_play(
+        monkeypatch, hazard_line, polling_family):
+    # psem_optimal finds the states that reach the accepting-MEC region once,
+    # over all rows, and every round solves on that mask; values never drop,
+    # so it is also the closure of the rows each round plays
+    rounds = []
+    reach = ctsched.check._reach_probability
+
+    def replayed(P, target, closure):
+        assert np.array_equal(_reaching(P, target), closure)
+        rounds.append(P)
+        return reach(P, target, closure)
+    monkeypatch.setattr(ctsched.check, "_reach_probability", replayed)
+
+    def products():
+        for model, automaton in BENCH_PAIRS:
+            p = build_product(load_model(model), load_automaton(automaton))
+            yield from (p, augment(p, 0.99))
+        for n in (30, 200):
+            yield hazard_line(n)[0]
+        for k in (8, 20):
+            yield polling_family(k, lambda1=1.2, lambda2=0.8, mu=4.0)
+        rng = np.random.default_rng(59)
+        for _ in range(60):
+            yield random_marked_product(rng, int(rng.integers(3, 9)))
+            yield _two_sinks(rng, int(rng.integers(6, 13)))
+            m = random_ctmdp(rng, int(rng.integers(2, 9)), ap=("g", "p"))
+            yield build_product(m, random_buchi(rng, int(rng.integers(1, 4))))
+            yield _stiff_product(rng)
+
+    solved = 0
+    for p in products():
+        rounds.clear()
+        opt = psem_optimal(p)
+        # where only the region reaches it, a value is 0 or 1 with no solve
+        assert len(rounds) == opt.iterations or (
+            not rounds and opt.iterations == 1
+            and np.isin(opt.values, (0.0, 1.0)).all())
+        solved += opt.iterations > 1
+    assert solved >= 20
+
+
 def test_esem_optimal_matches_brute_force():
     rng = np.random.default_rng(59)
     for _ in range(10):
@@ -487,15 +559,18 @@ def _dense(P):
 
 def _reach(P, target):
     """``_reach_probability`` of the dense stochastic matrix P, through the
-    one-action model whose rates are the entries of P."""
+    one-action model whose rates are the entries of P, on the attractor of
+    its rows toward the target."""
     n = len(P)
     m = Ctmdp.from_transitions(
         tuple(f"s{i}" for i in range(n)), ("a",), 0,
         [(int(s), 0, int(t), P[s, t]) for s, t in zip(*np.nonzero(P))])
     ch = m.choices
+    rows = ch.start[:-1]
     mask = np.zeros(n, dtype=bool)
     mask[sorted(target)] = True
-    return _reach_probability(ch, ch.start[:-1], mask)
+    return _reach_probability(_induced(ch, rows, ch.exit[rows]), mask,
+                              _attractor(ch, np.ones(n, dtype=bool), mask))
 
 
 def _random_chain(rng, n):

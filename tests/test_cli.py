@@ -8,6 +8,7 @@ from ctsched.cli import (EXIT_NUMERIC, EXIT_PARSE, EXIT_VALIDATION,
                          _hyperparams, main, make_parser, read_schedule,
                          write_schedule)
 from ctsched.check import psem_optimal
+from ctsched.data import BENCH_PAIRS
 from ctsched.learn import Hyperparams
 from ctsched.model import CtmdpError
 
@@ -419,6 +420,109 @@ def test_failed_learn_keeps_and_finished_learn_replaces_schedule_out(
     assert main(argv) == 0
     assert out.read_text().startswith("s,q,action,qnext\n")
     assert "old contents" not in out.read_text()
+
+
+def test_failed_commands_remove_the_outputs_they_created(
+        paths, tmp_path, monkeypatch, capsys):
+    # an output file that a failing command created is removed again
+    sched = tmp_path / "s.csv"
+    missing = str(tmp_path / "missing" / "v.csv")
+    code = main(["check", "--model", paths["mars.ctmdp"], "--automaton",
+                 paths["fig1.hoa"], "--out", missing, "--schedule-out",
+                 str(sched)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == \
+        f"error: {missing}: No such file or directory\n"
+    assert not sched.exists()
+
+    def failing(*args, **kwargs):
+        raise CtmdpError("learner failed")
+
+    monkeypatch.setattr("ctsched.cli.learn_sat", failing)
+    code = main(["learn", "--model", paths["mars.ctmdp"], "--automaton",
+                 paths["fig1.hoa"], "--schedule-out", str(sched)])
+    assert code == EXIT_VALIDATION
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(paths)
+
+
+# The z model: z in {0, 1}, one action to either value at rate 1, and
+# label a = z=1.  Both automata accept every run of it, so PSem is 1; read
+# as a product, the guess of each one's first step gives 0.5.
+Z_MODEL = """ctmdp
+module z
+  z : [0..1] init 0;
+  [go] true -> 1 : (z'=0) + 1 : (z'=1);
+endmodule
+label "a" = z=1;
+"""
+GUESSING_HOA = """HOA: v1
+States: 4
+Start: 0
+AP: 1 "a"
+acc-name: Buchi
+Acceptance: 1 Inf(0)
+--BODY--
+State: 0
+[t] 1
+[t] 2
+State: 1
+[0] 3
+State: 2
+[!0] 3
+State: 3 {0}
+[t] 3
+--END--
+"""
+JUMP_HOA = """HOA: v1
+States: 3
+Start: 0
+AP: 1 "a"
+acc-name: Buchi
+Acceptance: 1 Inf(0)
+--BODY--
+State: 0
+[t] 0
+[t] 1
+State: 1
+[0] 2
+State: 2 {0}
+[t] 2
+--END--
+"""
+
+
+@pytest.mark.parametrize("hoa", [GUESSING_HOA, JUMP_HOA],
+                         ids=["guessing", "jump"])
+def test_satisfaction_refuses_a_nondeterministic_automaton(tmp_path, capsys,
+                                                           hoa):
+    model, automaton = tmp_path / "z.ctmdp", tmp_path / "a.hoa"
+    model.write_text(Z_MODEL)
+    automaton.write_text(hoa)
+    values = tmp_path / "v.csv"
+    io = ["--model", str(model), "--automaton", str(automaton)]
+    for argv in (["check", "--out", str(values)],
+                 ["learn", "--episodes", "10", "--schedule-out", str(values)]):
+        assert main(argv + io + ["--objective", "sat"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: satisfaction needs a deterministic automaton: at product "
+            "state (z=0,q0) it has 2 successors for action go\n")
+        assert not values.exists()
+    # expectation keeps the automaton as given
+    assert main(["check"] + io + ["--objective", "exp"]) == 0
+    assert "# ESem(initial) = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("model, automaton", BENCH_PAIRS)
+def test_the_bundled_automata_pass_the_determinism_check(tmp_path, model,
+                                                         automaton):
+    files = []
+    for name in (f"{model}.ctmdp", f"{automaton}.hoa"):
+        files.append(tmp_path / name)
+        files[-1].write_text(_bundled(name))
+    assert main(["check", "--model", str(files[0]), "--automaton",
+                 str(files[1]), "--objective", "sat"]) == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 import ctsched
 from ctsched.bruteforce import (_gate, brute_force_mec_pairs, random_buchi,
-                                random_ctmdp)
+                                random_ctmdp, random_marked_product)
 from ctsched.data import load_model
 from ctsched.model import (ActionNotEnabled, ChoiceRows, Ctmdp, CtmdpError,
                            embed, mec_decompose, uniformize, validate)
-from ctsched.product import TRAP_PAIR, augment, build_product
+from ctsched.product import (TRAP_PAIR, ProductCtmdp, augment,
+                              build_product)
 
 
 def two_state():
@@ -40,6 +41,22 @@ def test_from_transitions_drops_zero_and_rejects_negative_rates():
     assert list(succ) == [1]
     with pytest.raises(CtmdpError):
         Ctmdp.from_transitions(("s0",), ("a",), 0, [(0, 0, 0, -1.0)])
+
+
+def _rows_of(table, num_states):
+    """The rows of the transition dict ``table``, (s, a) -> (succ, rates),
+    as arrays in (s, a) order with each entry as given: the indexer that
+    the edge builder replaced, kept as the reference and to build rows that
+    nothing checks, sorts or adds up."""
+    keys = sorted(table)
+    state = np.array([s for s, _ in keys], dtype=np.int64)
+    succ = [np.zeros(0, dtype=np.int64)] + [table[k][0] for k in keys]
+    rates = [np.zeros(0)] + [table[k][1] for k in keys]
+    return ChoiceRows(
+        start=np.searchsorted(state, np.arange(num_states + 1)),
+        state=state, action=np.array([a for _, a in keys], dtype=np.int64),
+        ptr=np.cumsum([len(x) for x in succ]), succ=np.concatenate(succ),
+        rate=np.concatenate(rates))
 
 
 def _reference_table(transitions):
@@ -79,7 +96,7 @@ def test_the_edge_builder_matches_the_dict_of_dicts(case):
     n, transitions = case
     names = tuple(f"s{i}" for i in range(n))
     try:
-        want = ChoiceRows.of(_reference_table(transitions), n)
+        want = _rows_of(_reference_table(transitions), n)
     except CtmdpError as exc:
         with pytest.raises(CtmdpError, match=f"^{re.escape(str(exc))}$"):
             Ctmdp.from_transitions(names, ("a", "b", "c"), 0, transitions)
@@ -100,6 +117,67 @@ def test_the_edge_builder_matches_the_dict_of_dicts(case):
         assert key == key2
         assert succ.tobytes() == succ2.tobytes()
         assert rates.tobytes() == rates2.tobytes()
+
+
+def _jittered(rng):
+    """A random marked product, and its model's rows as a transition dict
+    in shuffled key order with every rate jittered by up to 2%."""
+    p = random_marked_product(rng, int(rng.integers(3, 9)), max_actions=3)
+    items = list(p.ctmdp.trans.items())
+    table = {key: (succ, r * (1.0 + 0.02 * (2.0 * rng.random(len(r)) - 1.0)))
+             for key, (succ, r) in (items[i] for i in
+                                    rng.permutation(len(items)))}
+    return p, table
+
+
+def test_a_dict_model_gets_its_rows_from_the_edge_builder():
+    # a mapping given as trans becomes rows on first use, not when the
+    # model is made, and they are the edge builder's rows on the same edges
+    rng = np.random.default_rng(61)
+    for _ in range(50):
+        p, table = _jittered(rng)
+        n = p.num_states
+        m = Ctmdp(p.ctmdp.state_names, p.ctmdp.action_names, 0, table)
+        assert "choices" not in m.__dict__
+        got = m.choices
+        edges = [(s, a, t, r) for (s, a), (succ, rates) in table.items()
+                 for t, r in zip(succ.tolist(), rates.tolist())]
+        built = ChoiceRows.of_edges(n, *np.array(edges).T[:3].astype(np.int64),
+                                    np.array(edges).T[3])
+        for want in (built, _rows_of(table, n)):
+            for col in ("start", "state", "action", "ptr", "succ", "rate",
+                        "exit"):
+                x, y = getattr(got, col), getattr(want, col)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), col
+        assert validate(m) == []
+
+
+def test_a_dict_that_lists_a_successor_twice_is_the_merged_model():
+    # the rates of a successor listed twice in one choice add up, as in
+    # from_transitions, so the checker sees the merged model
+    from ctsched.check import esem_optimal, psem_of, psem_optimal
+    rng = np.random.default_rng(67)
+    for _ in range(20):
+        p, table = _jittered(rng)
+        split = {}
+        for key, (succ, rates) in table.items():
+            cut = rng.uniform(0.1, 0.9, len(succ))
+            split[key] = (np.concatenate((succ, succ[::-1])),
+                          np.concatenate((rates * cut, (rates * (1 - cut))[::-1])))
+        merged = Ctmdp.from_transitions(
+            p.ctmdp.state_names, p.ctmdp.action_names, 0,
+            [(s, a, t, r) for (s, a), (succ, rates) in split.items()
+             for t, r in zip(succ.tolist(), rates.tolist())])
+        twice = Ctmdp(merged.state_names, merged.action_names, 0, split)
+        assert validate(twice) == []
+        pair = [ProductCtmdp(m, p.pairs, p.action_pairs, p.accepting)
+                for m in (twice, merged)]
+        schedule = psem_optimal(pair[1]).schedule
+        for got, want in ((psem_of(pair[0], schedule),
+                           psem_of(pair[1], schedule)),
+                          (esem_optimal(pair[0]), esem_optimal(pair[1]))):
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.schedule == want.schedule
 
 
 def test_enabled_and_disabled_actions():
@@ -184,11 +262,14 @@ def test_validate_flags_problems():
     assert any("no enabled action" in p for p in problems)
 
 
-def _with_choice(key):
-    """two_state() plus one choice under ``key``, a self-loop of rate 1."""
+def _with_choice(key, succ=(0,)):
+    """two_state() plus, or with in place of its own, one choice under
+    ``key`` that enters ``succ`` at rate 1 each (a self-loop on state 0 by
+    default), as rows built by hand."""
     m = two_state()
+    row = (np.array(succ, dtype=np.int64), np.ones(len(succ)))
     return Ctmdp(m.state_names, m.action_names, m.initial,
-                 {**m.trans, key: (np.array([0]), np.array([1.0]))})
+                 _rows_of({**m.trans, key: row}, m.num_states))
 
 
 def test_validate_reports_choice_ids_out_of_range():
@@ -201,12 +282,10 @@ def test_validate_reports_a_negative_action_id():
 
 
 def test_validate_reports_a_repeated_successor():
-    # from_transitions adds duplicate edges up; a table built by hand that
-    # lists a successor twice in one choice is reported
-    m = two_state()
-    m = Ctmdp(m.state_names, m.action_names, m.initial,
-              {**m.trans, (1, 0): (np.array([0, 1, 0]), np.ones(3))})
-    assert validate(m) == ["(s1, a): repeated successor"]
+    # every builder adds duplicate edges up; rows built by hand that list a
+    # successor twice in one choice are reported
+    assert validate(_with_choice((1, 0), (0, 1, 0))) == [
+        "(s1, a): repeated successor"]
 
 
 def test_validate_reports_labels_short_of_the_state_count():
@@ -284,8 +363,9 @@ def test_mec_decompose_matches_recurrence_oracle():
 
 def test_rows_are_built_by_the_edge_builder():
     # in the package only the random models build from tuples, every other
-    # model, the parsed ones too, is built by the edge builder, and rows
-    # are made by hand only where they are indexed, loop-freed or unioned
+    # model, the parsed ones and those given a transition dict too, is built
+    # by the edge builder, and rows are made by hand only where they are
+    # loop-freed or unioned
     src = Path(ctsched.__file__).parent
     calls = {}
     for path in sorted(src.rglob("*.py")):
@@ -298,11 +378,11 @@ def test_rows_are_built_by_the_edge_builder():
             if "Ctmdp.from_transitions" in called} == {
                 "bruteforce.random_ctmdp"}
     for name in ("model_lang.parse_model", "product._walk",
-                 "product.augment", "model.uniformize"):
+                 "product.augment", "model.uniformize", "model.choices"):
         assert "ChoiceRows.of_edges" in calls[name], name
     assert {name for name, called in calls.items()
             if "ChoiceRows" in called} == {
-                "model.of_edges", "model.of", "bruteforce._space"}
+                "model.of_edges", "bruteforce._space"}
     # loop_free and embed keep the rows' entries and replace their columns
     assert "replace" in calls["model.loop_free"]
     assert "replace" in calls["model.embed"]
