@@ -12,7 +12,9 @@ systems are D - P, with the rate of leaving on D, so no diagonal is formed
 as 1 - p_ss.  The graph passes read its entries, and ``_factor`` is the one
 place that assembles and factors a system: dense LAPACK LU while it has at
 most ``_DENSE_MAX`` unknowns, SuperLU on a CSC built straight from its
-entries above, so no large system is held dense:
+entries above, with column panels of 1 (about 5 entries per row leave
+its supernodal panels nothing to block; ``_factor`` gives the measured
+sizes), so no large system is held dense:
 
 * discounted values solve v = rho + Gamma P v, where Gamma(s) =
   lam(s, a) / (lam(s, a) + alpha) is the expected dwell discount;
@@ -24,12 +26,13 @@ entries above, so no large system is held dense:
   best-paying row wherever the step reward is maximal and steers every
   other state toward those states along the reachability attractor;
 * grading a schedule runs its optimizer's evaluation step on the rows the
-  schedule plays, so grading an ESem, average or discounted optimum
-  reproduces it bit for bit; grading a PSem optimum agrees to a few ulps
-  only, since ``psem_of`` solves toward the played chain's good bottom
-  classes and ``psem_optimal`` toward the accepting-MEC region; the
-  brute-force oracles run the same row-level steps (``_psem``,
-  ``_average``, ``_discounted``) once on the union of every schedule's chain;
+  schedule plays (``product.schedule_rows`` of a pair-keyed one), so
+  grading an ESem, average or discounted optimum reproduces it bit for
+  bit; grading a PSem optimum agrees to a few ulps only, since
+  ``psem_of`` solves toward the played chain's good bottom classes and
+  ``psem_optimal`` toward the accepting-MEC region; the brute-force
+  oracles run the same row-level steps (``_psem``, ``_average``,
+  ``_discounted``) once on the union of every schedule's chain;
 * the gains and biases of all recurrent classes are one square solve of
   the pinned system: the classes are closed, so their blocks of D - P
   decouple; in each, h is 0 at one state, whose column carries the
@@ -57,7 +60,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .model import ChoiceRows, Ctmdp, CtmdpError
-from .product import ProductCtmdp, Schedule, schedule_from_ids, schedule_to_ids
+from .product import ProductCtmdp, Schedule, schedule_from_ids, schedule_rows
 
 _TIE_TOL = 1e-9
 # strict improvement ends in exact arithmetic; the cap stops a policy
@@ -288,8 +291,20 @@ def _factor(P: Chain, t: np.ndarray, f: np.ndarray,
     getrf and getrs, called directly to skip the wrapper cost that
     dominates on small chains; otherwise they are sorted by column, then
     row, into a canonical CSC for SuperLU (``splu``, default COLAMD
-    ordering), which skips scipy's COO conversion.  A singular A raises
-    ``np.linalg.LinAlgError`` on both.
+    ordering), which skips scipy's COO conversion.  SuperLU runs with
+    ``panel_size=1``: its default panels of 10 columns pay off on dense-ish
+    column structure, not on these chains of about 5 entries per row.
+    Factoring the solvers' own systems alternately with and without it in
+    one process (unscaled, 2 shared cores, two runs), a factorization took
+    0.80-0.91 -> 0.73-0.79 ms at polling K=20 (443 unknowns), 3.1-3.6 ->
+    2.6-2.9 ms at K=40 (1,683), 23-31 -> 20-26 ms at K=100 (10,203),
+    0.9-1.1 -> 0.6-0.7 ms on the hazard line at N=3000 (3,001) and 37-45 ->
+    20-22 ms at N=10^5 (100,001); the brute-force unions of the benchmark's
+    random products (129 to 924 unknowns) took 17% less in all.
+    ``relax=1`` on top saved 6-9% more at polling K=20 and K=40, was mixed
+    at K=100 and flat on the hazard line, and cost 6% on those unions, so
+    the relaxed supernodes keep their default.  A singular A raises
+    ``np.linalg.LinAlgError`` on both branches.
     """
     n, k = len(P.ptr) - 1, len(t)
     counts, entries = _entries(P.ptr, t)
@@ -325,7 +340,8 @@ def _factor(P: Chain, t: np.ndarray, f: np.ndarray,
     order = np.lexsort((rows, cols))
     ptr = np.concatenate(([0], np.bincount(cols, minlength=k).cumsum()))
     try:
-        lu = splu(csc_array((vals[order], rows[order], ptr), shape=(k, k)))
+        lu = splu(csc_array((vals[order], rows[order], ptr), shape=(k, k)),
+                  panel_size=1)
     except RuntimeError as exc:     # "Factor is exactly singular"
         raise np.linalg.LinAlgError(str(exc)) from None
     return lu.solve, couple
@@ -583,8 +599,8 @@ def psem_of(p: ProductCtmdp, schedule: Schedule) -> CheckResult:
     """Probability of visiting accepting states infinitely often under a
     fixed schedule."""
     ch = p.ctmdp.choices
-    rows = ch.lookup(schedule_to_ids(p, schedule))
-    values = _psem(ch, rows, _mask(p.num_states, list(p.accepting)))
+    values = _psem(ch, schedule_rows(p, schedule),
+                   _mask(p.num_states, list(p.accepting)))
     return CheckResult(values=values, schedule=schedule,
                        initial=p.ctmdp.initial)
 
@@ -657,10 +673,12 @@ def psem_optimal(p: ProductCtmdp) -> CheckResult:
 
 def esem_of(p: ProductCtmdp, schedule: Schedule) -> CheckResult:
     """Long-run fraction of time in accepting states under a fixed schedule."""
-    sigma = schedule_to_ids(p, schedule)
-    spec = accepting_rate_spec(p.num_states, p.accepting)
-    values = _in_unit_interval(average_value(p.ctmdp, spec, sigma))
-    return CheckResult(values=values, schedule=schedule, initial=p.ctmdp.initial)
+    m = p.ctmdp
+    rows = schedule_rows(p, schedule)
+    cap = m.max_exit_rate
+    r = _step_rewards(m, accepting_rate_spec(p.num_states, p.accepting), cap)
+    values = _in_unit_interval(_average(m.choices, rows, r[rows], cap))
+    return CheckResult(values=values, schedule=schedule, initial=m.initial)
 
 
 def esem_optimal(p: ProductCtmdp) -> CheckResult:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -50,7 +51,9 @@ class ChoiceRows(Mapping):
     model, entered at ``rate`` or with jump probability ``prob``.  The
     reverse index ``preds`` lists, for each state, the rows that have it
     among their successors.  As a mapping, in row order, they take (s, a)
-    to its row's (successors, rates), views of ``succ`` and ``rate``."""
+    to its row's (successors, rates), views of ``succ`` and ``rate``;
+    ``values`` and ``items`` are lists, built in one pass over the rows,
+    which never change."""
 
     start: np.ndarray
     state: np.ndarray
@@ -99,6 +102,15 @@ class ChoiceRows(Mapping):
 
     def __len__(self) -> int:
         return len(self.state)
+
+    def values(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        ptr, succ, rate = self.ptr.tolist(), self.succ, self.rate
+        return [(succ[lo:hi], rate[lo:hi]) for lo, hi in zip(ptr, ptr[1:])]
+
+    def items(self) -> List[Tuple[Tuple[int, int],
+                                  Tuple[np.ndarray, np.ndarray]]]:
+        keys = zip(self.state.tolist(), self.action.tolist())
+        return list(zip(keys, self.values()))
 
     @cached_property
     def exit(self) -> np.ndarray:
@@ -180,18 +192,25 @@ class ChoiceRows(Mapping):
                 return kept, comp
             kept = pruned
 
+    def rows_at(self, actions: Iterable) -> np.ndarray:
+        """The row of (s, ``actions[s]``) for each state s in turn, -1 where
+        s does not enable that action: one C-level ``map`` over ``row``."""
+        return np.array(list(map(self.row.get, enumerate(actions),
+                                 repeat(-1))), dtype=np.int64)
+
     def lookup(self, sigma: np.ndarray) -> np.ndarray:
         """The row that the schedule ``sigma`` (an action id per state)
         plays in each state; raises if it picks a disabled action."""
         if len(sigma) != len(self.start) - 1:
             raise CtmdpError("schedule length does not match state count")
-        keys = enumerate(np.asarray(sigma).tolist())
-        try:
-            return np.array([self.row[key] for key in keys], dtype=np.int64)
-        except KeyError as exc:
-            s, a = exc.args[0]
+        sigma = np.asarray(sigma).tolist()
+        rows = self.rows_at(sigma)
+        bad = np.flatnonzero(rows < 0)
+        if len(bad):
+            s = int(bad[0])
             raise CtmdpError(
-                f"schedule picks disabled action {a} in state {s}") from None
+                f"schedule picks disabled action {sigma[s]} in state {s}")
+        return rows
 
 
 @dataclass(frozen=True)

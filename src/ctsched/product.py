@@ -11,7 +11,9 @@ automaton.  ``build_product(m, a)`` keeps the product it makes in
 ``m.products``, one per automaton, so that the checker, both learners and
 ``ctsched simulate`` share it; the learners and ``ctsched simulate`` step on
 its ids through the columns it derives from its rows on first use.
-``OnTheFlyProductEnv`` is the same product keyed by pairs.
+``OnTheFlyProductEnv`` is the same product keyed by pairs, and
+``schedule_rows`` is the one mapping from a pair-keyed schedule to the
+choice rows it plays, which the graders and ``schedule_to_ids`` read.
 """
 from __future__ import annotations
 
@@ -279,34 +281,42 @@ def augment(p: ProductCtmdp, zeta: float) -> ProductCtmdp:
 Schedule = Dict[StatePair, ActionPair]
 
 
-def schedule_to_ids(p: ProductCtmdp, schedule: Schedule) -> np.ndarray:
-    """Pair-keyed schedule -> per-product-state action ids.
+def schedule_rows(p: ProductCtmdp, schedule: Schedule) -> np.ndarray:
+    """Pair-keyed schedule -> the choice row it plays in each product state:
+    the one mapping from pairs to rows.
 
-    States absent from the schedule get their lowest-id enabled action; an
-    entry whose action is not enabled at its state raises CtmdpError.
+    States absent from the schedule play their first row, that of their
+    lowest-id enabled action; an entry whose action is not enabled at its
+    state, or a state without rows, raises CtmdpError at the first such
+    state.  One C-level pass maps every pair to its row; only the states
+    it finds no row for are looked at again.
     """
-    action_index = p.action_index()
     ch = p.ctmdp.choices
-    start, action, enabled = ch.start.tolist(), ch.action.tolist(), ch.row
-    out = []
-    for i, pair in enumerate(p.pairs):
+    rows = ch.rows_at(map(p.action_index().get, map(schedule.get, p.pairs)))
+    for i in np.flatnonzero(rows < 0).tolist():
+        pair = p.pairs[i]
         choice = schedule.get(pair)
-        if choice is not None:
-            j = action_index.get(choice, -1)
-        else:   # the action of the state's first row, if it has one
-            j = action[start[i]] if start[i] < start[i + 1] else -1
-        if (i, j) not in enabled:
+        first, end = ch.start[i:i + 2].tolist()
+        if choice is not None or first == end:
             raise CtmdpError(f"schedule action {choice} is not enabled at "
                              f"product state {pair}")
-        out.append(j)
-    return np.array(out, dtype=np.int64)
+        rows[i] = first
+    return rows
+
+
+def schedule_to_ids(p: ProductCtmdp, schedule: Schedule) -> np.ndarray:
+    """Pair-keyed schedule -> per-product-state action ids: the actions of
+    ``schedule_rows``."""
+    return p.ctmdp.choices.action[schedule_rows(p, schedule)]
 
 
 def schedule_from_ids(p: ProductCtmdp, sigma: np.ndarray) -> Schedule:
-    acts = p.action_pairs
-    return {pair: acts[j]
-            for pair, j in zip(p.pairs, sigma.tolist(), strict=True)
-            if pair != TRAP_PAIR}
+    """Per-product-state action ids -> pair-keyed schedule, in state order,
+    leaving out the trap."""
+    schedule = dict(zip(p.pairs, map(p.action_pairs.__getitem__,
+                                     sigma.tolist()), strict=True))
+    schedule.pop(TRAP_PAIR, None)
+    return schedule
 
 
 def project_schedule(p: ProductCtmdp, schedule: Schedule) -> Dict[Tuple[int, int], int]:

@@ -1098,8 +1098,8 @@ def test_factor_hands_superlu_a_canonical_csc_and_branches_on_k(
     splu, dgetrf = check.splu, check.dgetrf
     # copies: splu sorts a CSC's indices in place
     monkeypatch.setattr(check, "splu",
-                        lambda A: handed.append(("sparse", A.copy()))
-                        or splu(A))
+                        lambda A, **kw: handed.append(("sparse", A.copy()))
+                        or splu(A, **kw))
     monkeypatch.setattr(check, "dgetrf",
                         lambda A: handed.append(("dense", A.copy()))
                         or dgetrf(A))

@@ -1,6 +1,7 @@
 """Core model structures: construction, embedding, uniformization, MECs."""
 import ast
 import re
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import ctsched
 from ctsched.bruteforce import (_gate, brute_force_mec_pairs, random_buchi,
                                 random_ctmdp, random_marked_product)
-from ctsched.data import load_model
+from ctsched.data import BENCH_PAIRS, load_automaton, load_model
 from ctsched.model import (ActionNotEnabled, ChoiceRows, Ctmdp, CtmdpError,
                            embed, mec_decompose, uniformize, validate)
 from ctsched.product import (TRAP_PAIR, ProductCtmdp, augment,
@@ -178,6 +179,29 @@ def test_a_dict_that_lists_a_successor_twice_is_the_merged_model():
                           (esem_optimal(pair[0]), esem_optimal(pair[1]))):
             assert got.values.tobytes() == want.values.tobytes()
             assert got.schedule == want.schedule
+
+
+def test_values_and_items_match_the_mapping_methods(perfbench,
+                                                     polling_family):
+    # one pass over the rows gives what Mapping's own methods give through
+    # __getitem__: the same keys in row order, and views of succ and rate
+    rates = perfbench("families").polling_params(np.random.default_rng(1))
+    models = [polling_family(8, **rates).ctmdp]
+    for model, hoa in BENCH_PAIRS:
+        p = build_product(load_model(model), load_automaton(hoa))
+        models += [p.ctmdp, augment(p, 0.99).ctmdp]
+    for m in models:
+        ch = m.choices
+        values, items = ch.values(), ch.items()
+        assert len(values) == len(items) == len(Mapping.values(ch)) == len(ch)
+        assert [key for key, _ in items] == list(Mapping.keys(ch))
+        assert all(type(x) is int for key, _ in items for x in key)
+        for value, (_, item), want in zip(values, items, Mapping.values(ch),
+                                          strict=True):
+            for got in (value, item):
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+                assert got[0].base is ch.succ and got[1].base is ch.rate
 
 
 def test_enabled_and_disabled_actions():

@@ -3,6 +3,7 @@ import ast
 import gc
 import hashlib
 import weakref
+from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 import ctsched
 from ctsched.automata import BuchiAutomaton, Edge, GFalse, GTrue, step
 from ctsched.bruteforce import (random_buchi, random_ctmdp,
-                                random_marked_product)
+                                random_marked_product, random_schedule)
 from ctsched.check import esem_of, psem_of
 from ctsched.data import BENCH_PAIRS, load_automaton, load_model
 from ctsched.formats import ModelSource, parse_model
@@ -22,7 +23,7 @@ from ctsched.product import (SINK_ACTION, SINK_PAIR, TRAP_ACTION, TRAP_PAIR,
                              ApMismatch, OnTheFlyProductEnv, ProductCtmdp,
                              _letters, action_name, augment, build_product,
                              project_schedule, schedule_from_ids,
-                             schedule_to_ids, state_name)
+                             schedule_rows, schedule_to_ids, state_name)
 from test_pinned import (PINNED_DECAY_ESTIMATE, PINNED_DECAY_Q,
                          PINNED_DECAY_SCHEDULE, PINNED_DECAY_STEPS, PINNED_Q,
                          PINNED_SCHEDULE, PINNED_STEPS)
@@ -197,6 +198,102 @@ def test_schedule_to_ids_rejects_a_state_without_rows():
         schedule_to_ids(p, {})
     with pytest.raises(CtmdpError, match=r"\(0, 0\) is not enabled.*\(1, 0\)"):
         schedule_to_ids(p, {(1, 0): (0, 0)})
+
+
+def _two_pass_rows(p, schedule):
+    """The reference for ``schedule_rows``: a pass in plain Python from
+    pairs to action ids, with the same fallback and error, then
+    ``ChoiceRows.lookup``'s dict lookup per state."""
+    action_index = p.action_index()
+    ch = p.ctmdp.choices
+    start, action, enabled = ch.start.tolist(), ch.action.tolist(), ch.row
+    out = []
+    for i, pair in enumerate(p.pairs):
+        choice = schedule.get(pair)
+        if choice is not None:
+            j = action_index.get(choice, -1)
+        else:   # the action of the state's first row, if it has one
+            j = action[start[i]] if start[i] < start[i + 1] else -1
+        if (i, j) not in enabled:
+            raise CtmdpError(f"schedule action {choice} is not enabled at "
+                             f"product state {pair}")
+        out.append(j)
+    return np.array([enabled[key] for key in enumerate(out)], dtype=np.int64)
+
+
+def _without_rows(p, s):
+    """``p`` with every row of state ``s`` taken out."""
+    ch = p.ctmdp.choices
+    keep = ch.state[ch.edge_row] != s
+    rows = ChoiceRows.of_edges(
+        p.num_states, ch.state[ch.edge_row][keep],
+        ch.action[ch.edge_row][keep], ch.succ[keep], ch.rate[keep])
+    return ProductCtmdp(replace(p.ctmdp, trans=rows), p.pairs,
+                        p.action_pairs, p.accepting)
+
+
+def test_schedule_rows_matches_the_two_pass_reference():
+    # marked products, model x automaton products with traps, and sink
+    # augmentations; complete, partial and empty schedules, foreign and
+    # disabled action pairs and states without rows: the same rows, or the
+    # same error at the same state
+    rng = np.random.default_rng(97)
+
+    def outcome(f, p, schedule):
+        try:
+            return f(p, schedule).tolist()
+        except CtmdpError as exc:
+            return type(exc), str(exc)
+
+    kinds = {"trap": 0, "sink": 0, "missing": 0, "foreign": 0,
+             "disabled": 0, "no rows": 0}
+    for k in range(200):
+        if k % 3 == 0:
+            p = random_marked_product(rng, int(rng.integers(2, 9)))
+        else:
+            m = random_ctmdp(rng, int(rng.integers(2, 6)), max_actions=2,
+                             ap=("g", "p"))
+            p = build_product(m, random_buchi(rng, num_states=2))
+            kinds["trap"] += TRAP_PAIR in p.pairs
+            if k % 3 == 2:
+                p = augment(p, 0.9)
+                kinds["sink"] += 1
+        n, ch = p.num_states, p.ctmdp.choices
+        full = random_schedule(rng, p)
+        sigma = schedule_to_ids(p, full)
+        assert list(full.items()) == [
+            (pair, p.action_pairs[j]) for pair, j in zip(p.pairs, sigma)
+            if pair != TRAP_PAIR]
+        keys = list(full)
+        schedules = [full, {}, {key: full[key] for key in keys
+                                if rng.random() < 0.5}]
+        i = int(rng.integers(n))
+        foreign = dict(full)   # the error names the first of two states
+        for pair in (p.pairs[i], p.pairs[int(rng.integers(n))]):
+            foreign[pair] = (99, 99)
+        schedules.append(foreign)
+        off = sorted(set(range(len(p.action_pairs)))
+                     - set(p.ctmdp.enabled(i)))
+        if off:
+            disabled = dict(full)
+            disabled[p.pairs[i]] = p.action_pairs[off[0]]
+            schedules.append(disabled)
+        cases = [(p, schedule) for schedule in schedules]
+        if n > 1:
+            cases += [(_without_rows(p, i), schedule)
+                      for schedule in (full, {})]
+        for q, schedule in cases:
+            want = outcome(_two_pass_rows, q, schedule)
+            assert outcome(schedule_rows, q, schedule) == want
+            ids = outcome(schedule_to_ids, q, schedule)
+            if isinstance(want, list):
+                assert ids == q.ctmdp.choices.action[want].tolist()
+                kinds["missing"] += len(schedule) < n - (TRAP_PAIR in q.pairs)
+            else:
+                assert ids == want
+                kinds["foreign" if "(99, 99)" in want[1] else
+                      "no rows" if q is not p else "disabled"] += 1
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_project_schedule(mars):
