@@ -11,11 +11,9 @@ from .formats import (HoaSource, ModelSource, emit_hoa, emit_result_table,
                       parse_hoa, parse_model, serialize_model)
 from .learn import (EXP_GAMMA, SAT_GAMMA, Hyperparams, LearnResult, QTable,
                     learn_exp, learn_sat)
-from .model import (Ctmdp, CtmdpError, Mec, MecSet, embed, mec_decompose,
-                    uniformize, validate)
-from .product import (OnTheFlyProductEnv, ProductCtmdp, Schedule, augment,
-                      build_product, project_schedule, schedule_from_ids,
-                      schedule_to_ids)
-from .simulate import RngHandle, sample_transition
+from .model import Ctmdp, CtmdpError, uniformize, validate
+from .product import (ProductCtmdp, Schedule, augment, build_product,
+                      project_schedule, schedule_from_ids)
+from .simulate import RngHandle
 
 __version__ = "0.1.0"

@@ -59,7 +59,7 @@ from scipy.sparse import csc_array, csr_array
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .model import ChoiceRows, Ctmdp, CtmdpError
+from .model import ActionNotEnabled, ChoiceRows, Ctmdp, CtmdpError
 from .product import ProductCtmdp, Schedule, schedule_from_ids, schedule_rows
 
 _TIE_TOL = 1e-9
@@ -128,25 +128,27 @@ def uniformized_reward_spec(m: Ctmdp, spec: RewardSpec, alpha: float,
     return RewardSpec(state_rate=spec.state_rate.copy(), action_reward=adjusted)
 
 
-def step_reward_spec(m: Ctmdp, spec: RewardSpec, cap: float) -> Dict[Tuple[int, int], float]:
-    """Per-step rewards on the cap-uniformized chain whose per-step average
-    times cap equals the original time average, keyed in choice-row order."""
-    return dict(zip(m.choices.row, _step_rewards(m, spec, cap).tolist()))
-
-
 def _step_rewards(m: Ctmdp, spec: RewardSpec, cap: float) -> np.ndarray:
-    """``step_reward_spec`` as one value per choice row."""
-    ch = m.choices
-    return (spec.state_rate[ch.state] + ch.exit * _row_rewards(m, spec)) / cap
+    """Per-step rewards on the cap-uniformized chain whose per-step average
+    times cap equals the original time average, one per choice row."""
+    act = _row_rewards(m, spec)
+    return (spec.state_rate[m.choices.state] + m.choices.exit * act) / cap
 
 
 def _row_rewards(m: Ctmdp, spec: RewardSpec) -> np.ndarray:
-    """The transition reward of every choice row, by row."""
+    """Each choice row's transition reward.  Every spec reader calls this
+    first: a ``state_rate`` not of one entry per state raises CtmdpError,
+    and a reward on a pair the model does not enable ActionNotEnabled."""
     ch = m.choices
+    if len(spec.state_rate) != m.num_states:
+        raise CtmdpError(f"state_rate has {len(spec.state_rate)} entries "
+                         f"for {m.num_states} states")
     act = np.zeros(len(ch.state))
     for key, value in spec.action_reward.items():
-        if key in ch.row:
-            act[ch.row[key]] = value
+        i = ch.row.get(key)
+        if i is None:
+            raise ActionNotEnabled(*key)
+        act[i] = value
     return act
 
 
@@ -168,9 +170,8 @@ class Chain(NamedTuple):
     """A finite Markov chain in CSR layout: row s has the entries
     ``data[ptr[s]:ptr[s + 1]]`` in the columns ``col[ptr[s]:ptr[s + 1]]``,
     every entry positive and no column twice in a row.  Its systems are
-    D - P, with D the diagonal ``diag``, or the identity if that is None;
-    a chain that ``_factor`` solves has no self-loop entry, its weight
-    being on D (``_induced`` puts the rate of leaving there)."""
+    D - P, with D the diagonal ``diag``: ``_induced`` puts the rate of
+    leaving there and no self-loop entry in P; graph-only chains have none."""
 
     ptr: np.ndarray
     col: np.ndarray
@@ -310,14 +311,13 @@ def _factor(P: Chain, t: np.ndarray, f: np.ndarray,
     counts, entries = _entries(P.ptr, t)
     diag = np.arange(k)
     i, j, p = diag.repeat(counts), P.col[entries], P.data[entries]
-    d = np.ones(k) if P.diag is None else P.diag[t]
     pos = np.zeros(n, dtype=np.int64)
     pos[t] = diag
     pos[f] = np.arange(len(f))
     into = _mask(n, t)[j]
     rows = np.concatenate((i[into], diag))
     cols = np.concatenate((pos[j[into]], diag))
-    vals = np.concatenate((-p[into], d))
+    vals = np.concatenate((-p[into], P.diag[t]))
     if classes is not None:
         first = classes.cumsum() - classes
         keep = ~_mask(k, first)[cols]
@@ -701,10 +701,6 @@ class BlackwellReport:
     schedules: Tuple[Tuple[int, ...], ...]   # discounted-optimal per gamma
     average_schedule: Tuple[int, ...]
     stable_from: Optional[int]               # index where schedules stabilize
-
-    @property
-    def stabilized(self) -> bool:
-        return self.stable_from is not None
 
 
 def blackwell_probe(m: Ctmdp, spec: RewardSpec,

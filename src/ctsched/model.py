@@ -81,12 +81,9 @@ class ChoiceRows(Mapping):
         row[1:] = (s[1:] != s[:-1]) | (a[1:] != a[:-1])
         first = row.copy()
         first[1:] |= t[1:] != t[:-1]
+        # adds left to right from 0.0; gives int64 on no edges
+        total = np.bincount(np.cumsum(first) - 1, weights=rate).astype(float)
         first = np.flatnonzero(first)
-        total = rate[first]
-        if len(first) < len(s):
-            repeats = np.diff(first, append=len(s))
-            for k in range(1, repeats.max()):
-                total[repeats > k] += rate[first[repeats > k] + k]
         ptr = np.flatnonzero(np.concatenate((row[first], [True])))
         state = s[first[ptr[:-1]]]
         return ChoiceRows(np.searchsorted(state, np.arange(num_states + 1)),

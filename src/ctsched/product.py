@@ -13,7 +13,7 @@ automaton.  ``build_product(m, a)`` keeps the product it makes in
 its ids through the columns it derives from its rows on first use.
 ``OnTheFlyProductEnv`` is the same product keyed by pairs, and
 ``schedule_rows`` is the one mapping from a pair-keyed schedule to the
-choice rows it plays, which the graders and ``schedule_to_ids`` read.
+choice rows it plays, which the graders read.
 """
 from __future__ import annotations
 
@@ -214,9 +214,9 @@ def build_product(m: Ctmdp, a: BuchiAutomaton) -> ProductCtmdp:
 
 
 class OnTheFlyProductEnv:
-    """``build_product(m, a)`` keyed by pairs: ``reset``, ``is_accepting``,
-    ``actions`` and ``sample`` read the product's columns at a pair's id, and
-    a pair the walk never reached raises CtmdpError."""
+    """``build_product(m, a)`` keyed by pairs: ``reset``, ``actions`` and
+    ``sample`` read the product's columns at a pair's id, and a pair the
+    walk never reached raises CtmdpError."""
 
     def __init__(self, m: Ctmdp, a: BuchiAutomaton):
         self.p = build_product(m, a)
@@ -231,9 +231,6 @@ class OnTheFlyProductEnv:
 
     def reset(self) -> StatePair:
         return self.p.pairs[self.p.ctmdp.initial]
-
-    def is_accepting(self, pair: StatePair) -> bool:
-        return self._id(pair) in self.p.accepting
 
     def actions(self, pair: StatePair) -> Tuple[ActionPair, ...]:
         return self.p.acts[self._id(pair)]
@@ -302,12 +299,6 @@ def schedule_rows(p: ProductCtmdp, schedule: Schedule) -> np.ndarray:
                              f"product state {pair}")
         rows[i] = first
     return rows
-
-
-def schedule_to_ids(p: ProductCtmdp, schedule: Schedule) -> np.ndarray:
-    """Pair-keyed schedule -> per-product-state action ids: the actions of
-    ``schedule_rows``."""
-    return p.ctmdp.choices.action[schedule_rows(p, schedule)]
 
 
 def schedule_from_ids(p: ProductCtmdp, sigma: np.ndarray) -> Schedule:

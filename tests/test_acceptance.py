@@ -17,15 +17,15 @@ from ctsched.bruteforce import (brute_force_esem, brute_force_psem,
                                 random_ctmdp, random_marked_product,
                                 random_reward_spec)
 from ctsched.check import (Chain, _bsccs, _gather, _policy_gain_bias,
-                           accepting_rate_spec, alpha_from_gamma,
-                           average_optimal, average_value,
+                           _step_rewards, accepting_rate_spec,
+                           alpha_from_gamma, average_optimal, average_value,
                            discounted_optimal, discounted_value, esem_of,
                            esem_optimal, psem_of, psem_optimal,
-                           step_reward_spec, uniformized_reward_spec)
+                           uniformized_reward_spec)
 from ctsched.learn import learn_exp, learn_sat
 from ctsched.model import uniformize
 from ctsched.product import (augment, project_schedule, schedule_from_ids,
-                             schedule_to_ids)
+                             schedule_rows)
 from ctsched.simulate import RngHandle, race, sample_transition
 
 RUN_BUDGET_S = 60.0
@@ -169,7 +169,8 @@ def test_criterion_5_expectation_identity_and_monte_carlo():
         sched = schedule_from_ids(p, sigma)
         spec = accepting_rate_spec(p.num_states, p.accepting)
         exact = esem_of(p, sched)
-        direct = average_value(p.ctmdp, spec, schedule_to_ids(p, sched))
+        direct = average_value(p.ctmdp, spec,
+                               ch.action[schedule_rows(p, sched)])
         # same code path: the arrays must be identical bit for bit
         assert np.array_equal(exact.values, direct)
         mc = _simulated_time_fraction(P, lam, p.accepting, p.ctmdp.initial,
@@ -230,13 +231,12 @@ def test_criterion_6_blackwell_and_uniformization():
         scale8 = max(1.0, float(np.max(np.abs(v1))))
         worst_eq8 = max(worst_eq8, float(np.max(np.abs(v1 - v2))) / scale8)
 
-        r_step = step_reward_spec(m, spec, cap)
         ch = m.choices
         rows = ch.lookup(sigma)
+        r = _step_rewards(m, spec, cap)[rows]
         P, lam = _dense(_gather(ch, rows, ch.prob)), ch.exit[rows]
         PC = (lam / cap)[:, None] * P
         PC[np.diag_indices_from(PC)] += 1.0 - lam / cap
-        r = np.array([r_step[(s, int(sigma[s]))] for s in range(m.num_states)])
         g_step, _ = _policy_gain_bias(_chain(PC), r)
         act = np.array([spec.action_reward.get((s, int(sigma[s])), 0.0)
                         for s in range(m.num_states)])

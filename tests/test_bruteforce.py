@@ -20,7 +20,7 @@ from ctsched.check import (RewardSpec, _bsccs, _discount_rows, _discounted,
                            esem_of, psem_of)
 from ctsched.model import Ctmdp, CtmdpError
 from ctsched.product import (TRAP_PAIR, ProductCtmdp, augment, build_product,
-                             schedule_from_ids, schedule_to_ids)
+                             schedule_from_ids, schedule_rows)
 
 
 def _schedules(m):
@@ -101,7 +101,8 @@ def test_oracles_match_grading_each_schedule():
             value, sched = oracle(p)
             b = _first_best(want[:, m.initial].tolist())
             assert abs(value - want[b, m.initial]) <= 1e-12
-            assert np.array_equal(schedule_to_ids(p, sched), sigmas[b])
+            assert np.array_equal(ch.action[schedule_rows(p, sched)],
+                                  sigmas[b])
         gains, sigma = brute_force_average(m, spec)
         assert np.allclose(gains, want_avg.max(axis=0), rtol=0, atol=1e-12)
         assert np.array_equal(

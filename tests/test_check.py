@@ -21,17 +21,17 @@ from ctsched.check import (BlackwellReport, Chain, ConvergenceError,
                            RewardSpec, _absorption, _attractor, _bsccs,
                            _gather, _improve, _in_unit_interval, _induced,
                            _policy_gain_bias, _reach_probability,
-                           _recurrent_gain_bias,
+                           _recurrent_gain_bias, _step_rewards,
                            accepting_rate_spec, alpha_from_gamma,
                            average_optimal, average_value, blackwell_probe,
                            discounted_optimal, discounted_value, esem_of,
                            esem_optimal, psem_of, psem_optimal,
-                           step_reward_spec, uniformized_reward_spec)
+                           uniformized_reward_spec)
 from ctsched.data import BENCH_PAIRS, load_automaton, load_model
-from ctsched.model import ChoiceRows, Ctmdp, CtmdpError, uniformize
+from ctsched.model import (ActionNotEnabled, ChoiceRows, Ctmdp, CtmdpError,
+                           uniformize)
 from ctsched.product import (TRAP_PAIR, ProductCtmdp, augment, build_product,
-                              project_schedule, schedule_from_ids,
-                              schedule_to_ids)
+                              project_schedule, schedule_from_ids)
 
 
 def absorbing_pair(lam0=2.0, lam1=3.0):
@@ -523,10 +523,31 @@ def test_step_reward_spec_scaling():
     m = absorbing_pair(lam0=2.0, lam1=3.0)
     spec = RewardSpec(state_rate=np.array([1.0, 0.0]),
                       action_reward={(0, 0): 4.0})
-    steps = step_reward_spec(m, spec, cap=3.0)
-    # (state rate + lam * action reward) / cap
-    assert steps[(0, 0)] == pytest.approx((1.0 + 2.0 * 4.0) / 3.0)
-    assert steps[(1, 0)] == pytest.approx(0.0)
+    steps, row = _step_rewards(m, spec, cap=3.0), m.choices.row
+    # (state rate + lam * action reward) / cap, one per choice row
+    assert steps[row[(0, 0)]] == pytest.approx((1.0 + 2.0 * 4.0) / 3.0)
+    assert steps[row[(1, 0)]] == pytest.approx(0.0)
+
+
+def test_a_reward_spec_that_does_not_fit_the_model_raises():
+    # s0 enables only action a: a reward on (s0, b) would be dropped, and
+    # state rates for another number of states would be misread
+    m = Ctmdp.from_transitions(
+        ("s0", "s1"), ("a", "b"), 0,
+        [(0, 0, 1, 1.0), (1, 0, 0, 1.0), (1, 1, 1, 2.0)])
+    sigma = np.zeros(2, dtype=np.int64)
+    for read in (lambda spec: discounted_value(m, spec, sigma, 0.5),
+                 lambda spec: discounted_optimal(m, spec, 0.5),
+                 lambda spec: average_value(m, spec, sigma),
+                 lambda spec: average_optimal(m, spec),
+                 lambda spec: uniformized_reward_spec(m, spec, 0.5, 2.0)):
+        with pytest.raises(ActionNotEnabled,
+                           match="^action 1 not enabled in state 0$"):
+            read(RewardSpec(np.zeros(2), {(0, 1): 5.0}))
+        for n in (1, 3):
+            with pytest.raises(CtmdpError, match=f"^state_rate has {n} "
+                               "entries for 2 states$"):
+                read(RewardSpec(np.zeros(n)))
 
 
 def test_blackwell_probe_stabilizes(riskreward):
@@ -535,7 +556,7 @@ def test_blackwell_probe_stabilizes(riskreward):
     report = blackwell_probe(p.ctmdp, spec,
                              gammas=[0.9, 0.99, 0.999, 0.9999, 0.99999])
     assert isinstance(report, BlackwellReport)
-    assert report.stabilized
+    assert report.stable_from is not None
     # the stabilized discounted choice is gain-optimal
     stable = np.array(report.schedules[-1], dtype=np.int64)
     g_opt, _ = average_optimal(p.ctmdp, spec)

@@ -59,11 +59,6 @@ def test_hyperparams_validation():
         Hyperparams(zeta=1.0)
     with pytest.raises(ValueError):
         Hyperparams(ep_n=0)
-    # e^{-alpha dwell} must shrink: a negative alpha grows the bootstrap,
-    # zero leaves it undiscounted and nan poisons every value
-    for alpha in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match=r"alpha must lie in \(0,inf\)"):
-            Hyperparams(alpha=alpha)
     # a NaN or negative tol could never stop a run early
     for tol in (math.nan, -1.0):
         with pytest.raises(ValueError, match="tol must be non-negative"):
@@ -85,9 +80,8 @@ def test_alpha_for_objective_defaults():
         cap * (1 - SAT_GAMMA) / SAT_GAMMA)
     assert hp.alpha_for(cap, satisfaction=False) == pytest.approx(
         cap * (1 - EXP_GAMMA) / EXP_GAMMA)
-    # an explicit gamma or alpha wins over the per-objective default
+    # an explicit gamma wins over the per-objective default
     assert Hyperparams(gamma=0.5).alpha_for(cap, satisfaction=False) == cap
-    assert Hyperparams(alpha=0.25).alpha_for(cap) == 0.25
 
 
 def loop_model():
@@ -110,12 +104,12 @@ def dwells(seed, n):
 
 def test_q_update_formula():
     # Q(s,a) <- (1-beta) Q(s,a) + beta (r + e^{-alpha tau} max_a' Q(s',a'))
-    hp = Hyperparams(beta=0.25, alpha=0.5, epsilon=0.0, ep_n=1, ep_len=4)
+    hp = Hyperparams(beta=0.25, gamma=0.8, epsilon=0.0, ep_n=1, ep_len=4)
     res = learn_exp(loop_model(), gf_g_automaton(), hp, seed=3)
     d = dwells(3, 4)
     q1 = 0.0
     for tau in d[1:]:
-        target = accepting_dwell(True, tau) + math.exp(-0.5 * tau) * q1
+        target = accepting_dwell(True, tau) + math.exp(-res.alpha * tau) * q1
         q1 = (1 - 0.25) * q1 + 0.25 * target
     # (0, 0) bootstraps from (0, 1) before (0, 1) is ever updated
     assert res.qtable.q == {((0, 0), (0, 1)): 0.0, ((0, 1), (0, 1)): q1}
@@ -125,7 +119,7 @@ def test_q_update_formula():
 
 def test_q_update_terminal_skips_bootstrap():
     # zeta = 0.01: every accepting step pays out with probability 0.99
-    hp = Hyperparams(beta=0.5, alpha=0.5, zeta=0.01, epsilon=0.0, ep_n=2,
+    hp = Hyperparams(beta=0.5, gamma=0.8, zeta=0.01, epsilon=0.0, ep_n=2,
                      ep_len=10)
     coin = RngHandle(1, "coin")
     assert coin.uniform() < 0.99 and coin.uniform() < 0.99
@@ -135,18 +129,19 @@ def test_q_update_terminal_skips_bootstrap():
     # episode's first step bootstraps the first payout's value
     q1 = 0.5 * 1.0
     tau = dwells(1, 3)[2]
-    q0 = 0.5 * (0.0 + math.exp(-0.5 * tau) * q1)
+    q0 = 0.5 * (0.0 + math.exp(-res.alpha * tau) * q1)
     assert res.qtable.q == {((0, 0), (0, 1)): q0,
                             ((0, 1), (0, 1)): 0.5 * q1 + 0.5 * 1.0}
 
 
 def test_decay_beta_first_update_hits_target():
-    hp = Hyperparams(alpha=0.5, decay_beta=True, epsilon=0.0, ep_n=1, ep_len=3)
+    hp = Hyperparams(gamma=0.8, decay_beta=True, epsilon=0.0, ep_n=1,
+                     ep_len=3)
     res = learn_exp(loop_model(), gf_g_automaton(), hp, seed=0)
     _, d1, d2 = dwells(0, 3)
-    first = d1 + math.exp(-0.5 * d1) * 0.0
+    first = d1 + math.exp(-res.alpha * d1) * 0.0
     # the second update averages with weight 1/2
-    second = (1 - 0.5) * first + 0.5 * (d2 + math.exp(-0.5 * d2) * first)
+    second = (1 - 0.5) * first + 0.5 * (d2 + math.exp(-res.alpha * d2) * first)
     assert res.qtable.q[((0, 1), (0, 1))] == second
     assert res.qtable.visits[((0, 1), (0, 1))] == 2
 
@@ -204,7 +199,6 @@ def test_on_the_fly_env_matches_materialized_product(riskreward, mars):
     for i, pair in enumerate(p.pairs):
         assert set(env.actions(pair)) == {
             p.action_pairs[j] for j in p.ctmdp.enabled(i)}
-        assert env.is_accepting(pair) == (i in p.accepting)
     # the env races the model's rows draw for draw like sample_transition
     for m, a, p in (riskreward, mars):
         env = OnTheFlyProductEnv(m, a)
@@ -252,10 +246,8 @@ def test_env_rejects_a_pair_out_of_range(mars):
         env.actions((99, 0))
     with pytest.raises(CtmdpError, match=r"\(99, 0\)"):
         env.sample((99, 0), (0, 0), RngHandle(0, "trajectory"))
-    with pytest.raises(CtmdpError, match=r"\(99, 0\)"):
-        env.is_accepting((99, 0))
     with pytest.raises(CtmdpError, match=r"\(99, 1\)"):
-        env.is_accepting((99, 1))
+        env.actions((99, 1))
 
 
 @pytest.mark.parametrize("fixture", ["mars", "riskreward"])
@@ -267,8 +259,6 @@ def test_env_rejects_a_pair_the_walk_never_reached(fixture, request):
         env.actions((0, 2))
     with pytest.raises(CtmdpError, match=r"\(0, 2\) is not reachable"):
         env.sample((0, 2), (0, 2), RngHandle(0, "trajectory"))
-    with pytest.raises(CtmdpError, match=r"\(0, 2\) is not reachable"):
-        env.is_accepting((0, 2))
     # the view holds the product's states and no more
     assert env.p is p
     assert list(env.ids) == list(p.pairs)
@@ -345,6 +335,11 @@ def test_learners_share_a_table_whose_rows_are_built():
 
 def ref_train(m, a, hp, seed, satisfaction):
     env = OnTheFlyProductEnv(m, a)
+    ids = {pair: i for i, pair in enumerate(env.p.pairs)}
+
+    def is_accepting(pair):
+        return ids[pair] in env.p.accepting
+
     rngs = make_rngs(seed)
     traj, coin, explore = rngs["trajectory"], rngs["coin"], rngs["exploration"]
     alpha = hp.alpha_for(m.max_exit_rate, satisfaction=satisfaction)
@@ -386,12 +381,12 @@ def ref_train(m, a, hp, seed, satisfaction):
             s2, dwell = env.sample(s, act, traj)
             steps += 1
             if satisfaction:
-                if env.is_accepting(s) and coin.uniform() < 1.0 - hp.zeta:
+                if is_accepting(s) and coin.uniform() < 1.0 - hp.zeta:
                     update(s, act, 1.0, dwell, None)
                     break
                 update(s, act, 0.0, dwell, s2)
             else:
-                update(s, act, accepting_dwell(env.is_accepting(s), dwell),
+                update(s, act, accepting_dwell(is_accepting(s), dwell),
                        dwell, s2)
             s = s2
         if episodes % 500 == 0:
